@@ -164,17 +164,52 @@ def hk_solve(
                     queue.append(w)
         return found
 
-    def dfs(u: int) -> bool:
-        du1 = dist[u] + 1.0
-        for v in adj[u]:
+    # The layered augmenting-path DFS, without recursion: path length is
+    # not bounded by the interpreter's recursion limit.  Neighbours are
+    # tried in adjacency order and a dead end leaves dist = inf, exactly
+    # as in the textbook recursion, so the matching found is the same.
+    # The root's own level runs inline (most searches end there, and a
+    # stack per root would cost more than the search); ``descend`` walks
+    # the deeper levels on an explicit stack.
+    def dfs(root: int) -> bool:
+        du1 = dist[root] + 1.0
+        for v in adj[root]:
             w = match_r[v]
             if w < 0 or (
-                dist[w] == du1 and (allowed is None or allowed[w]) and dfs(w)
+                dist[w] == du1 and (allowed is None or allowed[w]) and descend(w)
             ):
-                match_l[u] = v
-                match_r[v] = u
+                match_l[root] = v
+                match_r[v] = root
                 return True
-        dist[u] = _INF
+        dist[root] = _INF
+        return False
+
+    def descend(top: int) -> bool:
+        path = [top]  # left vertices of the alternating path below the root
+        scans = [iter(adj[top])]  # each one's remaining neighbours
+        while path:
+            u = path[-1]
+            du1 = dist[u] + 1.0
+            for v in scans[-1]:
+                w = match_r[v]
+                if w < 0:
+                    # Flip the path bottom-up: each vertex takes the edge
+                    # below it and hands its old mate, the edge it was
+                    # reached by, to the vertex above.
+                    for u in reversed(path):
+                        prev = match_l[u]
+                        match_l[u] = v
+                        match_r[v] = u
+                        v = prev
+                    return True
+                if dist[w] == du1 and (allowed is None or allowed[w]):
+                    path.append(w)
+                    scans.append(iter(adj[w]))
+                    break
+            else:
+                dist[u] = _INF
+                path.pop()
+                scans.pop()
         return False
 
     size = sum(1 for u in active if match_l[u] >= 0)

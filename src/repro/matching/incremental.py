@@ -138,7 +138,7 @@ class IncrementalMatchingOracle(SetFunction):
         ids = {i for i in (index.get(v) for v in subset) if i is not None}
         covered = sum(1 for i in ids if mask[i])
         if covered == sum(mask):  # subset ⊇ committed: reuse the matching
-            return float(self._size + self._gain_indices([i for i in ids if not mask[i]]))
+            return float(self._size + self._sweep(([i for i in ids if not mask[i]],))[0])
         return float(len(hopcroft_karp(self.graph, subset)))
 
     # -- incremental API ----------------------------------------------
@@ -159,14 +159,17 @@ class IncrementalMatchingOracle(SetFunction):
         """``F(committed)`` without materialising the matching."""
         return self._size
 
-    def _gain_indices(self, new_ids: List[int]) -> int:
-        """Gain from augmenting a scratch copy of the matching (no commit).
+    def _sweep(self, steps) -> List[int]:
+        """Cumulative gains along a chain of fresh slot lists (no commit).
 
-        Three probe-level optimizations, all result-preserving:
+        Augments a scratch copy of the matching from each slot of
+        ``steps[0]``, then ``steps[1]``, …, recording the running gain
+        after each step.  Three probe-level optimizations, all
+        result-preserving:
 
         * *copy-on-success* — the scratch matching copies are made only
           when the first augmentation succeeds, so gain-0 probes (the
-          bulk of end-game CELF re-probes) are allocation-free;
+          bulk of end-game CELF re-scores) are allocation-free;
         * *shared failure stamps* — a failed search leaves the matching
           unchanged, so its visited marks stay valid for the next start
           (if a vertex could not reach a free job, it still cannot); the
@@ -176,9 +179,10 @@ class IncrementalMatchingOracle(SetFunction):
         * *free-job early exit* — the gain can never exceed the number
           of unmatched jobs, so the slot loop stops once they are all
           saturated (every later search is a guaranteed failure).
+
+        A sweep that gains nothing promotes its explored region to the
+        dead-region memo (see :func:`~repro.matching.fastgraph.kuhn_search`).
         """
-        if not new_ids:
-            return 0
         match_l = self._match_l
         match_r = self._match_r
         view = self._view
@@ -188,33 +192,36 @@ class IncrementalMatchingOracle(SetFunction):
         gained = 0
         copied = False
         trail: List[int] = []
+        out: List[int] = []
         self._stamp += 1
-        for i in new_ids:
-            if gained >= free_jobs:
-                break
-            self.probe_augmentations += 1
-            if match_l[i] >= 0:
-                continue
-            free_right = kuhn_search(
-                view, match_r, i, visited, self._stamp, parent, dead, version, trail
-            )
-            if free_right < 0:
-                continue
-            if not copied:
-                match_l = match_l.copy()
-                match_r = match_r.copy()
-                copied = True
-            apply_augmenting_path(match_l, match_r, free_right, parent)
-            gained += 1
-            self._stamp += 1
-            trail.clear()  # marks now belong to a post-success epoch
+        for ids in steps:
+            for i in ids:
+                if gained >= free_jobs:
+                    break
+                self.probe_augmentations += 1
+                if match_l[i] >= 0:
+                    continue
+                free_right = kuhn_search(
+                    view, match_r, i, visited, self._stamp, parent, dead, version, trail
+                )
+                if free_right < 0:
+                    continue
+                if not copied:
+                    match_l = match_l.copy()
+                    match_r = match_r.copy()
+                    copied = True
+                apply_augmenting_path(match_l, match_r, free_right, parent)
+                gained += 1
+                self._stamp += 1
+                trail.clear()  # marks now belong to a post-success epoch
+            out.append(gained)
         if gained == 0:
             # Every search failed against the *committed* matching, so
             # the explored region is dead for the rest of this commit
             # version — future probes skip it (O(visited) promotion).
             for v in trail:
                 dead[v] = version
-        return gained
+        return out
 
     def gain_indices(self, new_ids: List[int]) -> int:
         """Fast-path probe for solvers that pre-translated slots to indices.
@@ -222,7 +229,7 @@ class IncrementalMatchingOracle(SetFunction):
         *new_ids* must be disjoint from the committed set (callers filter
         against :meth:`committed_mask` first).
         """
-        return self._gain_indices(new_ids)
+        return self._sweep((new_ids,))[0]
 
     def extension_gains(self, steps: List[List[int]]) -> List[int]:
         """Cumulative gains along a *nested* chain of slot sets.
@@ -243,38 +250,15 @@ class IncrementalMatchingOracle(SetFunction):
         each new free slot in any order reaches a maximum matching of
         the union (the Lemma 2.1.1 matroid-rank update), so the
         cumulative count is order-independent.
+
+        It serves at any commit version.  The schedule-all greedy scores
+        every row with several live candidates through it, both in its
+        initial pass and in each lazy (CELF) re-score after later
+        commits, skipping whatever dead regions earlier probes of the
+        same version marked; a chain that gains nothing marks the
+        region it explored in turn.
         """
-        view = self._view
-        visited, parent, dead = self._visited, self._parent, self._dead
-        version = self.commit_version
-        match_l = self._match_l
-        match_r = self._match_r
-        free_jobs = view.n_right - self._size
-        gained = 0
-        copied = False
-        out: List[int] = []
-        self._stamp += 1
-        for ids in steps:
-            for i in ids:
-                if gained >= free_jobs:
-                    break
-                self.probe_augmentations += 1
-                if match_l[i] >= 0:
-                    continue
-                free_right = kuhn_search(
-                    view, match_r, i, visited, self._stamp, parent, dead, version
-                )
-                if free_right < 0:
-                    continue
-                if not copied:
-                    match_l = match_l.copy()
-                    match_r = match_r.copy()
-                    copied = True
-                apply_augmenting_path(match_l, match_r, free_right, parent)
-                gained += 1
-                self._stamp += 1
-            out.append(gained)
-        return out
+        return self._sweep(steps)
 
     @property
     def committed_mask(self) -> bytearray:
@@ -300,7 +284,7 @@ class IncrementalMatchingOracle(SetFunction):
         # Index order == sorted-repr order (the view sorts left_ids), so
         # probes stay independent of the caller's set-iteration order.
         new_ids.sort()
-        return self._gain_indices(new_ids)
+        return self._sweep((new_ids,))[0]
 
     def commit(self, extra: Iterable[Vertex]) -> int:
         """Grow the committed slot set; returns the cardinality gained."""
@@ -321,7 +305,7 @@ class IncrementalMatchingOracle(SetFunction):
         """Index-level :meth:`commit`; *new_ids* must be fresh indices.
 
         Uses the same shared-failure-stamp and free-job-exhaustion
-        shortcuts as the probes (see :meth:`_gain_indices`); the
+        shortcuts as the probes (see :meth:`_sweep`); the
         committed matching stays maximum on the committed slot set.
         """
         mask = self._committed_mask

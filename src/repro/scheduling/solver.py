@@ -19,6 +19,14 @@ Three interchangeable engines:
                  the committed matching from each interval's new slots —
                  the fastest, and the default.
 
+The incremental engine works on *rows*: the candidate intervals sharing
+a processor and a start time, nested by end time.  Its lazy heap holds
+one stale bound per row, and a stale row is re-scored whole — every
+live candidate in one augmentation sweep along the row (row-batched
+re-scoring) — so a slot is tried once per row re-score instead of once
+per candidate containing it.  Its picks are exactly those of a greedy
+that re-probes every candidate every round.
+
 All three realise the same approximation guarantee; E12 measures their
 oracle-work difference.
 """
@@ -63,8 +71,10 @@ class ScheduleAllResult:
     def approximation_bound(self) -> float:
         """The proven multiplicative bound O(log(n+1)) for this n.
 
-        Reported alongside measured ratios in EXPERIMENTS.md; the
-        constant is 2 (each of the ``log`` phases costs at most 2B).
+        The constant is 2 (each of the ``log`` phases costs at most 2B).
+        Measured ratios are checked against it in
+        ``tests/integration/test_guarantees.py`` and printed beside it by
+        ``benchmarks/test_e2_schedule_all.py``.
         """
         n_plus_1 = max(2.0, self.greedy.target + 1.0)
         return 2.0 * math.log2(n_plus_1)
@@ -265,47 +275,30 @@ def _prepare_indexed(
     return graph, pool
 
 
-def _initial_gains(oracle, pool: _CandidatePool) -> List[int]:
-    """Score the whole candidate pool against the committed matching.
-
-    Candidates of one row are nested, so each row is swept with one
-    :meth:`~repro.matching.incremental.IncrementalMatchingOracle.extension_gains`
-    chain — one augmentation attempt per slot per *row* instead of one
-    per slot per *interval* (an ``O(T)``-per-row versus
-    ``O(T)``-per-candidate cost class).  Gains equal per-candidate
-    probes exactly: matroid-rank updates are augmentation-order
-    independent.
-    """
-    gains: List[int] = [0] * len(pool.metas)
-    for row_cands in pool.rows:
-        if not row_cands:
-            continue
-        row = pool.row_pid[pool.cand_row[row_cands[0]]]
-        steps: List[List[int]] = []
-        prev_hi = 0
-        for c in row_cands:
-            hi = pool.cand_hi[c]
-            steps.append(row[prev_hi:hi])
-            prev_hi = hi
-        cums = oracle.extension_gains(steps)
-        for c, g in zip(row_cands, cums):
-            gains[c] = g
-    return gains
-
-
 def _incremental_greedy(instance, graph, pool: _CandidatePool) -> tuple[GreedyResult, int, "IncrementalMatchingOracle"]:
     """The specialised greedy: marginal gains via matching augmentation.
 
-    Candidate scoring is *lazy* (Minoux/CELF): because ``F`` is
-    submodular, a gain probed at an earlier commit version is an upper
-    bound on the current gain, so candidates sit in a max-heap keyed by
-    stale (ratio, gain) bounds and only the top entry is re-probed.  The
-    pick sequence is identical to the exhaustive re-scan (the heap's
-    ``(-ratio, -gain, insertion index)`` ordering reproduces the scan's
-    first-strictly-better tie-breaking) at a fraction of the probes.
-    The initial all-candidates pass runs on the oracle's chain-probe
-    batch API (:func:`_initial_gains`); CELF re-scores are single
-    copy-on-success probes with dead-region memoisation.
+    Candidate scoring is *lazy* (Minoux/CELF) and *row-batched*.  Because
+    ``F`` is submodular, a gain scored at an earlier commit version is an
+    upper bound on the current gain.  The max-heap holds one entry per
+    row: the stale ``(ratio, gain)`` bound of its best live candidate.
+    Only the top row is re-scored, all its live candidates at once, with
+    one :meth:`~repro.matching.incremental.IncrementalMatchingOracle.extension_gains`
+    chain — one augmentation attempt per slot of the row instead of one
+    per slot per candidate.  A row with a single live candidate takes a
+    plain :meth:`~repro.matching.incremental.IncrementalMatchingOracle.gain_indices`
+    probe instead.  Either way, a score that gains nothing marks the
+    region it explored dead until the next commit (the oracle's
+    dead-region memo).  The initial pass scores every row the same way.
+
+    Chain gains equal per-candidate probes exactly (matroid-rank
+    augmentation is order independent), so a row that reaches the heap
+    top freshly scored holds the exhaustive re-scan's pick: its key is
+    exact and every other key bounds its row's best from above.  The
+    heap's ``(-ratio, -gain, candidate index)`` ordering reproduces the
+    scan's first-strictly-better tie-breaking (lowest pool index wins),
+    so the pick sequence, gains and committed matching are those of the
+    scan.
     """
     n = instance.n_jobs
     oracle = IncrementalMatchingOracle(graph)
@@ -313,47 +306,69 @@ def _incremental_greedy(instance, graph, pool: _CandidatePool) -> tuple[GreedyRe
     chosen: List[AwakeInterval] = []
     steps: List[GreedyStep] = []
     total_cost = 0.0
-    costs = pool.costs
+    costs, rows, cand_hi = pool.costs, pool.rows, pool.cand_hi
 
-    # Heap entries: (-ratio, -gain, candidate index, version).  The
-    # candidate index doubles as the insertion-order tie-breaker (pool
-    # order equals the legacy enumeration order).
-    initial_gains = _initial_gains(oracle, pool)
+    # Candidate -> gain at its row's last scoring; 0 marks it dead (by
+    # submodularity a zero gain never turns positive again).
+    gains: List[int] = [0] * len(costs)
+    # Heap entries: (-ratio, -gain, candidate index, version), at most one
+    # per row: its best live candidate as scored at commit ``version``.
+    # The candidate index doubles as the insertion-order tie-breaker
+    # (pool order equals the legacy enumeration order).
     heap: List[tuple] = []
-    for c, gain in enumerate(initial_gains):
-        if gain <= 0:
-            continue
-        cost = costs[c]
-        ratio = math.inf if cost == 0 else gain / cost
-        if math.isnan(ratio):  # NaN never beats a real ratio in the scan
-            continue
-        heap.append((-ratio, -float(gain), c, oracle.commit_version))
-    heapq.heapify(heap)
 
-    while oracle.matching_size < n:
-        picked = None
-        while heap:
-            neg_ratio, neg_gain, c, version = heapq.heappop(heap)
-            extra = [i for i in pool.slots_of(c) if not mask[i]]
-            if not extra:
-                continue
-            if version == oracle.commit_version:
-                picked = (c, int(-neg_gain), extra)
-                break
-            gain = oracle.gain_indices(extra)
+    def push_best(r: int, version: int) -> None:
+        best = None  # (ratio, gain, candidate); first strictly better wins
+        for c in rows[r]:
+            gain = gains[c]
             if gain <= 0:
-                continue  # submodularity: can never become positive again
+                continue
             cost = costs[c]
             ratio = math.inf if cost == 0 else gain / cost
-            if math.isnan(ratio):
-                continue
-            heapq.heappush(heap, (-ratio, -float(gain), c, oracle.commit_version))
-        if picked is None:
+            if ratio != ratio:  # NaN never beats a real ratio in the scan
+                gains[c] = 0
+            elif best is None or ratio > best[0] or (ratio == best[0] and gain > best[1]):
+                best = (ratio, gain, c)
+        if best is not None:
+            ratio, gain, c = best
+            heapq.heappush(heap, (-ratio, -float(gain), c, version))
+
+    def score_row(r: int, live: List[int]) -> None:
+        """Score row *r*'s nested *live* candidates now; push its best."""
+        row = pool.row_pid[r]
+        if len(live) == 1:
+            extra = [i for i in row[: cand_hi[live[0]]] if not mask[i]]
+            fresh = [oracle.gain_indices(extra) if extra else 0]
+        else:
+            chain: List[List[int]] = []
+            lo = 0
+            for c in live:
+                hi = cand_hi[c]
+                chain.append([i for i in row[lo:hi] if not mask[i]])
+                lo = hi
+            fresh = oracle.extension_gains(chain)
+        for c, gain in zip(live, fresh):
+            gains[c] = gain
+        push_best(r, oracle.commit_version)
+
+    for r, row_cands in enumerate(rows):
+        if row_cands:
+            score_row(r, row_cands)
+
+    while oracle.matching_size < n:
+        if not heap:
             raise InfeasibleError(
                 f"greedy stalled at {oracle.matching_size}/{n} jobs schedulable"
             )
-        best_c, best_gain, extra = picked
+        _, neg_gain, best_c, version = heapq.heappop(heap)
+        r = pool.cand_row[best_c]
+        if version != oracle.commit_version:
+            score_row(r, [c for c in rows[r] if gains[c] > 0])
+            continue
+        extra = [i for i in pool.slots_of(best_c) if not mask[i]]
         oracle.commit_indices(extra, already_masked=False)
+        gains[best_c] = 0
+        push_best(r, version)  # the row's runners-up, stale from now on
         utility = float(oracle.matching_size)
         total_cost += costs[best_c]
         proc, start, end = pool.metas[best_c]
@@ -362,7 +377,7 @@ def _incremental_greedy(instance, graph, pool: _CandidatePool) -> tuple[GreedyRe
             GreedyStep(
                 index=chosen[-1],
                 cost=costs[best_c],
-                gain=float(best_gain),
+                gain=-neg_gain,
                 utility_after=utility,
                 cost_after=total_cost,
             )

@@ -1,8 +1,11 @@
 """Hopcroft–Karp correctness, cross-checked against networkx."""
 
+import sys
+
 import networkx as nx
 import pytest
 
+from repro.matching.fastgraph import hk_solve, indexed_view
 from repro.matching.graph import BipartiteGraph, Matching
 from repro.matching.hopcroft_karp import augment_from_left, hopcroft_karp, max_matching_size
 from repro.rng import as_generator
@@ -90,6 +93,46 @@ class TestHopcroftKarp:
         m_full = hopcroft_karp(g, seed_matching=m_half)
         assert len(m_full) == max_matching_size(g)
         m_full.validate(g)
+
+
+def chain_graph(n: int) -> BipartiteGraph:
+    """A path on ``2n`` vertices whose perfect matching needs one long augmentation.
+
+    ``x_i`` is adjacent to ``y_i`` and ``y_{i+1}`` for ``i < n - 1``, and
+    ``x_{n-1}`` only to ``y_0``.  Hopcroft–Karp's first phase matches
+    ``x_i`` to ``y_i`` (adjacency is visited in index order), leaving
+    ``x_{n-1}`` free with its only neighbour taken; the second phase must
+    then augment along the whole path, ``2n - 1`` edges long.  Names are
+    zero-padded so the indexed view's repr order is the numeric order.
+    """
+    left = [f"x{i:04d}" for i in range(n)]
+    right = [f"y{i:04d}" for i in range(n)]
+    edges = [(left[i], right[i]) for i in range(n - 1)]
+    edges += [(left[i], right[i + 1]) for i in range(n - 1)]
+    edges.append((left[n - 1], right[0]))
+    return BipartiteGraph(left, right, edges)
+
+
+class TestDeepAugmentingPath:
+    """Augmenting paths longer than the interpreter's recursion limit."""
+
+    N = 1500  # a chain of 3,000 vertices
+
+    def test_hk_solve(self):
+        assert self.N > sys.getrecursionlimit()
+        match_l, match_r, size = hk_solve(indexed_view(chain_graph(self.N)))
+        assert size == self.N
+        # The unique perfect matching: x_i -> y_{i+1}, x_{n-1} -> y_0.
+        assert match_l == list(range(1, self.N)) + [0]
+        assert match_r == [self.N - 1] + list(range(self.N - 1))
+
+    def test_hopcroft_karp(self):
+        g = chain_graph(self.N)
+        m = hopcroft_karp(g)
+        m.validate(g)
+        assert len(m) == self.N == max_matching_size(g)
+        assert m.left_to_right["x1499"] == "y0000"
+        assert m.left_to_right["x0000"] == "y0001"
 
 
 class TestAugmentFromLeft:

@@ -51,6 +51,22 @@ class TestBasics:
         with pytest.raises(InfeasibleError):
             schedule_all_jobs(inst)
 
+    def test_feasibility_check_survives_a_long_augmenting_path(self):
+        # Job 0 may run at 1000 or 2200, job k at 1000+k-1 or 1000+k, job
+        # 1200 only at 2199: the feasibility check's Hopcroft–Karp has to
+        # re-route all 1,201 jobs along one augmenting path, deeper than
+        # the interpreter's recursion limit.
+        jobs = [Job("j0000", {("p", 1000), ("p", 2200)})]
+        jobs += [Job(f"j{k:04d}", {("p", 999 + k), ("p", 1000 + k)}) for k in range(1, 1200)]
+        jobs.append(Job("j1200", {("p", 2199)}))
+        inst = ScheduleInstance(
+            ["p"], jobs, 2201, AffineCost(2.0),
+            candidate_intervals=[AwakeInterval("p", 1000, 2200)],
+        )
+        result = schedule_all_jobs(inst)
+        result.schedule.validate(inst, require_all=True)
+        assert result.cost == 2.0 + 1201.0
+
     def test_no_candidates_raises(self):
         jobs = [Job("a", {("p", 0)})]
         inst = ScheduleInstance(
