@@ -808,7 +808,10 @@ def _cmd_online_serve(args) -> int:
             raise ReproError(
                 f"spec file {args.spec_file} is not valid JSON: {exc}"
             ) from exc
-    specs = load_tenant_specs(payload)
+    try:
+        specs = load_tenant_specs(payload)
+    except ReproError as exc:
+        raise ReproError(f"spec file {args.spec_file}: {exc}") from exc
     idle_policy = None
     if args.idle_seconds is not None:
         if args.checkpoint_dir is None:

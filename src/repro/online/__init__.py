@@ -72,7 +72,6 @@ from repro.online.serving import (
     ServingLoop,
     TenantSpec,
     load_tenant_specs,
-    serve,
 )
 from repro.online.session import (
     OnlineSession,
@@ -176,7 +175,6 @@ __all__ = [
     "resume_sharded_run",
     "run_online",
     "segment_bounds",
-    "serve",
     "shard_of",
     "shard_schedule",
     "start_session",

@@ -41,12 +41,18 @@ keeps serving.  The same isolation covers resume: one corrupt
 per-tenant checkpoint quarantines that tenant with a per-tenant error
 instead of aborting the fleet.
 
-A ``memory_budget`` turns the loop into an admission controller: at
-most that many tenants hold live sessions at once, everyone else waits
-parked in its per-tenant checkpoint.  Admitted tenants run a slice
-(optionally capped at ``park_arrivals`` arrivals), park back to their
-checkpoint, and rehydrate on a later admission — a fleet larger than
-memory degrades to bounded-resident instead of OOM, and the netted
+Every serve — static, memory-budgeted or autoscaled — runs the same
+per-tenant *lifecycle*, one task per tenant: wait for an admission
+slot, hydrate (start fresh, resume from the tenant's checkpoint, or
+rehydrate it after a park), run the lanes until they stop, re-binding
+them in place each time the ``autoscale`` rebalancer flags the tenant,
+then stop.  Unbudgeted, every tenant holds a slot from the start and
+stays attached until the final checkpoint.  A ``memory_budget`` caps
+the slots, so at most that many tenants hold live sessions at once:
+an admitted tenant runs a slice (optionally capped at
+``park_arrivals`` arrivals), then checkpoints, detaches its session
+(*parks*) and queues for a slot again — a fleet larger than memory
+degrades to bounded-resident instead of OOM, and the netted
 oracle-call accounting keeps parked tenants' totals bit-identical to
 an unbudgeted serve.
 
@@ -59,6 +65,7 @@ its own queries through its own counting wrapper.
 from __future__ import annotations
 
 import asyncio
+import json
 import signal
 import time
 
@@ -95,7 +102,6 @@ __all__ = [
     "ServingLoop",
     "TenantSpec",
     "load_tenant_specs",
-    "serve",
 ]
 
 #: Sentinel a producer enqueues after its final batch: "this lane's
@@ -117,7 +123,19 @@ _SPEC_FIELDS = (
     "shards",
 )
 
+#: Recipe fields that take a JSON integer.
+_INT_FIELDS = ("n", "k", "seed", "aux", "n_knapsacks", "shards")
+
 OnDecision = Callable[[str, int, object], None]
+
+
+def _json_int(value: object, field: str) -> int:
+    """*value* if it is a JSON integer (not a bool or float), else an error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInstanceError(
+            f"{field} must be a JSON integer, got {value!r}"
+        )
+    return value
 
 
 class TenantSpec:
@@ -175,7 +193,9 @@ class TenantSpec:
         """Build a spec from a JSON object, merged over *defaults*.
 
         Unknown keys are rejected (a typoed field silently reverting to
-        its default would change the tenant's stream).
+        its default would change the tenant's stream), and so are JSON
+        values of the wrong type: a float or bool ``n`` would otherwise
+        be truncated into a different stream.
         """
         merged: Dict[str, object] = dict(defaults or {})
         merged.update(payload)
@@ -187,6 +207,15 @@ class TenantSpec:
             raise InvalidInstanceError(
                 f"tenant {tenant_id!r}: unknown spec fields {unknown}; "
                 f"known: {sorted(_SPEC_FIELDS)}"
+            )
+        for field in _INT_FIELDS:
+            if field in merged:
+                _json_int(merged[field], f"tenant {tenant_id!r}: {field!r}")
+        params = merged.get("process_params", {})
+        if not isinstance(params, Mapping):
+            raise InvalidInstanceError(
+                f"tenant {tenant_id!r}: 'process_params' must be a JSON "
+                f"object, got {params!r}"
             )
         return cls(str(tenant_id), **merged)  # type: ignore[arg-type]
 
@@ -223,6 +252,26 @@ class TenantSpec:
         if self.shards > 1 or force_sharded:
             return start_sharded_session(shards=self.shards, **kwargs)  # type: ignore[arg-type]
         return start_session(**kwargs)  # type: ignore[arg-type]
+
+    def checkpoint_drift(self, checkpoint: Mapping[str, object]) -> List[str]:
+        """Where *checkpoint*'s embedded workload recipe differs from this spec.
+
+        One ``"field: checkpoint X, spec Y"`` entry per differing recipe
+        field (a resume rebuilds the checkpoint's workload, not the
+        spec's).  ``shards`` is exempt: autoscale and ``repro online
+        reshard`` change it legitimately.
+        """
+        recipe = checkpoint.get("instance")
+        if not isinstance(recipe, Mapping):
+            return []  # the resume itself rejects a recipe-less checkpoint
+        drift = []
+        for field in _SPEC_FIELDS:
+            want = json.loads(json.dumps(getattr(self, field)))
+            if field != "shards" and recipe.get(field) != want:
+                drift.append(
+                    f"{field}: checkpoint {recipe.get(field)!r}, spec {want!r}"
+                )
+        return drift
 
 
 def load_tenant_specs(payload: object) -> List[TenantSpec]:
@@ -263,18 +312,24 @@ def load_tenant_specs(payload: object) -> List[TenantSpec]:
         if not isinstance(replicate, Mapping):
             raise InvalidInstanceError("'replicate' must be an object")
         replicate = dict(replicate)
-        count = int(replicate.pop("count", 0))  # type: ignore[arg-type]
+        count = _json_int(replicate.pop("count", 0), "'replicate.count'")
         if count < 1:
             raise InvalidInstanceError("'replicate.count' must be >= 1")
-        id_format = str(replicate.pop("id_format", "tenant-{index:04d}"))
-        seed_start = int(replicate.pop("seed_start", 0))  # type: ignore[arg-type]
+        id_format = replicate.pop("id_format", "tenant-{index:04d}")
+        seed_start = _json_int(
+            replicate.pop("seed_start", 0), "'replicate.seed_start'"
+        )
         for index in range(count):
             seed = seed_start + index
-            entry = {
-                **replicate,
-                "id": id_format.format(index=index, seed=seed),
-                "seed": seed,
-            }
+            try:
+                tenant_id = id_format.format(index=index, seed=seed)  # type: ignore[union-attr]
+            except (AttributeError, IndexError, KeyError, TypeError,
+                    ValueError) as exc:
+                raise InvalidInstanceError(
+                    f"'replicate.id_format' {id_format!r} is not an id "
+                    f"template over {{index}} and {{seed}}: {exc!r}"
+                ) from exc
+            entry = {**replicate, "id": tenant_id, "seed": seed}
             specs.append(TenantSpec.from_mapping(entry, defaults))
     if not specs:
         raise InvalidInstanceError("serve spec declares no tenants")
@@ -326,31 +381,23 @@ class _Tenant:
     checkpoint codec already carries them across hops.
     """
 
-    def __init__(
-        self,
-        spec: TenantSpec,
-        session: Optional[Union[OnlineSession, ShardedSession]],
-        depth: int,
-        *,
-        resumed: bool = False,
-    ) -> None:
+    def __init__(self, spec: TenantSpec, depth: int) -> None:
         self.spec = spec
         self.depth = depth
         self.session: Optional[Union[OnlineSession, ShardedSession]] = None
         self.lanes: List[_Lane] = []
         self.resumed = False
         #: Lifecycle state: ``pending`` (no session yet), ``running``,
-        #: or ``quarantined`` (terminal).  ``finished`` / ``drained`` /
-        #: ``parked`` are derived at report time.
+        #: or ``quarantined`` (terminal: its lanes stop).  ``finished`` /
+        #: ``drained`` / ``parked`` are derived at report time.
         self.state = "pending"
         self.error: Optional[str] = None
-        self.halted = False
         self.retries = 0
         self.retry_delays: List[float] = []
         self.strikes = 0
         #: Elastic-topology state: the rebalancer sets ``rebinding`` to
         #: ask this tenant's lane tasks to wind down; the tenant's
-        #: generation loop then reshards and re-attaches.  ``rebinds``
+        #: lifecycle task then reshards and re-attaches.  ``rebinds``
         #: counts completed topology changes; ``last_rebind_cursor``
         #: dampens the loop (no rebind without progress since the last).
         self.rebinding = False
@@ -372,8 +419,6 @@ class _Tenant:
             "finished": False,
             "max_in_flight": 0,
         }
-        if session is not None:
-            self.attach(session, resumed=resumed)
 
     def attach(
         self,
@@ -446,6 +491,14 @@ class _Tenant:
 
 class ServingLoop:
     """Drive many tenant sessions concurrently in one asyncio loop.
+
+    One lifecycle task per tenant (see the module docstring) moves it
+    through ``pending`` → ``running`` → ``finished`` / ``drained`` /
+    ``quarantined``; budgeted tenants cycle through ``parked`` between
+    slices, and autoscaled ones re-bind their lanes while ``running``.
+    The first wave — every tenant, or the first ``memory_budget`` of
+    them — hydrates before the serve's first await, so no lane waits
+    behind the whole fleet's start-up.
 
     Parameters
     ----------
@@ -603,10 +656,10 @@ class ServingLoop:
         self.autoscale = autoscale
         self._tenants: List[_Tenant] = []
         self._draining = False
-        self._active_consumers = 0
-        self._elastic_live = 0
         self._wall_seconds = 0.0
-        self._resident = 0
+        #: Tenants admitted and not yet stopped or parked: the loop
+        #: condition of the idle monitor and the rebalancer.
+        self._live = 0
         self._max_resident = 0
 
     # -- lifecycle -------------------------------------------------------
@@ -651,12 +704,7 @@ class ServingLoop:
             # the previous injector is restored so faulted scopes nest.
             previous_injector = install_injector(self.fault_injector)
         try:
-            if self.memory_budget is not None:
-                await self._serve_budgeted()
-            elif self.autoscale is not None:
-                await self._serve_elastic()
-            else:
-                await self._serve_static()
+            await self._serve()
             self._finalize()
         finally:
             if self.fault_injector is not None:
@@ -666,83 +714,105 @@ class ServingLoop:
         self._wall_seconds = time.perf_counter() - started
         return self.report()
 
-    async def _serve_static(self) -> None:
-        """The plain serve: every tenant resident for the whole run."""
-        self._tenants = [self._start_tenant(spec) for spec in self.specs]
-        self._resident = sum(
-            1 for t in self._tenants if t.session is not None
-        )
-        self._max_resident = self._resident
-        tasks = []
-        for tenant in self._tenants:
-            for lane in tenant.lanes:
-                tasks.append(
-                    asyncio.ensure_future(self._produce(tenant, lane))
-                )
-                tasks.append(
-                    asyncio.ensure_future(self._consume(tenant, lane))
-                )
-                self._active_consumers += 1
-        if self.idle_policy is not None and self.checkpoint_root is not None:
-            tasks.append(asyncio.ensure_future(self._monitor()))
-        await asyncio.gather(*tasks)
+    async def _serve(self) -> None:
+        """Run one lifecycle task per tenant until every one has stopped.
 
-    async def _serve_elastic(self) -> None:
-        """The autoscaling serve: static residency, dynamic lane topology.
-
-        Each tenant runs a *generation loop*: one produce/consume task
-        pair per lane, regenerated every time the rebalancer re-binds
-        the topology.  A separate rebalancer task watches per-lane
-        remaining work and flags tenants for rebind at their next
-        quiescent point.
+        At most ``memory_budget`` tenants (unbudgeted: all of them) are
+        admitted at once.  The first wave hydrates here, before the
+        serve's first await: inside the lifecycle tasks a whole fleet's
+        start-up would run in one event-loop pass, stalling every lane.
         """
-        self._tenants = [self._start_tenant(spec) for spec in self.specs]
-        self._resident = sum(
-            1 for t in self._tenants if t.session is not None
-        )
-        self._max_resident = self._resident
-        self._elastic_live = sum(
-            1 for t in self._tenants if t.session is not None
-        )
-        tasks = [
-            asyncio.ensure_future(self._tenant_elastic(tenant))
-            for tenant in self._tenants
-            if tenant.session is not None
-        ]
-        tasks.append(asyncio.ensure_future(self._rebalancer()))
+        slots = self.memory_budget or len(self.specs)
+        self._tenants = [_Tenant(spec, self.queue_depth) for spec in self.specs]
+        for tenant in self._tenants[:slots]:
+            self._admit(tenant)
+        self._admission = asyncio.Semaphore(slots - self._live)
+        tasks = [asyncio.ensure_future(self._lifecycle(t)) for t in self._tenants]
+        if self.autoscale is not None:
+            tasks.append(asyncio.ensure_future(self._rebalancer()))
         if self.idle_policy is not None and self.checkpoint_root is not None:
             tasks.append(asyncio.ensure_future(self._monitor()))
         await asyncio.gather(*tasks)
 
-    async def _tenant_elastic(self, tenant: _Tenant) -> None:
-        """One tenant's generation loop: run lanes, rebind, repeat."""
-        try:
-            while True:
-                lane_tasks = []
-                for lane in tenant.lanes:
-                    lane_tasks.append(
-                        asyncio.ensure_future(self._produce(tenant, lane))
-                    )
-                    lane_tasks.append(
-                        asyncio.ensure_future(self._consume(tenant, lane))
-                    )
-                    self._active_consumers += 1
-                await asyncio.gather(*lane_tasks)
-                if (
-                    self._draining
-                    or tenant.halted
-                    or tenant.finished
-                    or not tenant.rebinding
-                ):
+    async def _lifecycle(self, tenant: _Tenant) -> None:
+        """Admit → hydrate → run → stop, or (budgeted) park and queue again.
+
+        A first-wave tenant starts admitted (or quarantined); any other
+        waits for an admission slot first.
+        """
+        while tenant.state != "quarantined":
+            if tenant.session is None:
+                await self._admission.acquire()
+                if not self._admit(tenant):
+                    self._admission.release()
                     return
-                tenant.rebinding = False
-                # All lane tasks have exited, so the tenant is quiescent
-                # and its synchronous checkpoint is consistent.
-                target = self._rebind_target(tenant)
-                if target is not None:
-                    self._rebind(tenant, target)
-        finally:
-            self._elastic_live -= 1
+            await self._run(tenant)
+            self._live -= 1
+            parked = self._park(tenant)
+            self._admission.release()
+            if not parked:
+                return
+            await asyncio.sleep(0)  # queue again behind waiting tenants
+
+    def _admit(self, tenant: _Tenant) -> bool:
+        """Hydrate *tenant* into a slot; ``False`` leaves the slot free.
+
+        A drain leaves an already-parked tenant parked (its checkpoint
+        is durable); a corrupt checkpoint quarantines it.
+        """
+        if (self._draining and tenant.parks > 0) or not self._hydrate(tenant):
+            return False
+        self._live += 1
+        self._max_resident = max(self._max_resident, self._live)
+        return True
+
+    async def _run(self, tenant: _Tenant) -> None:
+        """Run *tenant*'s lanes, re-binding in place while it is flagged.
+
+        Once every lane task has exited the tenant is quiescent, so the
+        rebind's synchronous checkpoint is consistent.
+        """
+        while True:
+            await asyncio.gather(*(
+                coro
+                for lane in tenant.lanes
+                for coro in (
+                    self._produce(tenant, lane), self._consume(tenant, lane)
+                )
+            ))
+            if (
+                self._draining
+                or tenant.state == "quarantined"
+                or tenant.finished
+                or not tenant.rebinding
+            ):
+                return
+            tenant.rebinding = False
+            target = self._rebind_target(tenant)
+            if target is not None:
+                self._rebind(tenant, target)
+
+    def _park(self, tenant: _Tenant) -> bool:
+        """Checkpoint and detach a budgeted tenant; ``True``: queue again.
+
+        Unbudgeted tenants stay attached until :meth:`_finalize` (a
+        sharded tenant's merge bills in the report step), and
+        quarantined ones keep their session for reporting while their
+        last durable checkpoint stays untouched on disk.
+        """
+        if self.memory_budget is None or tenant.state == "quarantined":
+            return False
+        finished = tenant.finished
+        if finished:
+            # Summarise (sharded merge bills here) *before* the stash
+            # snapshots oracle_calls.
+            tenant.final_summary = tenant.session.summary()  # type: ignore[union-attr]
+        self._write_checkpoint(tenant)
+        tenant.detach()
+        if finished or self._draining:
+            return False
+        tenant.parks += 1
+        return True
 
     def _rebind_target(self, tenant: _Tenant) -> Optional[int]:
         """Lane count to reshard *tenant* to, or ``None`` to leave it be.
@@ -758,7 +828,7 @@ class ServingLoop:
         session = tenant.session
         if not isinstance(session, ShardedSession):
             return None
-        if tenant.halted or session.finished:
+        if tenant.state == "quarantined" or session.finished:
             return None
         if tenant.cursor <= tenant.last_rebind_cursor:
             return None
@@ -796,40 +866,33 @@ class ServingLoop:
         """
         session = tenant.session
         assert session is not None
-        try:
+
+        def resharded() -> Mapping[str, object]:
             manifest = session.checkpoint()
             salt = derive_seed(
                 int(partition_from_manifest(manifest).salt),
                 "rebalance", tenant.rebinds + 1,
             )
-            resharded = reshard_session(
+            return reshard_session(
                 manifest, int(target), salt=salt,
                 workload_cache=self.workload_cache,
             )
-            replacement = resume_any_session(
-                resharded,
-                workload_cache=self.workload_cache,
-                fault_injector=self.fault_injector,
-                fault_scope=tenant.spec.tenant_id,
-            )
-        except InvalidInstanceError as exc:
-            self._quarantine(tenant, f"rebind failed: {exc}")
-            return
-        tenant.attach(replacement)
-        tenant.rebinds += 1
-        tenant.last_rebind_cursor = tenant.cursor
+
+        if self._resume(tenant, resharded, "rebind failed"):
+            tenant.rebinds += 1
+            tenant.last_rebind_cursor = tenant.cursor
 
     async def _rebalancer(self) -> None:
         """Flag tenants whose lane topology is worth re-binding.
 
-        Runs alongside the generation loops: a flagged tenant's
-        producers stop at their next check, its consumers drain, and the
-        generation loop re-shards at the quiescent point.  The tick is
-        deliberately small relative to the producer pace so a lane going
-        idle is noticed within a few arrivals.
+        Runs alongside the lifecycle tasks: a flagged tenant's producers
+        stop at their next check, its consumers drain, and its lifecycle
+        task re-shards at the quiescent point.  The tick is deliberately
+        small relative to the producer pace so a lane going idle is
+        noticed within a few arrivals.
         """
         tick = max(self.pace_seconds / 2.0, 0.002)
-        while self._elastic_live > 0:
+        while self._live > 0:
             await asyncio.sleep(tick)
             if self._draining:
                 continue
@@ -839,87 +902,17 @@ class ServingLoop:
                 if self._rebind_target(tenant) is not None:
                     tenant.rebinding = True
 
-    async def _serve_budgeted(self) -> None:
-        """The admission-controlled serve: bounded resident sessions.
-
-        One lifecycle task per tenant competes for ``memory_budget``
-        admission slots; everything else about a slice (lanes, guarded
-        feeds, checkpointing) reuses the static machinery.
-        """
-        self._tenants = [
-            _Tenant(spec, None, self.queue_depth) for spec in self.specs
-        ]
-        self._admission = asyncio.Semaphore(self.memory_budget)
-        await asyncio.gather(
-            *(
-                asyncio.ensure_future(self._tenant_lifecycle(tenant))
-                for tenant in self._tenants
-            )
-        )
-
-    async def _tenant_lifecycle(self, tenant: _Tenant) -> None:
-        """Admit → hydrate → run a slice → park/finish, until terminal."""
-        while True:
-            async with self._admission:
-                if self._draining and tenant.parks > 0:
-                    return  # already durably parked; drain leaves it be
-                if not self._hydrate(tenant):
-                    return  # quarantined at hydrate (corrupt checkpoint)
-                self._resident += 1
-                self._max_resident = max(self._max_resident, self._resident)
-                try:
-                    await self._run_slice(tenant)
-                finally:
-                    self._resident -= 1
-                if tenant.state == "quarantined":
-                    # Keep the session attached for reporting; its last
-                    # durable checkpoint stays untouched on disk.
-                    return
-                finished = tenant.finished
-                if finished:
-                    # Summarise (sharded merge bills here) *before* the
-                    # stash snapshots oracle_calls.
-                    tenant.final_summary = tenant.session.summary()  # type: ignore[union-attr]
-                self._write_checkpoint(tenant)
-                tenant.detach()
-                if finished or self._draining:
-                    return
-                tenant.parks += 1
-            # Yield outside the slot so waiting tenants admit fairly.
-            await asyncio.sleep(0)
-
-    async def _run_slice(self, tenant: _Tenant) -> None:
-        """Run one admitted tenant's lanes until slice end or stream end."""
-        tasks = []
-        for lane in tenant.lanes:
-            tasks.append(
-                asyncio.ensure_future(
-                    self._produce(tenant, lane, quota=self.park_arrivals)
-                )
-            )
-            tasks.append(asyncio.ensure_future(self._consume(tenant, lane)))
-            self._active_consumers += 1
-        await asyncio.gather(*tasks)
-
-    def _start_tenant(self, spec: TenantSpec) -> _Tenant:
-        """Start (or, under ``resume``, restore) one tenant's session."""
-        tenant = _Tenant(spec, None, self.queue_depth)
-        self._hydrate(tenant)
-        return tenant
-
     def _hydrate(self, tenant: _Tenant) -> bool:
         """Attach a live session (fresh, resumed, or rehydrated).
 
         Returns ``False`` — after quarantining the tenant — when its
-        checkpoint is corrupt or unresumable; the rest of the fleet is
-        unaffected (the satellite bugfix: one bad file used to abort
-        the whole serve).
+        checkpoint is corrupt, unresumable, or records another workload
+        than the spec; the rest of the fleet is unaffected.
         """
         spec = tenant.spec
-        want_resume = self.checkpoint_root is not None and (
+        if self.checkpoint_root is not None and (
             self.resume or tenant.parks > 0
-        )
-        if want_resume:
+        ):
             try:
                 payload = read_tenant_checkpoint(
                     self.checkpoint_root, spec.tenant_id
@@ -928,19 +921,19 @@ class ServingLoop:
                 self._quarantine(tenant, f"unreadable checkpoint: {exc}")
                 return False
             if payload is not None:
-                try:
-                    session = resume_any_session(
-                        payload,
-                        workload_cache=self.workload_cache,
-                        fault_injector=self.fault_injector,
-                        fault_scope=spec.tenant_id,
-                    )
-                except InvalidInstanceError as exc:
+                drift = spec.checkpoint_drift(payload)
+                if drift:
                     self._quarantine(
-                        tenant, f"checkpoint resume failed: {exc}"
+                        tenant,
+                        "checkpoint workload does not match the spec: "
+                        + "; ".join(drift),
                     )
                     return False
-                tenant.attach(session, resumed=tenant.parks == 0)
+                if not self._resume(
+                    tenant, lambda: payload, "checkpoint resume failed",
+                    resumed=tenant.parks == 0,
+                ):
+                    return False
                 if tenant.parks > 0:
                     tenant.rehydrations += 1
                 return True
@@ -954,6 +947,32 @@ class ServingLoop:
         )
         return True
 
+    def _resume(
+        self,
+        tenant: _Tenant,
+        payload: Callable[[], Mapping[str, object]],
+        failure: str,
+        *,
+        resumed: bool = False,
+    ) -> bool:
+        """Resume the checkpoint *payload* builds and attach it, or quarantine.
+
+        Any :class:`InvalidInstanceError` on the way quarantines
+        *tenant* with a *failure*-prefixed error and returns ``False``.
+        """
+        try:
+            session = resume_any_session(
+                payload(),
+                workload_cache=self.workload_cache,
+                fault_injector=self.fault_injector,
+                fault_scope=tenant.spec.tenant_id,
+            )
+        except InvalidInstanceError as exc:
+            self._quarantine(tenant, f"{failure}: {exc}")
+            return False
+        tenant.attach(session, resumed=resumed)
+        return True
+
     def _quarantine(self, tenant: _Tenant, error: str) -> None:
         """Isolate *tenant*: stop its lanes, record the error, move on.
 
@@ -963,28 +982,25 @@ class ServingLoop:
         """
         tenant.state = "quarantined"
         tenant.error = str(error)
-        tenant.halted = True
 
     # -- tasks -----------------------------------------------------------
 
-    async def _produce(
-        self, tenant: _Tenant, lane: _Lane, quota: Optional[int] = None
-    ) -> None:
+    async def _produce(self, tenant: _Tenant, lane: _Lane) -> None:
         """Pull batches from *lane*'s source and queue them, until done.
 
         ``take`` and the ``in_flight`` increment run without an
         intervening await, so the quiescence invariant (cursor ==
         consumed + in_flight at every suspension point) holds.  Stops on
-        source exhaustion, policy completion, drain, tenant halt
-        (quarantine), or an exhausted slice *quota* (memory-budget
-        parking).
+        source exhaustion, policy completion, drain, quarantine, a
+        rebind flag, or an exhausted ``park_arrivals`` slice.
         """
         run = lane.run
+        quota = self.park_arrivals
         pulled = 0
         try:
             while (
                 not self._draining
-                and not tenant.halted
+                and tenant.state != "quarantined"
                 and not tenant.rebinding
                 and not run.policy.done
             ):
@@ -1020,7 +1036,7 @@ class ServingLoop:
     async def _consume(self, tenant: _Tenant, lane: _Lane) -> None:
         """Feed queued steps to *lane*'s run, streaming decisions out.
 
-        A quarantined (halted) tenant's consumer keeps dequeuing — and
+        A quarantined tenant's consumer keeps dequeuing — and
         discarding — until EOS, so its producer is never wedged on a
         full queue and the rest of the fleet drains normally.
         """
@@ -1029,7 +1045,7 @@ class ServingLoop:
             item = await lane.queue.get()
             if item is _EOS:
                 break
-            if tenant.halted:
+            if tenant.state == "quarantined":
                 lane.in_flight -= 1
                 continue
             await self._before_feed(tenant, lane)
@@ -1050,7 +1066,6 @@ class ServingLoop:
                 for position, element in run.decisions[logged:]:
                     self.on_decision(tenant.spec.tenant_id, position, element)
             await asyncio.sleep(0)  # fairness: one step per loop pass
-        self._active_consumers -= 1
 
     async def _feed_guarded(
         self, tenant: _Tenant, lane: _Lane, pos0: int, batch: Sequence
@@ -1123,11 +1138,11 @@ class ServingLoop:
         policy = self.idle_policy
         assert policy is not None
         tick = max(policy.idle_seconds / 2.0, 0.005)
-        while self._active_consumers > 0:
+        while self._live > 0:
             await asyncio.sleep(tick)
             now = time.perf_counter()
             for tenant in self._tenants:
-                if tenant.session is None or tenant.halted:
+                if tenant.session is None or tenant.state == "quarantined":
                     continue
                 if tenant.finished or not tenant.quiescent:
                     continue
@@ -1170,13 +1185,6 @@ class ServingLoop:
             self._write_checkpoint(tenant)
 
     # -- reporting -------------------------------------------------------
-
-    def tenant_summary(self, tenant_id: str) -> Dict[str, object]:
-        """One tenant's serving stats (plus its result when finished)."""
-        for tenant in self._tenants:
-            if tenant.spec.tenant_id == tenant_id:
-                return self._tenant_report(tenant)
-        raise InvalidInstanceError(f"unknown tenant {tenant_id!r}")
 
     def _tenant_state(self, tenant: _Tenant) -> str:
         """The tenant's terminal state label for reports."""
@@ -1295,14 +1303,3 @@ class ServingLoop:
             }
         return report
 
-
-def serve(
-    specs: Sequence[TenantSpec], **kwargs: object
-) -> Tuple[ServingLoop, Dict[str, object]]:
-    """One-shot convenience: build a :class:`ServingLoop`, run it.
-
-    Returns ``(loop, report)`` so callers can poke tenants afterwards;
-    keyword arguments forward to :class:`ServingLoop`.
-    """
-    loop = ServingLoop(specs, **kwargs)  # type: ignore[arg-type]
-    return loop, loop.serve()

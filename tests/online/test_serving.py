@@ -210,6 +210,63 @@ class TestDrainAndResume:
         assert got["value"] == expected["value"]
 
 
+class TestResumeMatchesSpec:
+    """A resume rebuilds the checkpoint's workload: it must be the spec's."""
+
+    ORIGINAL = {"id": "a", "n": 60, "k": 4, "seed": 3}
+
+    def serve(self, root, entry, **kwargs):
+        return ServingLoop(load_tenant_specs([entry]), checkpoint_root=root,
+                           **kwargs).serve()
+
+    def test_changed_workload_quarantines_and_keeps_checkpoint(self,
+                                                               tmp_path):
+        root = str(tmp_path / "ck")
+        self.serve(root, self.ORIGINAL)
+        path = tenant_checkpoint_path(root, "a")
+        with open(path, "rb") as fh:
+            before = fh.read()
+        changed = {**self.ORIGINAL, "n": 200, "k": 9, "seed": 5}
+        report = self.serve(root, changed, resume=True)
+        tenant = report["tenants"]["a"]
+        assert tenant["state"] == "quarantined"
+        assert report["totals"]["quarantined"] == 1
+        for field in ("n: checkpoint 60, spec 200", "k: checkpoint 4, spec 9",
+                      "seed: checkpoint 3, spec 5"):
+            assert field in tenant["error"]
+        assert "policy" not in tenant["error"]
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+
+    def test_changed_workload_exits_3(self, tmp_path, capsys):
+        root = str(tmp_path / "ck")
+        self.serve(root, self.ORIGINAL)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps([{**self.ORIGINAL, "process": "bursty"}]),
+                        encoding="utf-8")
+        assert main(["online", "serve", str(spec), "--checkpoint-dir", root,
+                     "--resume"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert "process: checkpoint 'uniform', spec 'bursty'" in (
+            report["tenants"]["a"]["error"])
+
+    def test_unchanged_spec_resumes(self, tmp_path):
+        root = str(tmp_path / "ck")
+        first = self.serve(root, self.ORIGINAL)
+        report = self.serve(root, self.ORIGINAL, resume=True)
+        tenant = report["tenants"]["a"]
+        assert tenant["state"] == "finished"
+        assert tenant["resumed"] is True
+        assert "error" not in tenant
+        assert tenant["selected"] == first["tenants"]["a"]["selected"]
+
+    def test_shard_count_is_exempt(self, tmp_path):
+        root = str(tmp_path / "ck")
+        self.serve(root, {**self.ORIGINAL, "shards": 2})
+        report = self.serve(root, {**self.ORIGINAL, "shards": 3}, resume=True)
+        assert report["tenants"]["a"]["state"] == "finished"
+
+
 class TestTenantCheckpointLayout:
     def test_round_trip_and_listing(self, tmp_path):
         root = str(tmp_path)
@@ -292,6 +349,48 @@ class TestSpecLoading:
         with pytest.raises(InvalidInstanceError, match="no tenants"):
             load_tenant_specs({"tenants": []})
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", "abc"), ("n", 1.5), ("n", True), ("k", "3"), ("seed", 2.0),
+        ("aux", False), ("n_knapsacks", "2"), ("shards", 1.0),
+        ("shards", None),
+    ])
+    def test_integer_fields_take_json_integers_only(self, field, value):
+        with pytest.raises(InvalidInstanceError,
+                           match=f"tenant 'a': '{field}' must be a JSON "
+                                 f"integer"):
+            load_tenant_specs([{"id": "a", field: value}])
+
+    def test_bad_default_names_the_tenant(self):
+        with pytest.raises(InvalidInstanceError, match="tenant 'b': 'k'"):
+            load_tenant_specs({"defaults": {"k": 2.0},
+                               "tenants": [{"id": "b"}]})
+
+    @pytest.mark.parametrize("params", [[1, 2], "x", None])
+    def test_process_params_takes_an_object(self, params):
+        with pytest.raises(InvalidInstanceError,
+                           match="tenant 'a': 'process_params' must be a "
+                                 "JSON object"):
+            load_tenant_specs([{"id": "a", "process_params": params}])
+
+    @pytest.mark.parametrize("stanza, match", [
+        ({"count": "x"}, "'replicate.count' must be a JSON integer"),
+        ({"count": True}, "'replicate.count' must be a JSON integer"),
+        ({"count": 2, "seed_start": 1.5},
+         "'replicate.seed_start' must be a JSON integer"),
+        ({"count": 2, "id_format": "t-{foo}"}, "'replicate.id_format'"),
+        ({"count": 2, "id_format": "t-{0}"}, "'replicate.id_format'"),
+        ({"count": 2, "id_format": "t-{index[0]}"}, "'replicate.id_format'"),
+        ({"count": 2, "id_format": 5}, "'replicate.id_format'"),
+        ({"count": 2, "n": 1.5}, "tenant 'tenant-0000': 'n'"),
+    ])
+    def test_bad_replicate_stanza_rejected(self, stanza, match):
+        with pytest.raises(InvalidInstanceError, match=match):
+            load_tenant_specs({"replicate": stanza})
+
+    def test_python_callers_keep_coercion(self):
+        spec = TenantSpec("t", n=1.5, k="3", process_params=None)
+        assert (spec.n, spec.k, spec.process_params) == (1, 3, {})
+
     def test_workload_key_splits_on_workload_fields_only(self):
         base = {"family": "additive", "n": 10, "aux": 0, "seed": 1,
                 "distribution": "uniform", "policy": "monotone"}
@@ -345,6 +444,12 @@ class TestServeCLI:
         bad.write_text("{nope", encoding="utf-8")
         assert main(["online", "serve", str(bad)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_malformed_spec_field_exits_2(self, tmp_path, capsys):
+        spec = self.write_spec(tmp_path, [{"id": "a", "n": "abc"}])
+        assert main(["online", "serve", spec]) == 2
+        err = capsys.readouterr().err
+        assert f"spec file {spec}: tenant 'a': 'n'" in err
 
     def test_idle_seconds_requires_checkpoint_dir(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path, [{"id": "a"}])

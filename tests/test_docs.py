@@ -6,8 +6,10 @@ lint job, but keeping it in tier-1 means local ``pytest`` catches the
 drift before a push does.
 """
 
+import ast
 import importlib.util
 import os
+import re
 
 import pytest
 
@@ -209,3 +211,50 @@ class TestDocsTree:
             arch = fh.read()
         assert "## Elastic topology" in arch
         assert "PartitionMap" in arch
+
+
+class TestTenantStateDiagram:
+    """RELIABILITY.md's state diagram names every state a report shows."""
+
+    SERVING = os.path.join(REPO_ROOT, "src", "repro", "online", "serving.py")
+    RELIABILITY = os.path.join(DOCS, "RELIABILITY.md")
+
+    def _report_states(self):
+        """Labels ``ServingLoop._tenant_state`` can return.
+
+        Its literal returns, plus every literal assigned to a ``state``
+        attribute: it falls through to ``return tenant.state``.
+        """
+        with open(self.SERVING, "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        labels = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name == "_tenant_state"):
+                labels |= {
+                    ret.value.value for ret in ast.walk(node)
+                    if isinstance(ret, ast.Return)
+                    and isinstance(ret.value, ast.Constant)
+                }
+            elif (isinstance(node, ast.Assign)
+                  and isinstance(node.value, ast.Constant)
+                  and any(isinstance(t, ast.Attribute) and t.attr == "state"
+                          for t in node.targets)):
+                labels.add(node.value.value)
+        return labels
+
+    def _diagram(self):
+        with open(self.RELIABILITY, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        fence = text.index("```", text.index("Tenant state machine inside"))
+        return text[fence + 3:text.index("```", fence + 3)]
+
+    def test_diagram_names_every_report_state(self):
+        states = self._report_states()
+        # A scan that found nothing would pass vacuously.
+        assert {"running", "finished", "drained", "quarantined"} <= states
+        diagram = self._diagram()
+        missing = sorted(
+            s for s in states if not re.search(rf"\b{s}\b", diagram)
+        )
+        assert not missing, f"docs/RELIABILITY.md diagram lacks {missing}"
