@@ -31,6 +31,12 @@ other tenant still matches the baseline.
 **Determinism cell** — the chaos serve runs twice; the fired-fault logs
 and per-tenant retry backoff schedules must match event for event.
 
+**Damaged-checkpoint cell** — after a clean checkpointed serve, one
+tenant's file is overwritten with non-UTF-8 bytes and another's
+``policy`` block is dropped: ``serve --resume`` must exit 3 with
+exactly those two tenants quarantined and every other tenant matching
+the baseline.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/fault_smoke.py [--output fault_smoke.json]
@@ -56,8 +62,10 @@ KILL_SITES = (
     "report.write",
 )
 
-#: Small mixed fleet: plain monotone tenants, a nonmonotone one, and a
-#: sharded one (whose resume exercises the manifest + netted counters).
+#: Small mixed fleet: plain monotone tenants, a nonmonotone one, a
+#: sharded one (whose resume exercises the manifest + netted counters),
+#: and the knapsack and robust rules, whose resume re-injects the
+#: element maps their checkpoints never carry.
 FLEET = {
     "defaults": {"policy": "monotone", "family": "additive", "n": 40, "k": 3},
     "tenants": [
@@ -67,6 +75,8 @@ FLEET = {
         {"id": "bursty", "process": "bursty",
          "process_params": {"mean_batch": 4}, "seed": 14},
         {"id": "sharded", "shards": 2, "n": 44, "seed": 15},
+        {"id": "knap", "policy": "knapsack", "seed": 16},
+        {"id": "robust", "policy": "robust", "family": "coverage", "seed": 17},
     ],
 }
 
@@ -241,6 +251,44 @@ def run_determinism_cell(workdir: str, spec: str) -> dict:
     }
 
 
+def run_damaged_checkpoint_cell(workdir: str, spec: str, baseline: dict) -> dict:
+    """Non-UTF-8 bytes and a dropped policy block quarantine two tenants."""
+    t0 = time.perf_counter()
+    ckpt = os.path.join(workdir, "ckpt-damaged")
+    serve(spec, "--checkpoint-dir", ckpt)
+    # <root>/<tenant id>/checkpoint.json: these ids need no escaping.
+    with open(os.path.join(ckpt, "mono-b", "checkpoint.json"), "wb") as fh:
+        fh.write(bytes.fromhex("fffe0067617262616765"))
+    path = os.path.join(ckpt, "robust", "checkpoint.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    del payload["policy"]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    out = os.path.join(workdir, "damaged.json")
+    serve(spec, "--checkpoint-dir", ckpt, "--resume", "--output", out,
+          expect=3)
+    with open(out, "r", encoding="utf-8") as fh:
+        report = json.load(fh)
+    damaged = {"mono-b", "robust"}
+    problems = []
+    quarantined = {t for t, v in report["tenants"].items()
+                   if v.get("state") == "quarantined"}
+    if quarantined != damaged:
+        problems.append(f"quarantined {sorted(quarantined)}, "
+                        f"wanted {sorted(damaged)}")
+    for tid in damaged:
+        if not report["tenants"][tid].get("error"):
+            problems.append(f"{tid}: quarantined without an error")
+    healthy = {t: v for t, v in baseline["tenants"].items()
+               if t not in damaged}
+    problems += compare_tenants({"tenants": healthy}, report)
+    return {
+        "cell": "damaged-checkpoint", "ok": not problems,
+        "problems": problems, "wall_seconds": time.perf_counter() - t0,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output", default=None,
@@ -272,6 +320,7 @@ def main(argv=None) -> int:
         cells.append(run_chaos_cell(workdir, spec, baseline))
         cells.append(run_quarantine_cell(workdir, spec, baseline))
         cells.append(run_determinism_cell(workdir, spec))
+        cells.append(run_damaged_checkpoint_cell(workdir, spec, baseline))
 
     failures = [c for c in cells if not c["ok"]]
     for c in cells:

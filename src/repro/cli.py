@@ -568,17 +568,18 @@ def _load_checkpoint_file(path: str) -> dict:
     """Read a checkpoint file, turning corruption into a usage error.
 
     A crashed writer (pre-atomic-write checkpoints), disk-full
-    truncation, or a hand-edit leaves invalid JSON; surface that as a
-    clean exit-2 error naming the file instead of a raw
-    ``json.JSONDecodeError`` traceback.
+    truncation, or a hand-edit leaves invalid UTF-8 or JSON; surface
+    that as a clean exit-2 error naming the file instead of a raw
+    ``UnicodeDecodeError`` / ``json.JSONDecodeError`` traceback.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            what = "JSON" if isinstance(exc, json.JSONDecodeError) else "UTF-8"
             raise ReproError(
                 f"checkpoint file {path} is corrupt or truncated "
-                f"(not valid JSON: {exc})"
+                f"(not valid {what}: {exc})"
             ) from exc
     if not isinstance(payload, dict):
         raise ReproError(f"checkpoint file {path} is not a JSON object")

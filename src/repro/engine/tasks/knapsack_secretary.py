@@ -163,8 +163,8 @@ class KnapsackSecretaryAdapter(TaskAdapter):
             rebuild_calls = 0
             if instance.reshard_to is not None:
                 # Half-stream S -> S' hop: suspend, re-partition, resume
-                # (the resumed run re-injects the capacity constraint the
-                # manifest cannot serialise).
+                # (the resumed run re-injects the reduced weights and the
+                # capacity constraint the manifest never carries).
                 from repro.online.sharding import (
                     make_sharded_checkpoint,
                     reshard_manifest,
@@ -179,6 +179,7 @@ class KnapsackSecretaryAdapter(TaskAdapter):
                 before = counters.calls
                 run = resume_sharded_run(
                     resharded, fn, oracle_factory=counters,
+                    deps={"weights": reduced},
                     can_take=knapsack_constraint(reduced, 1.0),
                 )
                 rebuild_calls = counters.calls - before

@@ -259,7 +259,7 @@ class SecretaryAdapter(TaskAdapter):
         return 1 if spec.method == "classical" else k
 
     @staticmethod
-    def _reshard_midstream(instance, run, counters, policy_factory):
+    def _reshard_midstream(instance, run, counters, policy_factory, deps):
         """Half-stream S -> S' hop: suspend, re-partition, resume.
 
         The cell measures the elastic-topology path end to end: the
@@ -267,8 +267,10 @@ class SecretaryAdapter(TaskAdapter):
         suspended manifest is re-partitioned to ``instance.reshard_to``
         lanes (consumed prefixes and hires pinned, suffix re-hashed
         under a new epoch), and the returned run finishes the stream.
-        Returns ``(resumed_run, rebuild_calls)`` — the oracle calls the
-        resume's frontier re-reveal billed, which the caller nets out.
+        *deps* re-injects what the manifest never carries (the robust
+        rule's singleton values).  Returns ``(resumed_run,
+        rebuild_calls)`` — the oracle calls the resume's frontier
+        re-reveal billed, which the caller nets out.
         """
         from repro.online.sharding import (
             make_sharded_checkpoint,
@@ -284,7 +286,7 @@ class SecretaryAdapter(TaskAdapter):
         )
         before = counters.calls
         resumed = resume_sharded_run(
-            resharded, instance.fn, oracle_factory=counters
+            resharded, instance.fn, oracle_factory=counters, deps=deps
         )
         return resumed, counters.calls - before
 
@@ -320,8 +322,12 @@ class SecretaryAdapter(TaskAdapter):
             )
             rebuild_calls = 0
             if instance.reshard_to is not None:
+                deps = (
+                    {"values": instance.singleton_values}
+                    if spec.method == "robust" else None
+                )
                 run, rebuild_calls = self._reshard_midstream(
-                    instance, run, counters, policy_factory
+                    instance, run, counters, policy_factory, deps
                 )
             result = run.run().result()
             # Net out the resume-rebuild reveals (the same netting the

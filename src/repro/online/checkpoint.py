@@ -21,7 +21,13 @@ objects and are already reproducible from workload seeds — so
 :func:`resume_run` takes the rebuilt utility (and any non-serializable
 policy dependencies such as matroids) from the caller; the CLI layer
 (:mod:`repro.online.session`) stores the workload recipe alongside the
-checkpoint to make that rebuild automatic.
+checkpoint to make that rebuild automatic.  The same holds for the
+per-element workload maps three policies read (the knapsack rule's
+reduced weights, the robust and bottleneck rules' singleton values):
+they are never written, resume re-injects them from the recipe through
+``deps``, and a map an older checkpoint still embeds in its policy
+config is ignored.  A release before this layout cannot resume those
+three policies' checkpoints written by this one.
 """
 
 from __future__ import annotations
@@ -180,18 +186,27 @@ def resume_run(
 
     The policy is rebuilt from the checkpoint's config unless an
     explicit *policy* instance is given (required when it carries
-    non-serializable dependencies not coverable by *deps*).
+    non-serializable dependencies not coverable by *deps*).  *deps*
+    also carries the per-element workload maps checkpoints never hold
+    (``weights`` for the knapsack rule, ``values`` for the robust and
+    bottleneck rules).
+
+    A ``policy`` block that is not ``{"name": str, "config": object,
+    "state": object}``, or a ``cursor`` that is not a JSON integer,
+    raises :class:`~repro.errors.InvalidInstanceError` naming the field.
     """
     if checkpoint.get("format") != CHECKPOINT_FORMAT:
         raise InvalidInstanceError(
             f"not a {CHECKPOINT_FORMAT} payload: {checkpoint.get('format')!r}"
         )
     check_schema_version(checkpoint)
-    spec = checkpoint["policy"]
+    spec = _require(checkpoint.get("policy"), Mapping, "policy", "an object")
+    name = _require(spec.get("name"), str, "policy.name", "a string")
+    config = _require(spec.get("config"), Mapping, "policy.config", "an object")
+    _require(spec.get("state"), Mapping, "policy.state", "an object")
+    _require(checkpoint.get("cursor"), int, "cursor", "an integer")
     if policy is None:
-        policy = make_policy(
-            str(spec["name"]), spec["config"], **dict(deps or {})  # type: ignore[index]
-        )
+        policy = make_policy(name, config, **dict(deps or {}))
     version = int(checkpoint.get("schema_version", 1))  # type: ignore[arg-type]
     if version == 1:
         return _resume_v1(checkpoint, utility, policy)
@@ -200,6 +215,15 @@ def resume_run(
     run = OnlineRun(utility, source, policy)
     run.restore(checkpoint)
     return run
+
+
+def _require(value, kind, field: str, what: str):
+    """*value* if it is a *kind* (and not a bool), else an error naming *field*."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise InvalidInstanceError(
+            f"checkpoint field {field!r} must be {what}, got {value!r:.60}"
+        )
+    return value
 
 
 # -- per-tenant checkpoint layout -------------------------------------------
@@ -277,7 +301,7 @@ def write_tenant_checkpoint(
 def read_tenant_checkpoint(root: str, tenant_id: str) -> Optional[Dict[str, object]]:
     """The tenant's current checkpoint payload, or ``None`` if absent.
 
-    Corrupt (non-JSON / non-object) files raise
+    Corrupt (non-UTF-8 / non-JSON / non-object) files raise
     :class:`~repro.errors.InvalidInstanceError` naming the file, the
     same contract as the CLI's checkpoint loader.
     """
@@ -289,10 +313,11 @@ def read_tenant_checkpoint(root: str, tenant_id: str) -> Optional[Dict[str, obje
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            what = "JSON" if isinstance(exc, json.JSONDecodeError) else "UTF-8"
             raise InvalidInstanceError(
                 f"tenant checkpoint {path} is corrupt or truncated "
-                f"(not valid JSON: {exc})"
+                f"(not valid {what}: {exc})"
             ) from exc
     if not isinstance(payload, dict):
         raise InvalidInstanceError(f"tenant checkpoint {path} is not a JSON object")

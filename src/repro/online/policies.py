@@ -27,7 +27,11 @@ The policy contract:
     The checkpoint codec: config rebuilds the policy, state restores the
     mid-stream machine (JSON-safe — ``-inf`` thresholds encode as
     ``None``).  Non-serializable dependencies (matroids, feasibility
-    callables) are re-injected through ``from_config(..., **deps)``.
+    callables) are re-injected through ``from_config(..., **deps)``, and
+    so are the per-element workload maps the recipe rebuilds (the
+    knapsack rule's reduced ``weights``, the robust and bottleneck
+    rules' singleton ``values``): writing them would make every
+    checkpoint O(n) instead of O(selected).
 
 Under the default per-arrival driving, each policy performs the *same
 oracle queries in the same order* as the loop it replaced — the golden
@@ -89,29 +93,14 @@ __all__ = [
 CanTake = Callable[[FrozenSet[Hashable], Hashable], bool]
 
 
-def _encode_element_map(mapping: Mapping[Hashable, float]) -> List[List[object]]:
-    """Element-keyed map as ``[[element, value], ...]`` pairs.
-
-    JSON object keys are always strings, so a dict keyed by int elements
-    would come back stringified while the schedule's order keeps the
-    ints; pair lists keep element identity through the round trip for
-    every element type the schedule payload admits (str/int).
-    """
-    return [[e, float(v)] for e, v in mapping.items()]
-
-
-def _decode_element_map(encoded) -> Dict[Hashable, float]:
-    """Inverse of :func:`_encode_element_map`; accepts plain dicts too
-    (in-process configs that never crossed a JSON boundary)."""
-    if isinstance(encoded, dict):
-        return {e: float(v) for e, v in encoded.items()}
-    return {e: float(v) for e, v in encoded}
-
-
 class OnlinePolicy(abc.ABC):
     """One online decision rule over a stream of arrivals."""
 
     name: str = ""
+    #: Constructor argument holding a per-element workload map
+    #: (``"weights"`` or ``"values"``), if the policy reads one.  It is
+    #: never written to the config; resume re-injects it as a dep.
+    workload_map: Optional[str] = None
 
     def __init__(self) -> None:
         self._oracle = None
@@ -188,8 +177,24 @@ class OnlinePolicy(abc.ABC):
 
     @classmethod
     def from_config(cls, config: Mapping[str, object], **deps) -> "OnlinePolicy":
-        """Rebuild an instance from a :meth:`config_dict` payload."""
-        return cls(**dict(config), **deps)  # type: ignore[call-arg]
+        """Rebuild an instance from a :meth:`config_dict` payload.
+
+        A policy with a :attr:`workload_map` requires that map in *deps*
+        (``from_config(config, values=...)`` or ``weights=...``); a copy
+        an older checkpoint still embeds in *config* is ignored, since
+        the workload recipe rebuilds the same map.
+        """
+        config = dict(config)
+        if cls.workload_map is not None:
+            config.pop(cls.workload_map, None)
+            if deps.get(cls.workload_map) is None:
+                raise InvalidInstanceError(
+                    f"policy {cls.name!r} needs its {cls.workload_map!r} map "
+                    f"re-injected: call from_config(config, "
+                    f"{cls.workload_map}=...) with the map the workload "
+                    "recipe rebuilds (checkpoints never carry it)"
+                )
+        return cls(**config, **deps)  # type: ignore[call-arg]
 
 
 # -- Algorithm 1: the segmented submodular secretary ------------------------
@@ -620,9 +625,13 @@ class BestSingletonPolicy(OnlinePolicy):
 
 
 class RobustTopKPolicy(OnlinePolicy):
-    """k segments, an independent classical rule on raw values in each."""
+    """k segments, an independent classical rule on raw values in each.
+
+    *values* is a :attr:`~OnlinePolicy.workload_map`.
+    """
 
     name = "robust_topk"
+    workload_map = "values"
 
     def __init__(self, values: Mapping[Hashable, float], k: int) -> None:
         super().__init__()
@@ -670,12 +679,7 @@ class RobustTopKPolicy(OnlinePolicy):
 
     def config_dict(self) -> Dict[str, object]:
         """JSON-able constructor config; inverse of :meth:`from_config`."""
-        return {"values": _encode_element_map(self.values), "k": self.k}
-
-    @classmethod
-    def from_config(cls, config: Mapping[str, object], **deps) -> "RobustTopKPolicy":
-        """Rebuild an instance from a :meth:`config_dict` payload."""
-        return cls(_decode_element_map(config["values"]), int(config["k"]), **deps)  # type: ignore[arg-type]
+        return {"k": self.k}
 
     def state_dict(self) -> Dict[str, object]:
         """JSON-able mutable state; inverse of :meth:`load_state`."""
@@ -699,9 +703,13 @@ class RobustTopKPolicy(OnlinePolicy):
 
 
 class BottleneckPolicy(OnlinePolicy):
-    """Observe a 1/k fraction, then hire the first k above its best."""
+    """Observe a 1/k fraction, then hire the first k above its best.
+
+    *values* is a :attr:`~OnlinePolicy.workload_map`.
+    """
 
     name = "bottleneck"
+    workload_map = "values"
 
     def __init__(self, values: Mapping[Hashable, float], k: int) -> None:
         super().__init__()
@@ -753,12 +761,7 @@ class BottleneckPolicy(OnlinePolicy):
 
     def config_dict(self) -> Dict[str, object]:
         """JSON-able constructor config; inverse of :meth:`from_config`."""
-        return {"values": _encode_element_map(self.values), "k": self.k}
-
-    @classmethod
-    def from_config(cls, config: Mapping[str, object], **deps) -> "BottleneckPolicy":
-        """Rebuild an instance from a :meth:`config_dict` payload."""
-        return cls(_decode_element_map(config["values"]), int(config["k"]), **deps)  # type: ignore[arg-type]
+        return {"k": self.k}
 
     def state_dict(self) -> Dict[str, object]:
         """JSON-able mutable state; inverse of :meth:`load_state`."""
@@ -786,10 +789,12 @@ class KnapsackSecretaryPolicy(OnlinePolicy):
     (:func:`~repro.online.runtime.offline_knapsack_estimate`), then
     hires any later item whose marginal density beats ``OPT_hat /
     density_divisor``.  The coin itself is config — drawn by the caller
-    — so a resumed run never needs the original RNG.
+    — so a resumed run never needs the original RNG.  *weights* is a
+    :attr:`~OnlinePolicy.workload_map`.
     """
 
     name = "knapsack"
+    workload_map = "weights"
 
     def __init__(
         self,
@@ -893,37 +898,23 @@ class KnapsackSecretaryPolicy(OnlinePolicy):
 
     def config_dict(self) -> Dict[str, object]:
         """JSON-able constructor config; inverse of :meth:`from_config`."""
-        return {
-            "weights": _encode_element_map(self.weights),
-            "heads": self.heads,
-            "density_divisor": self.density_divisor,
-        }
-
-    @classmethod
-    def from_config(
-        cls, config: Mapping[str, object], **deps
-    ) -> "KnapsackSecretaryPolicy":
-        """Rebuild an instance from a :meth:`config_dict` payload."""
-        return cls(
-            _decode_element_map(config["weights"]),
-            heads=bool(config["heads"]),
-            density_divisor=float(config["density_divisor"]),  # type: ignore[arg-type]
-            **deps,
-        )
+        return {"heads": self.heads, "density_divisor": self.density_divisor}
 
     def state_dict(self) -> Dict[str, object]:
         """JSON-able mutable state; inverse of :meth:`load_state`."""
         if self.heads:
             return {"singleton": self._singleton.state_dict()}
-        return {
+        state: Dict[str, object] = {
             "phase": self._phase,
-            "first_half": list(self._first_half),
             "bar": self._bar,
             "load": self._load,
             "value": self._value,
             "selected": list(self._selected),
             "done": self._done,
         }
+        if self._phase == "collect":  # nothing reads it once filtering starts
+            state["first_half"] = list(self._first_half)
+        return state
 
     def load_state(self, state: Mapping[str, object]) -> None:
         """Restore mutable state from a :meth:`state_dict` payload."""
@@ -931,7 +922,9 @@ class KnapsackSecretaryPolicy(OnlinePolicy):
             self._singleton.load_state(state["singleton"])  # type: ignore[arg-type]
             return
         self._phase = str(state["phase"])
-        self._first_half = list(state["first_half"])  # type: ignore[arg-type]
+        self._first_half = (
+            list(state["first_half"]) if self._phase == "collect" else []  # type: ignore[arg-type]
+        )
         self._bar = float(state["bar"])  # type: ignore[arg-type]
         self._load = float(state["load"])  # type: ignore[arg-type]
         self._selected = list(state["selected"])  # type: ignore[arg-type]

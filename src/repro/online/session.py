@@ -3,10 +3,12 @@
 A *session* bundles a workload recipe (family, sizes, seed), the policy
 it drives, and the arrival process into one resumable unit.  The recipe
 travels inside the checkpoint, so ``repro online resume CHECKPOINT``
-needs nothing but the file: the utility is rebuilt deterministically
-from the recorded seed, the arrival source is reconstructed from its
-spec and jumped straight to the saved cursor (O(selected) — no prefix
-replay), and the policy state machine picks up mid-stream.
+needs nothing but the file: the utility (with the per-element map the
+knapsack, robust and bottleneck policies read, which the checkpoint
+never carries) is rebuilt deterministically from the recorded seed,
+the arrival source is reconstructed from its spec and jumped straight
+to the saved cursor (O(selected) — no prefix replay), and the policy
+state machine picks up mid-stream.
 
 Seeds derive through :func:`repro.engine.hashing.derive_seed` — the
 stream order and the algorithm's coin flips draw from independent child
@@ -165,6 +167,7 @@ class WorkloadCache:
     def __init__(self, max_value_entries: Optional[int] = None) -> None:
         """Create an empty cache (*max_value_entries* bounds each LRU)."""
         self._entries: Dict[Tuple, Tuple[SetFunction, Dict, CachedOracle]] = {}
+        self._singletons: Dict[Tuple, Dict] = {}
         self.max_value_entries = max_value_entries
         self.hits = 0
         self.misses = 0
@@ -193,6 +196,22 @@ class WorkloadCache:
             self.hits += 1
         return entry
 
+    def singleton_values(self, recipe: Mapping[str, object]) -> Dict:
+        """Element -> singleton value of *recipe*'s utility, memoised.
+
+        The robust and bottleneck rules read these at every start and
+        resume (checkpoints never carry them), and a memory-budgeted
+        serve rehydrates such a tenant once per slice; one O(n) pass per
+        workload serves them all.  Reading a memoised map is not counted
+        as a :meth:`lookup`.
+        """
+        key = workload_key(recipe)
+        values = self._singletons.get(key)
+        if values is None:
+            fn = (self._entries.get(key) or self.lookup(recipe))[0]
+            values = self._singletons[key] = _singleton_values(fn)
+        return values
+
     def stats(self) -> Dict[str, object]:
         """Aggregate cache effectiveness counters (JSON-friendly)."""
         shared = [oracle for _, _, oracle in self._entries.values()]
@@ -209,6 +228,42 @@ def _singleton_values(fn: SetFunction) -> Dict:
     return {e: fn.value(frozenset({e})) for e in sorted(fn.ground_set, key=repr)}
 
 
+def _workload(
+    recipe: Mapping[str, object], workload_cache: Optional[WorkloadCache]
+) -> Tuple[SetFunction, Dict, SetFunction]:
+    """(utility, knapsack weights, value oracle) for *recipe*.
+
+    The oracle is the utility itself, or the cache's shared memoising
+    wrapper when a *workload_cache* is in play.
+    """
+    if workload_cache is None:
+        fn, weights = build_workload(recipe)
+        return fn, weights, fn
+    return workload_cache.lookup(recipe)
+
+
+def _policy_deps(
+    recipe: Mapping[str, object],
+    fn: SetFunction,
+    weights: Mapping,
+    workload_cache: Optional[WorkloadCache] = None,
+) -> Dict[str, object]:
+    """The per-element workload map the recipe's policy reads, as deps.
+
+    Checkpoints never carry these maps, so every build and resume takes
+    them from here: the reduced knapsack weights, or singleton values
+    (memoised on *workload_cache*) for the robust and bottleneck rules.
+    """
+    name = recipe.get("policy")
+    if name == "knapsack":
+        return {"weights": weights}
+    if name in ("robust", "bottleneck"):
+        if workload_cache is None:
+            return {"values": _singleton_values(fn)}
+        return {"values": workload_cache.singleton_values(recipe)}
+    return {}
+
+
 def _build_policy(
     recipe: Mapping[str, object],
     fn: SetFunction,
@@ -216,6 +271,7 @@ def _build_policy(
     *,
     n: Optional[int] = None,
     algo_seed: Optional[int] = None,
+    workload_cache: Optional[WorkloadCache] = None,
 ) -> OnlinePolicy:
     """Build the recipe's policy (optionally as one shard's replica).
 
@@ -225,6 +281,7 @@ def _build_policy(
     shard-derived coins).  The defaults reproduce the unsharded session.
     """
     name = str(recipe["policy"])
+    deps = _policy_deps(recipe, fn, weights, workload_cache)
     n = int(recipe["n"]) if n is None else int(n)  # type: ignore[arg-type]
     k = int(recipe["k"])  # type: ignore[arg-type]
     if algo_seed is None:
@@ -237,11 +294,13 @@ def _build_policy(
     if name == "classical":
         return BestSingletonPolicy(strict=True)
     if name == "robust":
-        return RobustTopKPolicy(_singleton_values(fn), k)
+        return RobustTopKPolicy(deps["values"], k)
     if name == "bottleneck":
-        return BottleneckPolicy(_singleton_values(fn), k)
+        return BottleneckPolicy(deps["values"], k)
     if name == "knapsack":
-        return KnapsackSecretaryPolicy(weights, heads=bool(gen.random() < 0.5))
+        return KnapsackSecretaryPolicy(
+            deps["weights"], heads=bool(gen.random() < 0.5)
+        )
     if name == "subadditive":
         if gen.random() < 0.5:
             return BestSingletonPolicy()
@@ -359,12 +418,10 @@ def start_session(
         "process": process,
         "process_params": dict(process_params or {}),
     }
-    if workload_cache is None:
-        fn, weights = build_workload(recipe)
-        shared: SetFunction = fn
-    else:
-        fn, weights, shared = workload_cache.lookup(recipe)
-    policy_obj = _build_policy(recipe, fn, weights)
+    fn, weights, shared = _workload(recipe, workload_cache)
+    policy_obj = _build_policy(
+        recipe, fn, weights, workload_cache=workload_cache
+    )
     source = build_arrival_source(
         process, fn, derive_seed(int(seed), "online-stream"),
         **dict(process_params or {}),
@@ -409,11 +466,7 @@ def resume_session(
     run.
     """
     recipe = _checked_recipe(checkpoint)
-    if workload_cache is None:
-        fn, _ = build_workload(recipe)
-        shared: SetFunction = fn
-    else:
-        fn, _, shared = workload_cache.lookup(recipe)
+    fn, weights, shared = _workload(recipe, workload_cache)
     counting = CountingOracle(shared)
     target: SetFunction = counting
     if fault_injector is not None:
@@ -423,7 +476,10 @@ def resume_session(
         # Rebuild the stream over the *base* utility so value-sorted
         # processes' construction queries never inflate call accounting.
         source = source_from_spec(checkpoint.get("source"), fn)
-    run = resume_run(checkpoint, target, source=source)
+    run = resume_run(
+        checkpoint, target, source=source,
+        deps=_policy_deps(recipe, fn, weights, workload_cache),
+    )
     restore_overhead = counting.calls
     recipe = dict(recipe)
     prior = int(recipe.pop("oracle_calls_consumed", 0))  # type: ignore[arg-type]
@@ -473,16 +529,17 @@ def _finish_shard_worker(job: Tuple[Dict, Dict]) -> Tuple[Dict, int]:
     the oracle calls it consumed.
     """
     recipe, shard_ck = job
-    fn, _ = build_workload(recipe)
+    fn, weights = build_workload(recipe)
+    deps = _policy_deps(recipe, fn, weights)
     if int(shard_ck.get("schema_version", 1)) >= 2:
         src = source_from_spec(shard_ck["source"], fn)
         view = ShardView(fn, src.order)
         counting = CountingOracle(view)
-        run = resume_run(shard_ck, counting, source=src)
+        run = resume_run(shard_ck, counting, source=src, deps=deps)
     else:
         view = ShardView(fn, shard_ck["schedule"]["order"])
         counting = CountingOracle(view)
-        run = resume_run(shard_ck, counting)
+        run = resume_run(shard_ck, counting, deps=deps)
     # Net out what the resume itself billed (evaluator construction,
     # frontier re-derivation): the parent already accounted for those
     # values, so the worker reports only genuinely new queries and the
@@ -639,11 +696,7 @@ def start_sharded_session(
         "process_params": dict(process_params or {}),
         "shards": int(shards),
     }
-    if workload_cache is None:
-        fn, weights = build_workload(recipe)
-        shared: SetFunction = fn
-    else:
-        fn, weights, shared = workload_cache.lookup(recipe)
+    fn, weights, shared = _workload(recipe, workload_cache)
     stream_seed = derive_seed(int(seed), "online-stream")
     params = dict(process_params or {})
 
@@ -660,6 +713,7 @@ def start_sharded_session(
             recipe, fn, weights,
             n=shard.n,
             algo_seed=_shard_algo_seed(int(seed), index, int(shards)),
+            workload_cache=workload_cache,
         )
 
     can_take, limit = _merge_rule(recipe, weights)
@@ -710,16 +764,14 @@ def resume_sharded_session(
     sharded run exactly.
     """
     recipe = _checked_recipe(checkpoint)
-    if workload_cache is None:
-        fn, weights = build_workload(recipe)
-        shared: SetFunction = fn
-    else:
-        fn, weights, shared = workload_cache.lookup(recipe)
+    fn, weights, shared = _workload(recipe, workload_cache)
     can_take, _ = _merge_rule(recipe, weights)
     counters = ShardCounters()
     oracle_factory = _shard_oracle_factory(counters, fault_injector, fault_scope)
     run = resume_sharded_run(
-        checkpoint, shared, oracle_factory=oracle_factory, can_take=can_take
+        checkpoint, shared, oracle_factory=oracle_factory,
+        deps=_policy_deps(recipe, fn, weights, workload_cache),
+        can_take=can_take,
     )
     restore_overhead = sum(c.calls for c in counters.countings)
     recipe = dict(recipe)
@@ -758,10 +810,7 @@ def reshard_session(
             "run with --shards (a --shards 1 manifest counts)"
         )
     recipe = _checked_recipe(checkpoint)
-    if workload_cache is None:
-        fn, weights = build_workload(recipe)
-    else:
-        fn, weights, _ = workload_cache.lookup(recipe)
+    fn, weights, _ = _workload(recipe, workload_cache)
     seed = int(recipe["seed"])  # type: ignore[arg-type]
 
     def policy_factory(index: int, lane) -> OnlinePolicy:
@@ -770,6 +819,7 @@ def reshard_session(
             recipe, fn, weights,
             n=lane.n,
             algo_seed=_shard_algo_seed(seed, index, int(num_shards)),
+            workload_cache=workload_cache,
         )
 
     out = reshard_manifest(

@@ -91,6 +91,32 @@ class TestEveryTaskRuns:
         )
 
 
+class TestReshardHopForMapCarryingMethods:
+    """``#S>S'`` hops for the methods whose policy reads an element map.
+
+    Manifests never carry the robust rule's singleton values or the
+    knapsack rule's reduced weights, so the engine's mid-stream reshard
+    must re-inject them on resume.  Records are pinned exactly.
+    """
+
+    CELLS = [
+        ("secretary", "additive#2>4", "robust", (30, 3, 0),
+         (2.4511288723904556, 2.779495263136268, 19, 3)),
+        ("secretary", "coverage@bursty#4>2", "robust", (40, 3, 0),
+         (8.0, 10.0, 13, 3)),
+        ("knapsack_secretary", "additive#2>4", "online", (40, 2, 0),
+         (2.646025210912737, 3.755586730478579, 86, 4)),
+        ("knapsack_secretary", "additive@bursty#4>2", "online", (40, 2, 0),
+         (2.047819751404436, 3.3399809371661826, 31, 3)),
+    ]
+
+    @pytest.mark.parametrize("task,family,method,grid,want", CELLS)
+    def test_record_pinned(self, task, family, method, grid, want):
+        record = run_one(spec_for(task, family, method, *grid))
+        got = (record.utility, record.cost, record.oracle_work, record.n_chosen)
+        assert got == want
+
+
 class TestAdapterParity:
     """Engine records must match direct solver calls on the same instance."""
 

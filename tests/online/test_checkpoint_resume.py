@@ -94,11 +94,11 @@ def test_matroid_policy_resume_with_deps(process, k_guess):
 
 @pytest.mark.parametrize("policy_name", ["robust", "bottleneck", "knapsack"])
 def test_int_element_streams_survive_json(policy_name):
-    """Value/weight-keyed configs keep int element identity through JSON.
+    """Value/weight-keyed policies keep int element identity through JSON.
 
-    JSON object keys are strings, so these policies encode their
-    element-keyed maps as pair lists — a dict-keyed encoding came back
+    JSON object keys are strings, so a dict-keyed map would come back
     with "0" while the schedule's order kept 0 (KeyError on resume).
+    The maps are never written: resume re-injects them through ``deps``.
     """
     from repro.core.functions import AdditiveFunction
     from repro.online.policies import (
@@ -111,19 +111,21 @@ def test_int_element_streams_survive_json(policy_name):
     fn = AdditiveFunction(values)
     schedule = build_arrival_schedule("uniform", fn, 3)
 
+    weights = {e: 0.4 for e in values}
+    deps = {"weights": weights} if policy_name == "knapsack" else {"values": values}
+
     def policy():
         if policy_name == "robust":
             return RobustTopKPolicy(values, 3)
         if policy_name == "bottleneck":
             return BottleneckPolicy(values, 2)
-        return KnapsackSecretaryPolicy(
-            {e: 0.4 for e in values}, heads=False
-        )
+        return KnapsackSecretaryPolicy(weights, heads=False)
 
     want = OnlineRun(CountingOracle(fn), schedule, policy()).run().result().selected
     run = OnlineRun(CountingOracle(fn), schedule, policy()).run(4)
     ck = _roundtrip(make_checkpoint(run))
-    resumed = resume_run(ck, CountingOracle(fn))
+    assert not {"values", "weights"} & set(ck["policy"]["config"])
+    resumed = resume_run(ck, CountingOracle(fn), deps=deps)
     got = resumed.run().result().selected
     assert got == want
 
@@ -172,6 +174,80 @@ def test_resume_rejects_bad_cursor():
     ck["cursor"] = 99
     with pytest.raises(InvalidInstanceError, match="cursor"):
         resume_session(ck)
+
+
+@pytest.mark.parametrize("policy,dep", [
+    ("robust", "values"), ("bottleneck", "values"), ("knapsack", "weights"),
+])
+def test_embedded_map_of_an_older_checkpoint_is_ignored(policy, dep):
+    """Older files embedded the map as ``[[element, value], ...]`` pairs.
+
+    Resume rebuilds it from the recipe instead: a corrupted embedded
+    copy changes nothing.
+    """
+    kwargs = dict(policy=policy, family="additive", n=40, k=3, seed=4)
+    want = start_session(**kwargs).advance().summary()
+    ck = _roundtrip(start_session(**kwargs).advance(25).checkpoint())
+    assert dep not in ck["policy"]["config"]
+    ck["policy"]["config"][dep] = [[f"s{i}", 1e9] for i in range(40)]
+    got = resume_session(ck).advance().summary()
+    assert (got["selected"], got["value"], got["oracle_calls"]) == (
+        want["selected"], want["value"], want["oracle_calls"])
+
+
+@pytest.mark.parametrize("name,config,dep", [
+    ("robust_topk", {"k": 2}, "values"),
+    ("bottleneck", {"k": 2}, "values"),
+    ("knapsack", {"heads": False, "density_divisor": 6.0}, "weights"),
+])
+def test_from_config_requires_the_workload_map(name, config, dep):
+    from repro.errors import InvalidInstanceError
+    from repro.online.policies import make_policy
+
+    with pytest.raises(InvalidInstanceError, match=f"{name!r}.*{dep!r}"):
+        make_policy(name, config)
+    policy = make_policy(name, config, **{dep: {"a": 0.5}})
+    assert getattr(policy, dep) == {"a": 0.5}
+
+
+@pytest.mark.parametrize("policy", ["monotone", "robust", "knapsack"])
+@pytest.mark.parametrize("damage,field", [
+    pytest.param(lambda ck: ck.pop("policy"), "'policy'", id="no-policy"),
+    pytest.param(lambda ck: ck["policy"].update(config=None),
+                 "'policy.config'", id="null-config"),
+    pytest.param(lambda ck: ck["policy"].update(state=[1]),
+                 "'policy.state'", id="list-state"),
+    pytest.param(lambda ck: ck["policy"].update(name=7), "'policy.name'",
+                 id="int-name"),
+    pytest.param(lambda ck: ck.update(cursor="x"), "'cursor'", id="str-cursor"),
+    pytest.param(lambda ck: ck.update(cursor=True), "'cursor'",
+                 id="bool-cursor"),
+    pytest.param(lambda ck: ck.update(cursor=3.0), "'cursor'",
+                 id="float-cursor"),
+])
+def test_resume_rejects_malformed_policy_block_and_cursor(policy, damage, field):
+    """A damaged ``policy`` block or ``cursor`` is a clean error naming it."""
+    from repro.errors import InvalidInstanceError
+
+    session = start_session(policy=policy, n=12, k=2, seed=1).advance(3)
+    ck = _roundtrip(session.checkpoint())
+    damage(ck)
+    with pytest.raises(InvalidInstanceError, match=field):
+        resume_session(ck)
+
+
+def test_sharded_resume_rejects_malformed_shard_policy_block():
+    """Shard entries of a manifest reach the same checks."""
+    from repro.errors import InvalidInstanceError
+    from repro.online.session import resume_any_session, start_sharded_session
+
+    session = start_sharded_session(
+        policy="knapsack", n=16, k=2, seed=3, shards=2
+    ).advance(5)
+    ck = _roundtrip(session.checkpoint())
+    ck["shards"][1]["policy"] = None
+    with pytest.raises(InvalidInstanceError, match="'policy'"):
+        resume_any_session(ck)
 
 
 def test_oracle_frontier_restored_no_peeking():

@@ -168,6 +168,92 @@ class TestCorruptCheckpointIsolation:
         assert_results_match(baseline, report, skip=("mono-b",))
 
 
+class TestDamagedCheckpointIsolation:
+    """Non-UTF-8 bytes or a malformed policy block quarantine one tenant."""
+
+    NOT_UTF8 = bytes.fromhex("fffe0067617262616765")
+
+    @staticmethod
+    def _serve_clean(tmp_path):
+        root = str(tmp_path / "ckpt")
+        ServingLoop(specs(), checkpoint_root=root).serve()
+        return root
+
+    def test_non_utf8_checkpoint_quarantines_one_tenant(self, tmp_path,
+                                                        baseline):
+        root = self._serve_clean(tmp_path)
+        path = tenant_checkpoint_path(root, "nonmono")
+        with open(path, "wb") as fh:
+            fh.write(self.NOT_UTF8)
+        report = ServingLoop(specs(), checkpoint_root=root,
+                             resume=True).serve()
+        victim = report["tenants"]["nonmono"]
+        assert victim["state"] == "quarantined"
+        assert "unreadable checkpoint" in victim["error"]
+        assert "not valid UTF-8" in victim["error"]
+        assert path in victim["error"]
+        assert report["totals"]["quarantined"] == 1
+        assert_results_match(baseline, report, skip=("nonmono",))
+        with open(path, "rb") as fh:
+            assert fh.read() == self.NOT_UTF8
+
+    @pytest.mark.parametrize("tenant,damage,field", [
+        pytest.param("mono-b", lambda ck: ck.pop("policy"), "'policy'",
+                     id="no-policy"),
+        pytest.param("mono-b", lambda ck: ck["policy"].update(config=None),
+                     "'policy.config'", id="null-config"),
+        pytest.param("mono-b", lambda ck: ck.update(cursor="x"), "'cursor'",
+                     id="str-cursor"),
+        pytest.param("sharded", lambda ck: ck["shards"][0].pop("policy"),
+                     "'policy'", id="shard-no-policy"),
+    ])
+    def test_malformed_policy_block_quarantines_one_tenant(
+        self, tmp_path, baseline, tenant, damage, field
+    ):
+        root = self._serve_clean(tmp_path)
+        path = tenant_checkpoint_path(root, tenant)
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        damage(payload)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        report = ServingLoop(specs(), checkpoint_root=root,
+                             resume=True).serve()
+        victim = report["tenants"][tenant]
+        assert victim["state"] == "quarantined"
+        assert "checkpoint resume failed" in victim["error"]
+        assert field in victim["error"]
+        assert report["totals"]["quarantined"] == 1
+        assert_results_match(baseline, report, skip=(tenant,))
+
+    def test_cli_serve_resume_exits_3_with_one_tenant_quarantined(
+        self, tmp_path, capsys, baseline
+    ):
+        from repro.cli import main
+
+        spec = tmp_path / "fleet.json"
+        spec.write_text(json.dumps(FLEET), encoding="utf-8")
+        root = str(tmp_path / "ckpt")
+        assert main(["online", "serve", str(spec),
+                     "--checkpoint-dir", root]) == 0
+        capsys.readouterr()
+        path = tenant_checkpoint_path(root, "mono-a")
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        del payload["policy"]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        assert main(["online", "serve", str(spec), "--checkpoint-dir", root,
+                     "--resume"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        quarantined = {tid for tid, t in report["tenants"].items()
+                       if t["state"] == "quarantined"}
+        assert quarantined == {"mono-a"}
+        assert "'policy'" in report["tenants"]["mono-a"]["error"]
+        assert_results_match(json.loads(json.dumps(baseline)), report,
+                             skip=("mono-a",))
+
+
 class TestBackoffDeterminism:
     PLAN_KWARGS = dict(seed=11, retry=FAST_RETRY, rules=(
         FaultRule("serve.feed", "transient", scope="mono-a", at=[1, 2, 4]),

@@ -164,6 +164,14 @@ class TestShardedCLI:
         assert "corrupt or truncated" in err
         assert str(ck) in err
 
+    def test_non_utf8_checkpoint_is_clean_exit_2(self, tmp_path, capsys):
+        ck = tmp_path / "garbage.json"
+        ck.write_bytes(bytes.fromhex("fffe0067617262616765"))
+        assert main(["online", "resume", str(ck)]) == 2
+        err = capsys.readouterr().err
+        assert "not valid UTF-8" in err
+        assert str(ck) in err
+
     def test_non_object_checkpoint_is_clean_exit_2(self, tmp_path, capsys):
         ck = tmp_path / "list.json"
         ck.write_text("[1, 2, 3]")
@@ -229,6 +237,14 @@ class TestShardedCLI:
         assert main(["online", "inspect", str(ck)]) == 2
         err = capsys.readouterr().err
         assert "corrupt or truncated" in err
+        assert str(ck) in err
+
+    def test_inspect_non_utf8_checkpoint_is_clean_exit_2(self, tmp_path, capsys):
+        ck = tmp_path / "garbage.json"
+        ck.write_bytes(bytes.fromhex("fffe0067617262616765"))
+        assert main(["online", "inspect", str(ck)]) == 2
+        err = capsys.readouterr().err
+        assert "not valid UTF-8" in err
         assert str(ck) in err
 
     def test_inspect_unknown_format_is_clean_exit_2(self, tmp_path, capsys):

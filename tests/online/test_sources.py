@@ -276,6 +276,25 @@ class TestCheckpointStaysSmall:
         # carries a few thresholds; allow slack, forbid O(n)).
         assert big < 2 * small
 
+    @staticmethod
+    def _session_checkpoint(policy, n):
+        # Seed 3 flips the knapsack rule's coin to tails (the density
+        # branch, whose state once kept the whole observation half).
+        return start_session(
+            policy=policy, family="additive", n=n, k=K, seed=3
+        ).advance(3 * n // 4).checkpoint()
+
+    @pytest.mark.parametrize("policy", SESSION_POLICIES)
+    def test_every_session_policy_flat_in_stream_length(self, policy):
+        # Suspended at 3n/4, so the knapsack rule is past its collect
+        # phase; no policy may carry an O(n) map in its config or state.
+        small, big = (self._session_checkpoint(policy, n) for n in (500, 5000))
+        if policy == "knapsack":
+            assert big["policy"]["state"]["phase"] == "filter"
+        small_bytes = len(json.dumps(small, sort_keys=True))
+        big_bytes = len(json.dumps(big, sort_keys=True))
+        assert big_bytes < 2 * small_bytes, (policy, small_bytes, big_bytes)
+
     def test_decision_log_is_the_selected_set(self, fn):
         source = build_arrival_source("bursty", fn, 13)
         run = OnlineRun(fn, source, SegmentedSubmodularPolicy(3)).run()
