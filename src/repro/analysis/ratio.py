@@ -4,10 +4,13 @@ The secretary experiments compare an online algorithm's expected value
 against the *offline* optimum ``f(R)``:
 
 * :func:`offline_optimum_cardinality` — exhaustive search over
-  ``C(n, <=k)`` subsets when that is affordable, else the offline greedy
-  (whose (1 - 1/e) guarantee for monotone utilities makes the measured
-  competitive ratio conservative — the true ratio can only be better).
-  The returned flag says which path certified the number.
+  ``C(n, <=k)`` subsets when that is affordable, else the offline
+  greedy.  The returned flag says which path produced the number.  A
+  greedy denominator makes the measured ratio *optimistic*, not
+  conservative: greedy <= OPT, so ALG / greedy >= ALG / OPT.  For
+  monotone utilities greedy >= (1 - 1/e) OPT bounds the overstatement
+  by e / (e - 1) ~ 1.58x; for non-monotone ones (the cut family)
+  greedy carries no guarantee, so neither does the ratio.
 
 * :func:`competitive_trials` — the generic trial loop: build a fresh
   stream per trial (independent child RNGs), run the algorithm, divide

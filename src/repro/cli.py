@@ -617,7 +617,12 @@ def _describe_shard_checkpoint(ck: dict) -> dict:
         "policy": (ck.get("policy") or {}).get("name"),
     }
     if version >= 2:
+        from repro.online.arrivals import ArrivalSource
+
         source = ck.get("source") or {}
+        # The same field checks a resume runs first, so a damaged state
+        # is a clean error here too.
+        ArrivalSource.check_state(source.get("state"))
         entry["process"] = source.get("process")
         entry["seed"] = source.get("seed")
         entry["params"] = _render_params(source.get("params"))
@@ -640,9 +645,7 @@ def _describe_shard_checkpoint(ck: dict) -> dict:
                 entry["shard"] = shard
         entry["hired"] = len(ck.get("decisions") or [])
         entry["frontier"] = len(ck.get("frontier") or [])
-        state = source.get("state") or {}
-        fp = state.get("fingerprint") or {}
-        entry["fingerprint"] = fp.get("chain")
+        entry["fingerprint"] = source["state"]["fingerprint"]["chain"]
         entry["embedded_schedule"] = "schedule" in source
     else:
         schedule = ck.get("schedule") or {}

@@ -376,16 +376,18 @@ class AdditiveFunction(SetFunction):
         }
 
     def _additive_kernel(self):
-        # Built once per function: the canonical element order and the
-        # aligned value vector are selection-independent.  Array-built
-        # instances are already in kernel form (positional order).
+        # Built once per function: the canonical element order, the
+        # aligned value vector and the element -> index map every
+        # evaluator shares are selection-independent.  Array-built
+        # instances are already in kernel form (positional order, no map).
         if self._kernel is None:
             if self._positional:
-                self._kernel = (range(len(self._values)), self._values)
+                self._kernel = (range(len(self._values)), self._values, None)
             else:
                 elements = sorted(self._values, key=repr)
                 values = np.array([self._values[e] for e in elements], dtype=float)
-                self._kernel = (elements, values)
+                index = {e: i for i, e in enumerate(elements)}
+                self._kernel = (elements, values, index)
         return self._kernel
 
     def fast_evaluator(self, backend: Optional[str] = None):
@@ -399,8 +401,8 @@ class AdditiveFunction(SetFunction):
         backend = self.resolve_backend_arg(backend)
         if backend == "naive":
             return None
-        elements, values = self._additive_kernel()
-        return AdditiveEvaluator(self, elements, values, positional=self._positional)
+        elements, values, index = self._additive_kernel()
+        return AdditiveEvaluator(self, elements, values, index=index)
 
 
 class BudgetAdditiveFunction(AdditiveFunction):
@@ -447,10 +449,8 @@ class BudgetAdditiveFunction(AdditiveFunction):
         backend = self.resolve_backend_arg(backend)
         if backend == "naive":
             return None
-        elements, values = self._additive_kernel()
-        return AdditiveEvaluator(
-            self, elements, values, cap=self.cap, positional=self._positional
-        )
+        elements, values, index = self._additive_kernel()
+        return AdditiveEvaluator(self, elements, values, cap=self.cap, index=index)
 
 
 class CutFunction(SetFunction):
@@ -614,7 +614,9 @@ class FacilityLocationFunction(SetFunction):
         backend = self.resolve_backend_arg(backend)
         if backend == "naive":
             return None
-        return FacilityLocationEvaluator(self, self._facilities, self._benefit)
+        return FacilityLocationEvaluator(
+            self, self._facilities, self._benefit, index=self._index
+        )
 
 
 class MatroidRankFunction(SetFunction):

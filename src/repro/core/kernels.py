@@ -362,12 +362,14 @@ class _KernelEvaluator(IncrementalEvaluator):
     so kernel tie-breaking matches the naive scans everywhere consumers
     iterate in that order.
 
-    *positional* instances use integer elements equal to their own
-    canonical index (array-built functions): candidate translation is a
-    single ``np.asarray`` and the O(n) ``{element: index}`` dict is
-    never built — at 10^6 elements that dict alone would dwarf the CSR
-    arrays.  Non-positional instances build the dict lazily on first
-    translation.
+    *index* is the owning function's ``{element: canonical index}`` map,
+    built once with the function's memoised kernel and shared by every
+    evaluator of it, so constructing or :meth:`reset`-ting an evaluator
+    never does O(n) python work.  ``None`` marks a *positional* instance
+    (array-built functions), whose integer elements are their own
+    canonical index: candidate translation is a single ``np.asarray``
+    and no dict is ever built — at 10^6 elements that dict alone would
+    dwarf the CSR arrays.
     """
 
     fast = True
@@ -378,12 +380,11 @@ class _KernelEvaluator(IncrementalEvaluator):
         elements: Sequence[Element],
         selection: Iterable[Element] = (),
         *,
-        positional: bool = False,
+        index: Optional[Dict[Element, int]] = None,
     ):
         self.fn = fn
         self._elements = elements
-        self._positional = bool(positional)
-        self._index_map: Optional[Dict[Element, int]] = None
+        self._index = index
         self._selection = set()
         self._value = 0.0
         self._init_state()
@@ -399,19 +400,13 @@ class _KernelEvaluator(IncrementalEvaluator):
     def _add_id(self, i: int) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    @property
-    def _index(self) -> Dict[Element, int]:
-        if self._index_map is None:
-            self._index_map = {e: i for i, e in enumerate(self._elements)}
-        return self._index_map
-
     def _id_of(self, element: Element) -> int:
-        if self._positional:
+        if self._index is None:
             return int(element)
         return self._index[element]
 
     def _ids_of(self, candidates: Sequence[Element]) -> np.ndarray:
-        if self._positional:
+        if self._index is None:
             return np.asarray(candidates, dtype=np.intp)
         index = self._index
         return np.fromiter((index[c] for c in candidates), dtype=np.intp, count=len(candidates))
@@ -459,7 +454,7 @@ class _KernelEvaluator(IncrementalEvaluator):
 
     def _member_ids(self, candidate_set: Iterable[Element]) -> np.ndarray:
         """Sorted canonical ids of one candidate set's members."""
-        if self._positional:
+        if self._index is None:
             ids = np.asarray(sorted(int(e) for e in candidate_set), dtype=np.intp)
         else:
             index = self._index
@@ -510,6 +505,8 @@ class _CoverageKernel:
     :meth:`ensure_dense`, only when a dense evaluator is actually
     constructed, so a 10^6-element instance never materializes its
     ``n × m`` incidence just because the function object exists.
+    Mapping-built kernels also carry ``index``, the element → canonical
+    index map every evaluator shares (``None`` when array-built).
     """
 
     def __init__(self, covers: Dict[Element, FrozenSet], weights: Optional[Dict] = None):
@@ -520,7 +517,9 @@ class _CoverageKernel:
         self.items: Sequence = sorted(universe, key=repr)
         item_index = {u: j for j, u in enumerate(self.items)}
         self.n_items = len(self.items)
-        self.positional = False
+        self.index: Optional[Dict[Element, int]] = {
+            e: i for i, e in enumerate(self.elements)
+        }
         lens = np.array([len(covers[e]) for e in self.elements], dtype=np.int64)
         indptr = np.zeros(len(self.elements) + 1, dtype=np.int64)
         np.cumsum(lens, out=indptr[1:])
@@ -554,7 +553,7 @@ class _CoverageKernel:
         self.elements = range(n)
         self.n_items = int(n_items)
         self.items = range(self.n_items)
-        self.positional = True
+        self.index = None
         self.weights = None if weights is None else np.asarray(weights, dtype=float)
         self.rows = None
         self.packed = None
@@ -599,7 +598,7 @@ class CoverageEvaluator(_KernelEvaluator):
     def __init__(self, fn, kernel: _CoverageKernel, selection: Iterable[Element] = ()):
         kernel.ensure_dense()
         self._kernel = kernel
-        super().__init__(fn, kernel.elements, selection, positional=kernel.positional)
+        super().__init__(fn, kernel.elements, selection, index=kernel.index)
 
     def _init_state(self) -> None:
         self._mask = np.zeros(self._kernel.packed.shape[1], dtype=np.uint8)
@@ -666,7 +665,7 @@ class SparseCoverageEvaluator(_KernelEvaluator):
 
     def __init__(self, fn, kernel: _CoverageKernel, selection: Iterable[Element] = ()):
         self._kernel = kernel
-        super().__init__(fn, kernel.elements, selection, positional=kernel.positional)
+        super().__init__(fn, kernel.elements, selection, index=kernel.index)
 
     def _init_state(self) -> None:
         self._uncovered = np.ones(max(1, self._kernel.n_items), dtype=bool)
@@ -717,7 +716,7 @@ class WeightedCoverageEvaluator(_KernelEvaluator):
 
     def __init__(self, fn, kernel: _CoverageKernel, selection: Iterable[Element] = ()):
         self._kernel = kernel
-        super().__init__(fn, kernel.elements, selection, positional=kernel.positional)
+        super().__init__(fn, kernel.elements, selection, index=kernel.index)
 
     def _init_state(self) -> None:
         k = self._kernel
@@ -774,9 +773,9 @@ class FacilityLocationEvaluator(_KernelEvaluator):
     """
 
     def __init__(self, fn, facilities: List[Element], benefit: np.ndarray,
-                 selection: Iterable[Element] = ()):
+                 selection: Iterable[Element] = (), *, index: Dict[Element, int]):
         self._benefit = benefit
-        super().__init__(fn, facilities, selection)
+        super().__init__(fn, facilities, selection, index=index)
 
     def _init_state(self) -> None:
         self._best = np.zeros(self._benefit.shape[0])
@@ -818,13 +817,14 @@ class _CutKernel:
     consolidated by summing in sorted order) plus the degree vector
     ``deg``, computed once through :func:`_row_sums` so **both**
     backends read the same float degrees.  The dense symmetric ``W`` is
-    derived lazily for the dense evaluator only.
+    derived lazily for the dense evaluator only.  ``index`` maps vertex
+    → canonical index for the evaluators (``None`` when positional).
     """
 
     def __init__(self, vertices: Sequence[Element], edges, *, positional: bool = False):
         self.vertices = vertices
-        self.positional = positional
         n = len(vertices)
+        self.index: Optional[Dict[Element, int]] = None
         if positional:
             # Array-built path: *edges* is a (u, v, w) array triple, so a
             # million-edge graph never round-trips through python tuples.
@@ -833,7 +833,7 @@ class _CutKernel:
             v = np.asarray(v, dtype=np.intp)
             w = np.asarray(w, dtype=float)
         else:
-            index = {x: i for i, x in enumerate(vertices)}
+            index = self.index = {x: i for i, x in enumerate(vertices)}
             u = np.array([index[a] for a, _, _ in edges], dtype=np.intp)
             v = np.array([index[b] for _, b, _ in edges], dtype=np.intp)
             w = np.array([float(c) for _, _, c in edges], dtype=float)
@@ -910,7 +910,7 @@ class _CutEvaluatorBase(_KernelEvaluator):
     def __init__(self, fn, kernel: _CutKernel, selection: Iterable[Element] = ()):
         self._kernel = kernel
         self._deg = kernel.deg
-        super().__init__(fn, kernel.vertices, selection, positional=kernel.positional)
+        super().__init__(fn, kernel.vertices, selection, index=kernel.index)
 
     def _init_state(self) -> None:
         n = self._kernel.n
@@ -1015,11 +1015,11 @@ class AdditiveEvaluator(_KernelEvaluator):
 
     def __init__(self, fn, elements: Sequence[Element], values: np.ndarray,
                  cap: Optional[float] = None, selection: Iterable[Element] = (),
-                 *, positional: bool = False):
+                 *, index: Optional[Dict[Element, int]] = None):
         self._values = values
         self._cap = cap
         self.modular = cap is None
-        super().__init__(fn, elements, selection, positional=positional)
+        super().__init__(fn, elements, selection, index=index)
 
     def gain1(self, element: Element) -> float:
         i = self._id_of(element)

@@ -168,8 +168,11 @@ def _offline_benchmark(fn: SetFunction, k: int) -> float:
     """Offline value the competitive ratio is measured against.
 
     Additive utilities admit the exact optimum (top-k singletons); other
-    families use the offline greedy, whose (1 - 1/e) guarantee keeps the
-    measured ratio conservative for monotone utilities.
+    families use the offline greedy.  Greedy <= OPT, so a ratio over it
+    overstates the algorithm: by at most e / (e - 1) ~ 1.58x for
+    monotone utilities (greedy >= (1 - 1/e) OPT), and by an unbounded
+    factor for the non-monotone cut family, where greedy carries no
+    guarantee.
     """
     if type(fn) is AdditiveFunction:  # subclasses truncate; greedy path
         ranked = sorted((fn.value(frozenset({e})) for e in fn.ground_set), reverse=True)

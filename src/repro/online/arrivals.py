@@ -29,17 +29,24 @@ All randomness is seed-derived (child seeds via
 :func:`repro.engine.hashing.derive_seed`), so a schedule is a pure
 function of ``(utility, process, seed, params)`` and its
 :meth:`ArrivalSchedule.fingerprint` pins instance provenance the same
-way the engine's instance fingerprints do.
+way the engine's instance fingerprints do.  That is also what lets
+:func:`build_arrival_source` memoise what it builds for an integer seed
+on the utility itself: every later start or resume of the same stream
+over the same utility object gets a fresh source in O(1), and the memo
+is freed with the utility.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
+from itertools import accumulate
+from typing import Callable, Dict, FrozenSet, Hashable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.submodular import SetFunction
 from repro.errors import InvalidInstanceError
@@ -74,6 +81,28 @@ def _canonical(payload) -> str:
     so per-arrival fingerprint updates never cross the engine import."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"),
                       allow_nan=False)
+
+
+def _require(value, kind, field: str, what: str):
+    """*value* if it is a *kind* (and not a bool), else an error naming *field*."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise InvalidInstanceError(
+            f"checkpoint field {field!r} must be {what}, got {value!r:.60}"
+        )
+    return value
+
+
+def _state_position(state: Mapping[str, object], name: str,
+                    n: Optional[int]) -> int:
+    """``state[name]`` as a stream position in ``[0, n]``, or an error
+    naming ``source.state.<name>``."""
+    value = _require(state.get(name), int, f"source.state.{name}", "an integer")
+    if value < 0 or (n is not None and value > n):
+        raise InvalidInstanceError(
+            f"checkpoint field 'source.state.{name}': {name} {value} "
+            f"outside stream of {n}"
+        )
+    return value
 
 
 class ArrivalFingerprint:
@@ -503,6 +532,24 @@ class ArrivalSource:
         self._cursor = 0
         self._fp = ArrivalFingerprint.for_stream(self.process, self.seed,
                                                  self.params)
+        # The last ground set ``order`` was checked against; copies made
+        # by :meth:`_clone` share the cell (see :meth:`enumerates`).
+        self._checked_ground: List[Optional[FrozenSet]] = [None]
+
+    def _clone(self) -> "ArrivalSource":
+        """A cursor-0 copy sharing this source's immutable stream tables.
+
+        :func:`build_arrival_source` hands out clones of the pristine
+        source it memoised: each has its own cursor, params dict and
+        fingerprint chain.  That function memoises only the types in
+        ``_CLONE_SAFE``, whose overrides reset every other mutable field.
+        """
+        clone = copy.copy(self)
+        clone.params = dict(self.params)
+        clone._cursor = 0
+        clone._fp = ArrivalFingerprint.for_stream(self.process, self.seed,
+                                                  self.params)
+        return clone
 
     # -- stream state ---------------------------------------------------
 
@@ -525,6 +572,21 @@ class ArrivalSource:
     def order(self) -> Optional[List[Hashable]]:
         """The full arrival order when knowable up front, else ``None``."""
         return None
+
+    def enumerates(self, ground_set: FrozenSet) -> bool:
+        """Whether :attr:`order` lists exactly *ground_set* (unknown: yes).
+
+        The O(n) comparison runs once per (stream, ground-set object):
+        the last ground set that passed is remembered in a cell all
+        clones of a memoised source share (no set of the order is kept).
+        """
+        order = self.order
+        if order is None or self._checked_ground[0] is ground_set:
+            return True
+        if frozenset(order) != ground_set:
+            return False
+        self._checked_ground[0] = ground_set
+        return True
 
     # -- consumption ----------------------------------------------------
 
@@ -614,14 +676,34 @@ class ArrivalSource:
         state.update(self._extra_state())
         return state
 
-    def restore(self, state: Dict[str, object]) -> None:
-        """O(1) resume: jump to the saved cursor without replaying."""
-        cursor = int(state["cursor"])  # type: ignore[arg-type]
-        if cursor < 0 or (self._n is not None and cursor > self._n):
-            raise InvalidInstanceError(
-                f"cursor {cursor} outside stream of {self._n}"
-            )
-        self._cursor = cursor
+    @staticmethod
+    def check_state(state, n: Optional[int] = None) -> None:
+        """Check the suspend-state fields every source restores.
+
+        *state* must be an object with a JSON-integer ``cursor`` in
+        ``[0, n]`` and a ``{"chain": str, "count": int}`` fingerprint;
+        else :class:`~repro.errors.InvalidInstanceError` names
+        ``source.state.<field>``.  Subclass extras are checked on restore.
+        """
+        _require(state, Mapping, "source.state", "an object")
+        _state_position(state, "cursor", n)
+        fingerprint = _require(state.get("fingerprint"), Mapping,
+                               "source.state.fingerprint", "an object")
+        _require(fingerprint.get("chain"), str,
+                 "source.state.fingerprint.chain", "a string")
+        _require(fingerprint.get("count"), int,
+                 "source.state.fingerprint.count", "an integer")
+
+    def restore(self, state: Mapping[str, object]) -> None:
+        """O(1) resume: jump to the saved cursor without replaying.
+
+        Every field is checked before any is applied (:meth:`check_state`,
+        then the subclass extras), so a damaged *state* raises and leaves
+        the cursor and chain as they were.
+        """
+        self.check_state(state, self._n)
+        self._restore_extra(state)
+        self._cursor = int(state["cursor"])  # type: ignore[arg-type]
         self._fp = ArrivalFingerprint.from_state(
             {
                 "format": FINGERPRINT_FORMAT,
@@ -631,7 +713,6 @@ class ArrivalSource:
             },
             state["fingerprint"],  # type: ignore[arg-type]
         )
-        self._restore_extra(state)
 
     def fingerprint(self) -> str:
         """Digest of the consumed prefix (= the schedule fingerprint
@@ -647,8 +728,9 @@ class ScheduleSource(ArrivalSource):
     """Source view over a (deterministically rebuildable) schedule.
 
     The adapter that keeps every registered process available as a
-    source: the schedule is built eagerly — O(n) memory, exactly as
-    before — but consumption, cursor, and fingerprint follow the source
+    source: the schedule is built eagerly — O(n) memory, once per stream
+    and utility when it comes from :func:`build_arrival_source` — but
+    consumption, cursor, and fingerprint follow the source
     contract.  Only :func:`build_arrival_source` may pass
     ``rebuildable=True`` — it just built the schedule from exactly the
     ``(process, seed, params)`` triple the spec records, so the spec
@@ -666,10 +748,8 @@ class ScheduleSource(ArrivalSource):
                          schedule.n)
         self._rebuildable = bool(rebuildable)
         self._schedule = schedule
-        starts = [0]
-        for size in schedule.batch_sizes:
-            starts.append(starts[-1] + size)
-        self._starts = starts  # batch start positions, len = #batches + 1
+        # Batch start positions (len = #batches + 1) as a compact array.
+        self._starts = array("q", accumulate(schedule.batch_sizes, initial=0))
 
     @property
     def order(self) -> List[Hashable]:
@@ -677,15 +757,16 @@ class ScheduleSource(ArrivalSource):
         return self._schedule.order
 
     def _emit(self, limit: Optional[int]):
-        if self._cursor >= self._schedule.n:
+        cursor = self._cursor
+        if cursor >= self._schedule.n:
             return None
-        b = bisect_right(self._starts, self._cursor) - 1
-        end = self._starts[b + 1]
-        hi = end if limit is None else min(end, self._cursor + limit)
-        elements = self._schedule.order[self._cursor:hi]
+        b = bisect_right(self._starts, cursor) - 1
+        start, end = self._starts[b], self._starts[b + 1]
+        hi = end if limit is None else min(end, cursor + limit)
+        elements = self._schedule.order[cursor:hi]
         ts = self._schedule.timestamps
-        stamps = None if ts is None else ts[self._cursor:hi]
-        return elements, stamps, self._cursor == self._starts[b]
+        stamps = None if ts is None else ts[cursor:hi]
+        return elements, stamps, cursor == start
 
     def spec(self) -> Dict[str, object]:
         """JSON-able stream identity: process name, seed, sorted params."""
@@ -724,6 +805,13 @@ class BurstySource(ArrivalSource):
         self._batch_end = 0
         self._materialized: Optional[ArrivalSchedule] = None
 
+    def _clone(self) -> "BurstySource":
+        clone = super()._clone()
+        clone._gen = _child_gen(self.seed, "bursty-batches")
+        clone._batch_end = 0
+        clone._materialized = None
+        return clone  # type: ignore[return-value]
+
     @property
     def order(self) -> List[Hashable]:
         """The materialized arrival order (forces lazy generation)."""
@@ -749,8 +837,15 @@ class BurstySource(ArrivalSource):
         }
 
     def _restore_extra(self, state: Dict[str, object]) -> None:
-        self._batch_end = int(state["batch_end"])  # type: ignore[arg-type]
-        self._gen.bit_generator.state = state["rng_state"]
+        batch_end = _state_position(state, "batch_end", self._n)
+        try:
+            self._gen.bit_generator.state = state.get("rng_state")
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise InvalidInstanceError(
+                "checkpoint field 'source.state.rng_state' is not a state of "
+                f"this stream's bit generator: {exc}"
+            ) from exc
+        self._batch_end = batch_end
 
     def materialize(self) -> ArrivalSchedule:
         """The full remaining stream as an :class:`ArrivalSchedule`."""
@@ -779,7 +874,12 @@ ARRIVAL_SOURCES: Dict[str, SourceBuilder] = {}
 
 
 def register_arrival_source(name: str, builder: SourceBuilder) -> SourceBuilder:
-    """Register a native (lazy) source for an arrival process."""
+    """Register a native (lazy) source for an arrival process.
+
+    :func:`build_arrival_source` calls *builder* afresh on every build
+    unless it returns one of the built-in source types, which it
+    memoises per utility and clones (see ``_CLONE_SAFE``).
+    """
     if not name:
         raise InvalidInstanceError("arrival source needs a non-empty name")
     ARRIVAL_SOURCES[name] = builder
@@ -796,22 +896,68 @@ def build_arrival_source(
     seeds, whose draws must stay sequential with the caller's stream —
     falls back to a :class:`ScheduleSource` over the eager builder, so
     every registered process is available through the source API.
+
+    For an integer seed the first build of a ``_CLONE_SAFE`` type is
+    memoised in *utility*'s ``__dict__`` (so it is freed with the
+    utility), keyed by process, registered builder, seed and JSON
+    params; each call returns a clone with its own cursor, fingerprint
+    chain and RNG over the shared, never-mutated tables.  That makes a
+    resume O(selected) in time.  Any other source type is built afresh.
     """
-    builder = ARRIVAL_SOURCES.get(process)
-    if builder is not None and isinstance(seed, int):
+    if not isinstance(seed, int):
+        # Live Generators and None seeds are opaque: the spec cannot
+        # rebuild the stream, so the source embeds the payload.
+        return ScheduleSource(build_arrival_schedule(process, utility, seed, **params))
+    native = ARRIVAL_SOURCES.get(process)
+
+    def build() -> ArrivalSource:
+        """Build the stream afresh (the memo's miss path)."""
+        if native is None:
+            return ScheduleSource(
+                build_arrival_schedule(process, utility, seed, **params),
+                rebuildable=True,
+            )
         try:
-            return builder(utility, seed, **params)
+            return native(utility, seed, **params)
         except TypeError as exc:
             raise InvalidInstanceError(
                 f"bad parameters for arrival process {process!r}: {exc}"
             ) from exc
-    return ScheduleSource(
-        build_arrival_schedule(process, utility, seed, **params),
-        # An int seed makes this exact (process, seed, params) call
-        # reproducible, so the spec alone rebuilds the stream; live
-        # Generators and None seeds are opaque — embed the payload.
-        rebuildable=isinstance(seed, int),
-    )
+
+    builder = native or ARRIVAL_PROCESSES.get(process)
+    key = _memo_key(process, builder, seed, params)
+    attrs = getattr(utility, "__dict__", None)
+    if attrs is None or key is None:
+        return build()
+    memo = attrs.setdefault("_arrival_sources", {})
+    pristine = memo.get(key)
+    if pristine is None:
+        pristine = build()
+        if type(pristine) not in _CLONE_SAFE:
+            return pristine
+        memo[key] = pristine
+        # A resume rebuilds from the spec, which records the params the
+        # stream resolved (defaults included): file the build under
+        # those too, so a recipe and its checkpoints share one build.
+        spec_key = _memo_key(process, builder, seed, pristine.params)
+        if spec_key is not None:
+            memo.setdefault(spec_key, pristine)
+    return pristine._clone()
+
+
+#: Source types whose :meth:`ArrivalSource._clone` resets all their
+#: mutable state, so one memoised build can back every clone.  A
+#: subclass may add state its parent's ``_clone`` does not know about,
+#: so the test is on the exact type.
+_CLONE_SAFE = (ScheduleSource, BurstySource)
+
+
+def _memo_key(process: str, builder, seed: int, params: Dict[str, object]):
+    """Memo key of one build, or ``None`` when *params* are not JSON values."""
+    try:
+        return (process, builder, seed, _canonical(params))
+    except (TypeError, ValueError):
+        return None
 
 
 def as_arrival_source(arrivals) -> ArrivalSource:

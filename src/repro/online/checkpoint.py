@@ -43,6 +43,7 @@ from repro.online.arrivals import (
     ArrivalSchedule,
     ArrivalSource,
     ScheduleSource,
+    _require,
     source_from_spec,
 )
 from repro.online.driver import OnlineRun
@@ -215,15 +216,6 @@ def resume_run(
     run = OnlineRun(utility, source, policy)
     run.restore(checkpoint)
     return run
-
-
-def _require(value, kind, field: str, what: str):
-    """*value* if it is a *kind* (and not a bool), else an error naming *field*."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise InvalidInstanceError(
-            f"checkpoint field {field!r} must be {what}, got {value!r:.60}"
-        )
-    return value
 
 
 # -- per-tenant checkpoint layout -------------------------------------------

@@ -53,9 +53,7 @@ class OnlineRun:
         policy: OnlinePolicy,
     ) -> None:
         source = as_arrival_source(arrivals)
-        if source.order is not None and (
-            frozenset(source.order) != utility.ground_set
-        ):
+        if not source.enumerates(utility.ground_set):
             raise InvalidInstanceError(
                 "arrival schedule must enumerate the utility's ground set exactly"
             )
@@ -217,7 +215,7 @@ class OnlineRun:
         source_block = checkpoint.get("source")
         if not isinstance(source_block, Mapping) or "state" not in source_block:
             raise InvalidInstanceError("checkpoint carries no source state")
-        self.source.restore(dict(source_block["state"]))  # type: ignore[arg-type]
+        self.source.restore(source_block["state"])  # type: ignore[arg-type]
         if self.source.cursor != cursor:
             raise InvalidInstanceError(
                 f"cursor {cursor} does not match the source state's "

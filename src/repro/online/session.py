@@ -29,7 +29,11 @@ from repro.core.oracle import CachedOracle, CountingOracle
 from repro.core.submodular import SetFunction
 from repro.engine.hashing import derive_seed
 from repro.errors import InvalidInstanceError
-from repro.online.arrivals import build_arrival_source, source_from_spec
+from repro.online.arrivals import (
+    ArrivalSource,
+    build_arrival_source,
+    source_from_spec,
+)
 from repro.online.checkpoint import (
     check_schema_version,
     make_checkpoint,
@@ -264,6 +268,49 @@ def _policy_deps(
     return {}
 
 
+def _recipe_source(recipe: Mapping[str, object], fn: SetFunction) -> ArrivalSource:
+    """The arrival stream *recipe* names, over the base utility *fn*.
+
+    It draws from the session seed's ``"online-stream"`` child; the
+    build is memoised on *fn*, so under a :class:`WorkloadCache` every
+    later start or resume of the stream is O(1).
+    """
+    params = recipe.get("process_params") or {}
+    if not isinstance(params, Mapping):
+        raise InvalidInstanceError(
+            f"recipe field 'process_params' must be an object, got {params!r:.60}"
+        )
+    return build_arrival_source(
+        str(recipe.get("process")), fn,
+        derive_seed(int(recipe["seed"]), "online-stream"),  # type: ignore[arg-type]
+        **dict(params),
+    )
+
+
+def _check_source_block(block, want: Mapping[str, object], where: str) -> None:
+    """Reject a checkpoint source block that is not the recipe's stream.
+
+    Resume rebuilds the stream from the block's own spec, so a
+    ``process``, ``seed`` or ``params`` other than *want*'s (the spec of
+    the stream the recipe builds), or an embedded ``schedule``, would
+    silently continue another stream.  Non-object blocks are left to
+    the resume's own checks.
+    """
+    if not isinstance(block, Mapping):
+        return
+    if block.get("schedule") is not None:
+        raise InvalidInstanceError(
+            f"checkpoint field '{where}.schedule' is not accepted: a session "
+            "stream is rebuilt from its workload recipe"
+        )
+    for field in ("process", "seed", "params"):
+        if block.get(field) != want[field]:
+            raise InvalidInstanceError(
+                f"checkpoint field '{where}.{field}' is {block.get(field)!r:.60}, "
+                f"but the recipe's stream has {want[field]!r:.60}"
+            )
+
+
 def _build_policy(
     recipe: Mapping[str, object],
     fn: SetFunction,
@@ -422,10 +469,7 @@ def start_session(
     policy_obj = _build_policy(
         recipe, fn, weights, workload_cache=workload_cache
     )
-    source = build_arrival_source(
-        process, fn, derive_seed(int(seed), "online-stream"),
-        **dict(process_params or {}),
-    )
+    source = _recipe_source(recipe, fn)
     counting = CountingOracle(shared)
     target: SetFunction = counting
     if fault_injector is not None:
@@ -475,7 +519,9 @@ def resume_session(
     if int(checkpoint.get("schema_version", 1)) >= 2:  # type: ignore[arg-type]
         # Rebuild the stream over the *base* utility so value-sorted
         # processes' construction queries never inflate call accounting.
-        source = source_from_spec(checkpoint.get("source"), fn)
+        block = checkpoint.get("source")
+        _check_source_block(block, _recipe_source(recipe, fn).spec(), "source")
+        source = source_from_spec(block, fn)  # type: ignore[arg-type]
     run = resume_run(
         checkpoint, target, source=source,
         deps=_policy_deps(recipe, fn, weights, workload_cache),
@@ -697,12 +743,10 @@ def start_sharded_session(
         "shards": int(shards),
     }
     fn, weights, shared = _workload(recipe, workload_cache)
-    stream_seed = derive_seed(int(seed), "online-stream")
-    params = dict(process_params or {})
 
     def source_factory():
         """Build one lazy view of the tenant's full arrival stream."""
-        return build_arrival_source(process, fn, stream_seed, **params)
+        return _recipe_source(recipe, fn)
 
     counters = ShardCounters()
     oracle_factory = _shard_oracle_factory(counters, fault_injector, fault_scope)
@@ -765,6 +809,12 @@ def resume_sharded_session(
     """
     recipe = _checked_recipe(checkpoint)
     fn, weights, shared = _workload(recipe, workload_cache)
+    entries = checkpoint.get("shards")
+    if isinstance(entries, list):
+        want = _recipe_source(recipe, fn).spec()
+        for i, entry in enumerate(entries):
+            if isinstance(entry, Mapping):
+                _check_source_block(entry.get("source"), want, f"shards[{i}].source")
     can_take, _ = _merge_rule(recipe, weights)
     counters = ShardCounters()
     oracle_factory = _shard_oracle_factory(counters, fault_injector, fault_scope)

@@ -1,0 +1,224 @@
+"""A checkpoint's ``source`` block is checked before a resume trusts it.
+
+Two contracts.  A damaged ``source.state`` (a non-integer cursor or
+``batch_end``, a malformed fingerprint, an RNG state the bit generator
+refuses) is a clean :class:`~repro.errors.InvalidInstanceError` naming
+``source.state.<field>``, so ``repro online resume`` exits 2 and a serve
+quarantines only that tenant.  And a ``source`` block whose process,
+seed or params disagree with the embedded recipe, or that embeds a
+schedule, is refused instead of silently resuming a different stream.
+"""
+
+import json
+
+import pytest
+
+from repro.cli import main
+from repro.errors import InvalidInstanceError
+from repro.online.checkpoint import tenant_checkpoint_path
+from repro.online.serving import ServingLoop, load_tenant_specs
+from repro.online.session import resume_any_session, resume_session, start_session
+
+RUN = dict(policy="monotone", family="coverage", n=200, k=4, seed=1,
+           process="bursty")
+
+FLEET = {
+    "defaults": {"family": "coverage", "n": 60, "k": 3, "process": "bursty"},
+    "tenants": [
+        {"id": "b-1", "policy": "monotone", "seed": 31},
+        {"id": "b-2", "policy": "robust", "seed": 32},
+        {"id": "u-3", "policy": "monotone", "seed": 33, "process": "uniform"},
+        {"id": "s-4", "policy": "monotone", "seed": 34, "shards": 2},
+    ],
+}
+
+RESULT_KEYS = ("selected", "value", "oracle_calls", "decisions")
+
+
+def _suspended():
+    """A JSON round-tripped mid-stream bursty checkpoint."""
+    ck = start_session(**RUN).advance(60).checkpoint()
+    return json.loads(json.dumps(ck))
+
+
+STATE_DAMAGE = [
+    pytest.param(lambda s: s.update(rng_state="x"), "'source.state.rng_state'",
+                 id="str-rng-state"),
+    pytest.param(lambda s: s["rng_state"].update(bit_generator="MT19937"),
+                 "'source.state.rng_state'", id="foreign-bit-generator"),
+    pytest.param(lambda s: s["rng_state"].pop("state"),
+                 "'source.state.rng_state'", id="rng-state-without-state"),
+    pytest.param(lambda s: s.pop("batch_end"), "'source.state.batch_end'",
+                 id="no-batch-end"),
+    pytest.param(lambda s: s.update(batch_end="q"), "'source.state.batch_end'",
+                 id="str-batch-end"),
+    pytest.param(lambda s: s.update(batch_end=201), "'source.state.batch_end'",
+                 id="batch-end-past-stream"),
+    pytest.param(lambda s: s.update(fingerprint=None),
+                 "'source.state.fingerprint'", id="null-fingerprint"),
+    pytest.param(lambda s: s["fingerprint"].update(chain=7),
+                 "'source.state.fingerprint.chain'", id="int-chain"),
+    pytest.param(lambda s: s["fingerprint"].update(count="60"),
+                 "'source.state.fingerprint.count'", id="str-count"),
+    pytest.param(lambda s: s.update(cursor=True), "'source.state.cursor'",
+                 id="bool-cursor"),
+    pytest.param(lambda s: s.update(cursor=60.0), "'source.state.cursor'",
+                 id="float-cursor"),
+]
+
+
+class TestDamagedSourceState:
+    @pytest.mark.parametrize("damage,field", STATE_DAMAGE)
+    def test_resume_session_names_the_field(self, damage, field):
+        ck = _suspended()
+        damage(ck["source"]["state"])
+        with pytest.raises(InvalidInstanceError, match=field):
+            resume_session(ck)
+
+    def test_non_object_state_is_named(self):
+        ck = _suspended()
+        ck["source"]["state"] = "x"
+        with pytest.raises(InvalidInstanceError, match="'source.state'"):
+            resume_session(ck)
+
+    def test_a_failed_restore_leaves_the_source_as_it_was(self):
+        session = start_session(**RUN).advance(60)
+        source = session.run.source
+        before = source.fingerprint()
+        state = json.loads(json.dumps(source.state_dict()))
+        state["cursor"], state["rng_state"] = 10, "x"
+        with pytest.raises(InvalidInstanceError):
+            source.restore(state)
+        assert (source.cursor, source.fingerprint()) == (60, before)
+
+    def test_cli_resume_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        ck = _suspended()
+        ck["source"]["state"]["rng_state"] = "x"
+        path.write_text(json.dumps(ck), encoding="utf-8")
+        assert main(["online", "resume", str(path)]) == 2
+        assert "'source.state.rng_state'" in capsys.readouterr().err
+
+    def test_cli_inspect_exits_2_on_a_malformed_fingerprint(self, tmp_path,
+                                                            capsys):
+        path = tmp_path / "one.json"
+        ck = _suspended()
+        ck["source"]["state"]["fingerprint"] = "x"
+        path.write_text(json.dumps(ck), encoding="utf-8")
+        assert main(["online", "inspect", str(path)]) == 2
+        assert "'source.state.fingerprint'" in capsys.readouterr().err
+
+
+def _serve_then_edit(tmp_path, tenant, edit):
+    """Serve FLEET with checkpoints, edit one tenant's file, return root."""
+    root = str(tmp_path / "ckpt")
+    ServingLoop(load_tenant_specs(FLEET), checkpoint_root=root).serve()
+    path = tenant_checkpoint_path(root, tenant)
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    edit(payload)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    return root
+
+
+@pytest.fixture(scope="module")
+def clean_serve():
+    return ServingLoop(load_tenant_specs(FLEET)).serve()
+
+
+@pytest.mark.parametrize("tenant,edit,field", [
+    pytest.param("b-2", lambda ck: ck["source"]["state"].update(rng_state="x"),
+                 "'source.state.rng_state'", id="damaged-rng-state"),
+    pytest.param("b-1", lambda ck: ck["source"]["state"].pop("batch_end"),
+                 "'source.state.batch_end'", id="missing-batch-end"),
+    pytest.param("u-3", lambda ck: ck["source"].update(process="sorted_desc"),
+                 "'source.process'", id="tampered-process"),
+    pytest.param("s-4",
+                 lambda ck: ck["shards"][1]["source"].update(seed=5),
+                 "'shards[1].source.seed'", id="tampered-shard-seed"),
+])
+def test_serve_quarantines_only_the_bad_tenant(tmp_path, clean_serve,
+                                               tenant, edit, field):
+    root = _serve_then_edit(tmp_path, tenant, edit)
+    report = ServingLoop(load_tenant_specs(FLEET), checkpoint_root=root,
+                         resume=True).serve()
+    victim = report["tenants"][tenant]
+    assert victim["state"] == "quarantined"
+    assert "checkpoint resume failed" in victim["error"]
+    assert field in victim["error"]
+    assert report["totals"]["quarantined"] == 1
+    for tid, want in clean_serve["tenants"].items():
+        if tid == tenant:
+            continue
+        got = report["tenants"][tid]
+        assert got["finished"], (tid, got.get("error"))
+        for key in RESULT_KEYS:
+            assert got[key] == want[key], (tid, key)
+
+
+TAMPER = [
+    pytest.param(lambda src: src.update(seed=src["seed"] + 1), "'source.seed'",
+                 id="seed"),
+    pytest.param(lambda src: src.update(process="sorted_desc"),
+                 "'source.process'", id="process"),
+    pytest.param(lambda src: src.update(params={"mean_batch": 2.0}),
+                 "'source.params'", id="params"),
+    pytest.param(lambda src: src.update(params={}), "'source.params'",
+                 id="dropped-params"),
+    pytest.param(lambda src: src.update(schedule={"format": "x"}),
+                 "'source.schedule'", id="embedded-schedule"),
+]
+
+
+class TestSourceBlockMatchesRecipe:
+    @pytest.mark.parametrize("tamper,field", TAMPER)
+    def test_cli_resume_exits_2(self, tmp_path, capsys, tamper, field):
+        path = tmp_path / "one.json"
+        ck = _suspended()
+        tamper(ck["source"])
+        path.write_text(json.dumps(ck), encoding="utf-8")
+        assert main(["online", "resume", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_untampered_block_resumes(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(_suspended()), encoding="utf-8")
+        assert main(["online", "resume", str(path)]) == 0
+        resumed = json.loads(capsys.readouterr().out)
+        assert resumed["selected"] == start_session(**RUN).advance().summary()[
+            "selected"]
+
+    def test_sharded_manifest_entry_is_checked(self):
+        from repro.online.session import start_sharded_session
+
+        ck = json.loads(json.dumps(
+            start_sharded_session(**RUN, shards=2).advance(60).checkpoint()
+        ))
+        resume_any_session(json.loads(json.dumps(ck)))  # untampered: fine
+        ck["shards"][1]["source"]["process"] = "uniform"
+        with pytest.raises(InvalidInstanceError,
+                           match=r"'shards\[1\]\.source\.process'"):
+            resume_any_session(ck)
+
+    def test_cli_serve_exits_3_with_the_tampered_tenant_quarantined(
+        self, tmp_path, capsys
+    ):
+        spec = tmp_path / "fleet.json"
+        spec.write_text(json.dumps(FLEET), encoding="utf-8")
+        root = str(tmp_path / "ck")
+        assert main(["online", "serve", str(spec), "--checkpoint-dir", root]) == 0
+        capsys.readouterr()
+        path = tenant_checkpoint_path(root, "b-1")
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["source"]["seed"] += 1
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        assert main(["online", "serve", str(spec), "--checkpoint-dir", root,
+                     "--resume"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        quarantined = {tid for tid, t in report["tenants"].items()
+                       if t["state"] == "quarantined"}
+        assert quarantined == {"b-1"}
+        assert "'source.seed'" in report["tenants"]["b-1"]["error"]
