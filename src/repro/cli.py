@@ -302,12 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
              "per tenant id; omit to disable checkpointing)",
     )
     online_serve.add_argument(
-        "--queue-depth", type=int, default=8,
-        help="bound of each tenant lane's arrival queue (backpressure knob)",
-    )
-    online_serve.add_argument(
         "--batch-limit", type=int, default=None,
-        help="max arrivals per queued step (default: whole minibatches, "
+        help="max arrivals per lane step (default: whole minibatches, "
              "which keeps oracle-call counts identical to plain runs)",
     )
     online_serve.add_argument(
@@ -322,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     online_serve.add_argument(
         "--pace-seconds", type=float, default=0.0,
-        help="sleep between pushed steps per tenant (simulates real "
+        help="sleep after each fed step per tenant lane (simulates real "
              "arrival gaps; gives the idle checkpointer work)",
     )
     online_serve.add_argument(
@@ -832,7 +828,6 @@ def _cmd_online_serve(args) -> int:
     loop = ServingLoop(
         specs,
         checkpoint_root=args.checkpoint_dir,
-        queue_depth=args.queue_depth,
         batch_limit=args.batch_limit,
         idle_policy=idle_policy,
         pace_seconds=args.pace_seconds,

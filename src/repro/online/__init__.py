@@ -33,7 +33,7 @@ shard count) into the self-contained resumable unit behind ``repro
 online run/resume``.
 
 :mod:`repro.online.serving` multiplexes many such sessions through one
-asyncio loop — bounded per-tenant queues for backpressure, a shared
+asyncio loop — one coroutine per tenant lane, a shared
 workload/value cache across same-workload tenants, idle checkpoints to
 per-tenant directories, and drain-and-checkpoint on SIGINT — behind
 ``repro online serve``.

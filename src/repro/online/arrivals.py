@@ -46,6 +46,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable, Dict, FrozenSet, Hashable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.submodular import SetFunction
@@ -93,13 +94,13 @@ def _require(value, kind, field: str, what: str):
 
 
 def _state_position(state: Mapping[str, object], name: str,
-                    n: Optional[int]) -> int:
+                    n: Optional[int], field: str = "source.state") -> int:
     """``state[name]`` as a stream position in ``[0, n]``, or an error
-    naming ``source.state.<name>``."""
-    value = _require(state.get(name), int, f"source.state.{name}", "an integer")
+    naming ``<field>.<name>``."""
+    value = _require(state.get(name), int, f"{field}.{name}", "an integer")
     if value < 0 or (n is not None and value > n):
         raise InvalidInstanceError(
-            f"checkpoint field 'source.state.{name}': {name} {value} "
+            f"checkpoint field '{field}.{name}': {name} {value} "
             f"outside stream of {n}"
         )
     return value
@@ -142,8 +143,20 @@ class ArrivalFingerprint:
 
     def update(self, element: Hashable, new_batch: bool,
                timestamp: Optional[float]) -> None:
-        """Extend the chain with one revealed arrival."""
-        record = _canonical([repr(element), bool(new_batch), timestamp])
+        """Extend the chain with one revealed arrival.
+
+        The record is ``_canonical([repr(element), bool(new_batch),
+        timestamp])``, built by hand from the encoders ``json.dumps``
+        itself uses (only an unusual timestamp goes through it).
+        """
+        if timestamp is None:
+            stamp = "null"
+        elif type(timestamp) is float and math.isfinite(timestamp):
+            stamp = float.__repr__(timestamp)
+        else:  # ints, float subclasses; NaN and ±inf raise ValueError
+            stamp = _canonical(timestamp)
+        record = (f"[{_json_string(repr(element))},"
+                  f"{'true' if new_batch else 'false'},{stamp}]")
         self._chain = hashlib.sha256(
             (self._chain + record).encode("utf-8")
         ).hexdigest()
@@ -664,8 +677,9 @@ class ArrivalSource:
     def _extra_state(self) -> Dict[str, object]:
         return {}
 
-    def _restore_extra(self, state: Dict[str, object]) -> None:
-        pass
+    def _restore_extra(self, state: Dict[str, object], field: str) -> None:
+        """Check, then apply, the extras of :meth:`_extra_state`; errors
+        name ``<field>.<extra>``."""
 
     def state_dict(self) -> Dict[str, object]:
         """JSON-able suspend state: cursor + fingerprint chain + extras."""
@@ -677,32 +691,35 @@ class ArrivalSource:
         return state
 
     @staticmethod
-    def check_state(state, n: Optional[int] = None) -> None:
+    def check_state(state, n: Optional[int] = None,
+                    field: str = "source.state") -> None:
         """Check the suspend-state fields every source restores.
 
         *state* must be an object with a JSON-integer ``cursor`` in
         ``[0, n]`` and a ``{"chain": str, "count": int}`` fingerprint;
         else :class:`~repro.errors.InvalidInstanceError` names
-        ``source.state.<field>``.  Subclass extras are checked on restore.
+        ``<field>.<name>``.  Subclass extras are checked on restore.
         """
-        _require(state, Mapping, "source.state", "an object")
-        _state_position(state, "cursor", n)
+        _require(state, Mapping, field, "an object")
+        _state_position(state, "cursor", n, field)
         fingerprint = _require(state.get("fingerprint"), Mapping,
-                               "source.state.fingerprint", "an object")
+                               f"{field}.fingerprint", "an object")
         _require(fingerprint.get("chain"), str,
-                 "source.state.fingerprint.chain", "a string")
+                 f"{field}.fingerprint.chain", "a string")
         _require(fingerprint.get("count"), int,
-                 "source.state.fingerprint.count", "an integer")
+                 f"{field}.fingerprint.count", "an integer")
 
-    def restore(self, state: Mapping[str, object]) -> None:
+    def restore(self, state: Mapping[str, object],
+                field: str = "source.state") -> None:
         """O(1) resume: jump to the saved cursor without replaying.
 
         Every field is checked before any is applied (:meth:`check_state`,
-        then the subclass extras), so a damaged *state* raises and leaves
-        the cursor and chain as they were.
+        then the subclass extras), so a damaged *state* raises, naming
+        the field under *field*, and leaves the cursor and chain as they
+        were.
         """
-        self.check_state(state, self._n)
-        self._restore_extra(state)
+        self.check_state(state, self._n, field)
+        self._restore_extra(state, field)
         self._cursor = int(state["cursor"])  # type: ignore[arg-type]
         self._fp = ArrivalFingerprint.from_state(
             {
@@ -836,13 +853,13 @@ class BurstySource(ArrivalSource):
             "rng_state": self._gen.bit_generator.state,
         }
 
-    def _restore_extra(self, state: Dict[str, object]) -> None:
-        batch_end = _state_position(state, "batch_end", self._n)
+    def _restore_extra(self, state: Dict[str, object], field: str) -> None:
+        batch_end = _state_position(state, "batch_end", self._n, field)
         try:
             self._gen.bit_generator.state = state.get("rng_state")
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise InvalidInstanceError(
-                "checkpoint field 'source.state.rng_state' is not a state of "
+                f"checkpoint field '{field}.rng_state' is not a state of "
                 f"this stream's bit generator: {exc}"
             ) from exc
         self._batch_end = batch_end

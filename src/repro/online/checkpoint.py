@@ -337,12 +337,12 @@ def list_tenant_checkpoints(root: str) -> Dict[str, str]:
 class IdleCheckpointPolicy:
     """When the serving loop checkpoints an idle tenant.
 
-    A tenant is *quiescent* when its queues are empty and no pulled
-    batch is in flight; the serving loop asks this policy whether a
-    quiescent tenant is *due* a checkpoint.  The defaults checkpoint a
-    tenant after it has sat idle for ``idle_seconds`` — but only if its
-    stream advanced at least ``min_progress`` arrivals since the last
-    checkpoint, so a parked tenant is not re-serialised every poll.
+    A tenant is *quiescent* when no lane holds a taken-but-unfed batch;
+    the serving loop asks this policy whether a quiescent tenant is
+    *due* a checkpoint.  The defaults checkpoint a tenant after it has
+    sat idle for ``idle_seconds`` — but only if its stream advanced at
+    least ``min_progress`` arrivals since the last checkpoint, so a
+    parked tenant is not re-serialised every poll.
     """
 
     def __init__(self, idle_seconds: float = 0.05, min_progress: int = 1) -> None:

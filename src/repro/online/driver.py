@@ -118,16 +118,16 @@ class OnlineRun:
         self._hired_logged = hired
 
     def feed(self, pos0: int, batch: Sequence[Hashable]) -> "OnlineRun":
-        """Consume one externally-pulled batch (the serving push path).
+        """Consume one externally-taken batch (the serving push path).
 
         The serving layer (:mod:`repro.online.serving`) splits the
-        pull/consume halves of :meth:`run` across asyncio tasks: a
-        producer calls ``self.source.take(...)`` and enqueues the step,
-        a consumer feeds it here.  *batch* must be exactly what the
-        source yielded for *pos0* — reveal, observe, and decision
-        logging then match the pull path bit for bit.  A batch arriving
-        after the policy reported ``done`` is dropped without revealing,
-        exactly as :meth:`run` never takes past ``done``.
+        take/consume halves of :meth:`run` around its awaits: a lane
+        calls ``self.source.take(...)``, then feeds the step here.
+        *batch* must be exactly what the source yielded for *pos0* —
+        reveal, observe, and decision logging then match the pull path
+        bit for bit.  A batch arriving after the policy reported
+        ``done`` is dropped without revealing, exactly as :meth:`run`
+        never takes past ``done``.
         """
         if not self.policy.done:
             self._consume(int(pos0), list(batch))
@@ -159,14 +159,14 @@ class OnlineRun:
         """Capture the mutable run state a single feed may touch.
 
         The fault-tolerant serving path brackets each :meth:`feed` with
-        ``snapshot()`` / :meth:`rollback`: if an injected (or real)
-        oracle failure escapes mid-batch, the batch is rolled back and
-        retried as if it had never been observed.  The policy state
-        travels through a JSON round-trip of ``state_dict()`` (the same
-        encoding checkpoints use), so the snapshot shares no mutable
-        structure with the live policy.  Source state is deliberately
-        absent: the serving producer has already pulled the batch, and
-        a retry re-feeds that same in-hand batch.
+        ``snapshot()`` / :meth:`rollback`: if an injected fault escapes
+        mid-batch, the batch is rolled back and retried as if it had
+        never been observed.  The policy state travels through a JSON
+        round-trip of ``state_dict()`` (the same encoding checkpoints
+        use), so the snapshot shares no mutable structure with the live
+        policy.  Source state is deliberately absent: the serving lane
+        has already taken the batch, and a retry re-feeds that same
+        in-hand batch.
         """
         return {
             "policy": json.loads(json.dumps(self.policy.state_dict())),

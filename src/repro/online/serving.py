@@ -2,16 +2,15 @@
 
 The ROADMAP's "millions of users = many independent streams" front end:
 a :class:`ServingLoop` drives N tenant sessions (plain or sharded)
-inside one event loop.  Each tenant gets one *lane* per shard — a
-producer task pulls real batches from that lane's own
-:class:`~repro.online.arrivals.ArrivalSource` and pushes ``(position,
-batch)`` steps onto a bounded :class:`asyncio.Queue`; a consumer task
-feeds them to the lane's :class:`~repro.online.driver.OnlineRun` via
-:meth:`~repro.online.driver.OnlineRun.feed`.  The bounded queue is the
-backpressure: a tenant whose oracle is slow blocks its own producer at
-``put()`` without stalling anyone else's lane.
+inside one event loop.  Each tenant gets one *lane* per shard, and
+each lane is one coroutine: it takes a *step* (one ``take`` from the
+lane's own :class:`~repro.online.arrivals.ArrivalSource`), feeds it to
+the lane's :class:`~repro.online.driver.OnlineRun` via
+:meth:`~repro.online.driver.OnlineRun.feed`, and yields to the event
+loop once — one step per lane per loop pass, so a tenant whose oracle
+is slow holds up only its own lane.
 
-Determinism is inherited, not re-proven: producers pull the *same*
+Determinism is inherited, not re-proven: lanes take the *same*
 batches in the *same* order the pull-based ``run()`` loop would (the
 default ``batch_limit=None`` keeps minibatches whole, so vectorized
 ``observe_batch`` calls — and therefore oracle-call counts — are
@@ -20,26 +19,27 @@ Hires and per-tenant oracle counts are bit-identical to running each
 tenant alone (pinned by ``tests/online/test_serving.py``).
 
 Checkpoints piggyback on the schema-v2 codec.  A tenant is *quiescent*
-when no lane holds an in-flight (pulled-but-not-consumed) step — then
-source cursors equal consumed positions and the synchronous
+when no lane holds an in-flight (taken-but-not-fed) step — then source
+cursors equal consumed positions and the synchronous
 ``session.checkpoint()`` snapshot is consistent (checkpoint writes
 never await, so the single-threaded loop guarantees atomicity).  An
 :class:`~repro.online.checkpoint.IdleCheckpointPolicy` checkpoints
 quiescent-and-idle tenants mid-serve to per-tenant directories;
 :meth:`ServingLoop.request_drain` (the SIGINT/SIGTERM path) stops
-producers, lets consumers drain their queues, and checkpoints every
-tenant — so an interrupted serve resumes exactly where each stream
-stopped.
+every lane before its next ``take``, lets in-flight steps finish, and
+checkpoints every tenant — so an interrupted serve resumes exactly
+where each stream stopped.
 
 Tenants are *failure domains* (see ``docs/RELIABILITY.md``): a feed
-that raises an injected (or real) oracle failure is rolled back and
-retried on the fault plan's deterministic backoff schedule; transient
-faults that outlast ``max_attempts``, or ``max_strikes`` permanent
-faults, transition the tenant to ``quarantined`` — its producers stop,
-its last durable checkpoint survives untouched, and every other tenant
-keeps serving.  The same isolation covers resume: one corrupt
-per-tenant checkpoint quarantines that tenant with a per-tenant error
-instead of aborting the fleet.
+that raises an :class:`~repro.online.faults.InjectedFault` is rolled
+back and retried on the fault plan's deterministic backoff schedule;
+transient faults that outlast ``max_attempts``, or ``max_strikes``
+permanent faults, transition the tenant to ``quarantined`` — its lanes
+stop, its last durable checkpoint survives untouched, and every other
+tenant keeps serving.  The same isolation covers resume: a per-tenant
+checkpoint that is corrupt or fails to resume with any library error
+(:class:`~repro.errors.ReproError`) quarantines that tenant with a
+per-tenant error instead of aborting the fleet.
 
 Every serve — static, memory-budgeted or autoscaled — runs the same
 per-tenant *lifecycle*, one task per tenant: wait for an admission
@@ -72,7 +72,7 @@ import time
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.oracle import CountingOracle
-from repro.errors import InvalidInstanceError
+from repro.errors import InvalidInstanceError, ReproError
 from repro.online.checkpoint import (
     IdleCheckpointPolicy,
     read_tenant_checkpoint,
@@ -103,10 +103,6 @@ __all__ = [
     "TenantSpec",
     "load_tenant_specs",
 ]
-
-#: Sentinel a producer enqueues after its final batch: "this lane's
-#: stream is over (or draining); exit once the queue ahead is consumed."
-_EOS = object()
 
 #: Recipe fields a tenant spec (or its defaults block) may set.
 _SPEC_FIELDS = (
@@ -344,11 +340,10 @@ def load_tenant_specs(payload: object) -> List[TenantSpec]:
 
 
 class _Lane:
-    """One shard's pipe: producer-pulled steps queued for one consumer."""
+    """One shard of one tenant: the run its coroutine feeds, step by step."""
 
     def __init__(
-        self, run: OnlineRun, depth: int,
-        counting: Optional[CountingOracle] = None,
+        self, run: OnlineRun, counting: Optional[CountingOracle] = None,
     ) -> None:
         self.run = run
         #: The lane's own counting oracle — what the guarded feed
@@ -356,18 +351,13 @@ class _Lane:
         #: once (plain sessions have one lane/counter; sharded sessions
         #: one per shard, in shard order).
         self.counting = counting
-        self.queue: "asyncio.Queue" = asyncio.Queue(maxsize=depth)
-        #: Steps pulled from the source but not yet fed to the policy.
-        #: Incremented synchronously with ``take()`` (no await between),
-        #: so at every loop suspension point ``cursor - consumed`` equals
-        #: ``in_flight`` exactly — the quiescence invariant checkpoints
-        #: rely on.
+        #: Steps taken from the source but not yet fed to the policy
+        #: (0 or 1).  Incremented synchronously with ``take()`` (no
+        #: await between), so at every loop suspension point ``cursor -
+        #: consumed`` equals ``in_flight`` exactly — the quiescence
+        #: invariant checkpoints rely on.
         self.in_flight = 0
         self.max_in_flight = 0
-
-    @property
-    def quiescent(self) -> bool:
-        return self.in_flight == 0
 
 
 class _Tenant:
@@ -381,9 +371,8 @@ class _Tenant:
     checkpoint codec already carries them across hops.
     """
 
-    def __init__(self, spec: TenantSpec, depth: int) -> None:
+    def __init__(self, spec: TenantSpec) -> None:
         self.spec = spec
-        self.depth = depth
         self.session: Optional[Union[OnlineSession, ShardedSession]] = None
         self.lanes: List[_Lane] = []
         self.resumed = False
@@ -436,8 +425,7 @@ class _Tenant:
             runs = [session.run]
             countings = [session.counting]
         self.lanes = [
-            _Lane(run, self.depth, counting)
-            for run, counting in zip(runs, countings)
+            _Lane(run, counting) for run, counting in zip(runs, countings)
         ]
         self.state = "running"
 
@@ -456,8 +444,8 @@ class _Tenant:
 
     @property
     def quiescent(self) -> bool:
-        """No lane holds a pulled-but-unconsumed step."""
-        return all(lane.quiescent for lane in self.lanes)
+        """No lane holds a taken-but-unfed step."""
+        return all(lane.in_flight == 0 for lane in self.lanes)
 
     @property
     def finished(self) -> bool:
@@ -507,11 +495,6 @@ class ServingLoop:
     checkpoint_root:
         Directory that receives one subdirectory per tenant (percent-
         encoded id).  ``None`` disables checkpointing entirely.
-    queue_depth:
-        Bound of each lane's arrival queue — the backpressure knob.  A
-        lane never holds more than ``queue_depth + 2`` in-flight steps:
-        the bounded queue, the one in the producer's hand blocked on
-        ``put``, and the one the consumer has dequeued but not fed.
     batch_limit:
         Per-``take`` arrival cap passed to the sources.  The default
         ``None`` pulls whole minibatches, which is what keeps vectorized
@@ -526,8 +509,8 @@ class ServingLoop:
         Shared :class:`~repro.online.session.WorkloadCache`; defaults to
         a fresh one per serve (sharing across same-workload tenants).
     pace_seconds:
-        Producer sleep between pushed steps — simulates real arrival
-        gaps (and gives the idle monitor something to notice).
+        Lane sleep after each fed step — simulates real arrival gaps
+        (and gives the idle monitor something to notice).
     resume:
         Resume any tenant whose checkpoint exists under
         *checkpoint_root* instead of starting it fresh.  A corrupt
@@ -569,7 +552,6 @@ class ServingLoop:
         specs: Sequence[TenantSpec],
         *,
         checkpoint_root: Optional[str] = None,
-        queue_depth: int = 8,
         batch_limit: Optional[int] = None,
         idle_policy: Optional[IdleCheckpointPolicy] = None,
         workload_cache: Optional[WorkloadCache] = None,
@@ -584,10 +566,6 @@ class ServingLoop:
         """Validate knobs and stage the serve (no sessions built yet)."""
         if not specs:
             raise InvalidInstanceError("nothing to serve: no tenant specs")
-        if int(queue_depth) < 1:
-            raise InvalidInstanceError(
-                f"queue_depth must be >= 1, got {queue_depth}"
-            )
         if batch_limit is not None and int(batch_limit) < 1:
             raise InvalidInstanceError(
                 f"batch_limit must be >= 1 (or None), got {batch_limit}"
@@ -634,7 +612,6 @@ class ServingLoop:
             autoscale = (lo, hi)
         self.specs = list(specs)
         self.checkpoint_root = checkpoint_root
-        self.queue_depth = int(queue_depth)
         self.batch_limit = None if batch_limit is None else int(batch_limit)
         self.idle_policy = idle_policy
         self.workload_cache = (
@@ -668,9 +645,9 @@ class ServingLoop:
         """Stop pulling new arrivals; finish in-flight work, checkpoint.
 
         Safe to call from a signal handler registered on the running
-        loop: producers observe the flag before their next ``take`` and
-        close their lanes, consumers drain what was already queued, and
-        the finalize step snapshots every tenant.
+        loop: lanes observe the flag before their next ``take`` and stop
+        once their in-flight step is fed, and the finalize step
+        snapshots every tenant.
         """
         self._draining = True
 
@@ -723,7 +700,7 @@ class ServingLoop:
         start-up would run in one event-loop pass, stalling every lane.
         """
         slots = self.memory_budget or len(self.specs)
-        self._tenants = [_Tenant(spec, self.queue_depth) for spec in self.specs]
+        self._tenants = [_Tenant(spec) for spec in self.specs]
         for tenant in self._tenants[:slots]:
             self._admit(tenant)
         self._admission = asyncio.Semaphore(slots - self._live)
@@ -769,17 +746,13 @@ class ServingLoop:
     async def _run(self, tenant: _Tenant) -> None:
         """Run *tenant*'s lanes, re-binding in place while it is flagged.
 
-        Once every lane task has exited the tenant is quiescent, so the
-        rebind's synchronous checkpoint is consistent.
+        Once every lane coroutine has returned the tenant is quiescent,
+        so the rebind's synchronous checkpoint is consistent.
         """
         while True:
-            await asyncio.gather(*(
-                coro
-                for lane in tenant.lanes
-                for coro in (
-                    self._produce(tenant, lane), self._consume(tenant, lane)
-                )
-            ))
+            await asyncio.gather(
+                *(self._lane(tenant, lane) for lane in tenant.lanes)
+            )
             if (
                 self._draining
                 or tenant.state == "quarantined"
@@ -885,11 +858,11 @@ class ServingLoop:
     async def _rebalancer(self) -> None:
         """Flag tenants whose lane topology is worth re-binding.
 
-        Runs alongside the lifecycle tasks: a flagged tenant's producers
-        stop at their next check, its consumers drain, and its lifecycle
-        task re-shards at the quiescent point.  The tick is deliberately
-        small relative to the producer pace so a lane going idle is
-        noticed within a few arrivals.
+        Runs alongside the lifecycle tasks: a flagged tenant's lanes
+        stop at their next check, once their in-flight step is fed, and
+        its lifecycle task re-shards at the quiescent point.  The tick
+        is deliberately small relative to the lane pace so a lane going
+        idle is noticed within a few arrivals.
         """
         tick = max(self.pace_seconds / 2.0, 0.002)
         while self._live > 0:
@@ -957,8 +930,9 @@ class ServingLoop:
     ) -> bool:
         """Resume the checkpoint *payload* builds and attach it, or quarantine.
 
-        Any :class:`InvalidInstanceError` on the way quarantines
-        *tenant* with a *failure*-prefixed error and returns ``False``.
+        Any library error (:class:`ReproError`) on the way quarantines
+        *tenant* with a *failure*-prefixed error and returns ``False``;
+        programming errors such as ``TypeError`` still propagate.
         """
         try:
             session = resume_any_session(
@@ -967,7 +941,7 @@ class ServingLoop:
                 fault_injector=self.fault_injector,
                 fault_scope=tenant.spec.tenant_id,
             )
-        except InvalidInstanceError as exc:
+        except ReproError as exc:
             self._quarantine(tenant, f"{failure}: {exc}")
             return False
         tenant.attach(session, resumed=resumed)
@@ -985,87 +959,60 @@ class ServingLoop:
 
     # -- tasks -----------------------------------------------------------
 
-    async def _produce(self, tenant: _Tenant, lane: _Lane) -> None:
-        """Pull batches from *lane*'s source and queue them, until done.
+    async def _lane(self, tenant: _Tenant, lane: _Lane) -> None:
+        """Take one step, feed it and yield once per loop pass, until done.
 
         ``take`` and the ``in_flight`` increment run without an
         intervening await, so the quiescence invariant (cursor ==
         consumed + in_flight at every suspension point) holds.  Stops on
         source exhaustion, policy completion, drain, quarantine, a
-        rebind flag, or an exhausted ``park_arrivals`` slice.
+        rebind flag, or an exhausted ``park_arrivals`` slice; a step
+        taken before a quarantine is never fed.
         """
         run = lane.run
         quota = self.park_arrivals
         pulled = 0
-        try:
-            while (
-                not self._draining
-                and tenant.state != "quarantined"
-                and not tenant.rebinding
-                and not run.policy.done
-            ):
-                if quota is not None and pulled >= quota:
-                    break
-                step = run.source.take(self.batch_limit)
-                if step is None:
-                    break
-                lane.in_flight += 1
-                lane.max_in_flight = max(lane.max_in_flight, lane.in_flight)
-                pos0, batch, _stamps = step
-                pulled += len(batch)
-                await lane.queue.put((pos0, batch))
-                if self.pace_seconds > 0.0:
-                    await asyncio.sleep(self.pace_seconds)
-                else:
-                    # Cooperative yield: a full put() may not suspend.
-                    await asyncio.sleep(0)
-        finally:
-            await lane.queue.put(_EOS)
-
-    async def _before_feed(self, tenant: _Tenant, lane: _Lane) -> None:
-        """Seam between dequeue and feed — the default does nothing.
-
-        Subclasses (and the backpressure tests) override this to stall a
-        tenant's consumer the way a slow oracle would: while it waits,
-        that tenant's producer can run at most ``queue_depth + 1`` steps
-        ahead before its ``put`` blocks, and every other tenant keeps
-        streaming.
-        """
-        return None
-
-    async def _consume(self, tenant: _Tenant, lane: _Lane) -> None:
-        """Feed queued steps to *lane*'s run, streaming decisions out.
-
-        A quarantined tenant's consumer keeps dequeuing — and
-        discarding — until EOS, so its producer is never wedged on a
-        full queue and the rest of the fleet drains normally.
-        """
-        run = lane.run
-        while True:
-            item = await lane.queue.get()
-            if item is _EOS:
-                break
-            if tenant.state == "quarantined":
-                lane.in_flight -= 1
-                continue
+        while (
+            not self._draining
+            and tenant.state != "quarantined"
+            and not tenant.rebinding
+            and not run.policy.done
+            and (quota is None or pulled < quota)
+        ):
+            step = run.source.take(self.batch_limit)
+            if step is None:
+                return
+            lane.in_flight += 1
+            lane.max_in_flight = max(lane.max_in_flight, lane.in_flight)
+            pos0, batch, _stamps = step
+            pulled += len(batch)
             await self._before_feed(tenant, lane)
-            pos0, batch = item
+            if tenant.state == "quarantined":
+                return  # quarantined while the seam awaited
             logged = len(run.decisions)
             if self.fault_injector is None:
                 run.feed(pos0, batch)
-                fed = True
-            else:
-                fed = await self._feed_guarded(tenant, lane, pos0, batch)
+            elif not await self._feed_guarded(tenant, lane, pos0, batch):
+                return  # quarantined: the step stays unfed
             lane.in_flight -= 1
-            if not fed:
-                continue
             tenant.arrivals += len(batch)
             tenant.batches += 1
             tenant.last_activity = time.perf_counter()
             if self.on_decision is not None:
                 for position, element in run.decisions[logged:]:
                     self.on_decision(tenant.spec.tenant_id, position, element)
-            await asyncio.sleep(0)  # fairness: one step per loop pass
+            # Fairness: one step per loop pass (unpaced: a bare yield).
+            await asyncio.sleep(self.pace_seconds)
+
+    async def _before_feed(self, tenant: _Tenant, lane: _Lane) -> None:
+        """Seam between a lane's ``take`` and its feed — does nothing.
+
+        Subclasses (and the backpressure tests) override this to stall a
+        tenant's lane the way a slow oracle would: while it waits, that
+        lane holds its one taken step in flight and takes no other, and
+        every other lane keeps streaming.
+        """
+        return None
 
     async def _feed_guarded(
         self, tenant: _Tenant, lane: _Lane, pos0: int, batch: Sequence
@@ -1167,9 +1114,9 @@ class ServingLoop:
         tenant.checkpoint_seconds.append(time.perf_counter() - t0)
 
     def _finalize(self) -> None:
-        """Snapshot every live tenant once all lanes have drained.
+        """Snapshot every live tenant once all lanes have stopped.
 
-        All producers and consumers have exited, so every live tenant is
+        Every lane coroutine has returned, so every live tenant is
         quiescent; the snapshot is exact whether the tenant finished or
         was drained mid-stream — either way its checkpoint resumes.
         Quarantined tenants are skipped: their last *durable* checkpoint

@@ -67,6 +67,7 @@ from repro.errors import InvalidInstanceError
 from repro.online.arrivals import (
     ArrivalSchedule,
     ArrivalSource,
+    _require,
     source_from_spec,
 )
 from repro.online.checkpoint import (
@@ -488,12 +489,60 @@ class ShardSource(ArrivalSource):
             "pending_new": self._pending_new,
         }
 
-    def _restore_extra(self, state: Dict[str, object]) -> None:
-        self._parent.restore(dict(state["parent"]))  # type: ignore[arg-type]
-        self._pending = list(state.get("pending") or [])
-        ts = state.get("pending_ts")
-        self._pending_ts = None if ts is None else [float(t) for t in ts]  # type: ignore[union-attr]
-        self._pending_new = bool(state.get("pending_new", False))
+    def _restore_extra(self, state: Dict[str, object], field: str) -> None:
+        parent_field = f"{field}.parent"
+        parent = _require(state.get("parent"), Mapping, parent_field,
+                          "an object")
+        self._parent.check_state(parent, self._parent.n, parent_field)
+        pending = _require(state.get("pending"), list, f"{field}.pending",
+                           "a list")
+        stamps = state.get("pending_ts")
+        if stamps is not None and not (
+            isinstance(stamps, list) and len(stamps) == len(pending)
+            and all(isinstance(t, float) and math.isfinite(t) for t in stamps)
+        ):
+            raise InvalidInstanceError(
+                f"checkpoint field '{field}.pending_ts' must be null or "
+                f"{len(pending)} finite floats, got {stamps!r:.60}"
+            )
+        pending_new = state.get("pending_new")
+        if not isinstance(pending_new, bool):
+            raise InvalidInstanceError(
+                f"checkpoint field '{field}.pending_new' must be a bool, "
+                f"got {pending_new!r:.60}"
+            )
+        self._check_pulled(state["cursor"], pending, parent["cursor"], field)  # type: ignore[arg-type]
+        self._parent.restore(parent, parent_field)
+        self._pending = list(pending)
+        self._pending_ts = None if stamps is None else list(stamps)
+        self._pending_new = pending_new
+
+    def _check_pulled(self, cursor: int, pending: List[Hashable],
+                      parent_cursor: int, field: str) -> None:
+        """The parent's first *parent_cursor* arrivals must hold exactly
+        this lane's first ``cursor + len(pending)``, *pending* last; an
+        O(batch) walk back from *parent_cursor* finds the last of them.
+        """
+        lane, pulled = self._order, cursor + len(pending)
+        if lane is not None and pending != lane[cursor:pulled]:
+            raise InvalidInstanceError(
+                f"checkpoint field '{field}.pending': {pending!r:.60} is not "
+                f"this lane's arrivals {cursor} to {pulled}"
+            )
+        if lane:
+            order, p = self._parent.order, parent_cursor - 1
+            while p >= 0 and self.partition.assign(order[p]) != self.index:
+                p -= 1
+            ok = (p >= 0) == (pulled > 0) and (
+                pulled == 0 or order[p] == lane[pulled - 1])
+        else:  # an unknown or empty lane order pins only the count
+            ok = pulled <= parent_cursor
+        if not ok:
+            raise InvalidInstanceError(
+                f"checkpoint field '{field}.parent.cursor': the parent's "
+                f"first {parent_cursor} arrivals do not hold exactly this "
+                f"lane's first {pulled}"
+            )
 
     def materialize(self) -> ArrivalSchedule:
         """The full remaining stream as an :class:`ArrivalSchedule`."""
@@ -929,20 +978,6 @@ class ShardedRun:
     ) -> "ShardedRun":
         """Advance a single shard (for skewed/out-of-band progress)."""
         self.runs[index].run(max_arrivals)
-        return self
-
-    def feed_shard(
-        self, index: int, pos0: int, batch: Sequence[Hashable]
-    ) -> "ShardedRun":
-        """Consume one externally-pulled batch on shard *index*.
-
-        The serving layer's push path for sharded tenants: one queue
-        consumer per shard calls this with batches its producer pulled
-        from that shard's own :class:`ShardSource`, mirroring
-        :meth:`OnlineRun.feed <repro.online.driver.OnlineRun.feed>` —
-        shard hires and oracle counts match the pull path bit for bit.
-        """
-        self.runs[index].feed(pos0, batch)
         return self
 
     def result(self) -> SecretaryResult:

@@ -1,8 +1,8 @@
 """Regenerate ``golden_serve_reports.json`` — whole serve reports, pinned.
 
 Serves the ``MIXED_FLEET`` of :mod:`tests.online.test_serving` under
-every serving mode whose report is deterministic (static at two queue
-depths and with a checkpoint root, a drain plus its resume, and
+every serving mode whose report is deterministic (static with and
+without a checkpoint root, a drain plus its resume, and
 memory-budgeted serves with and without parking) and captures each
 report minus its timing fields.  Unlike the hires-only checks in
 ``test_serving.py``, the capture pins the serving bookkeeping too:
@@ -122,8 +122,7 @@ def _drain_then_resume(root: str) -> Dict[str, object]:
 #: Cell name -> ``capture(checkpoint_root)``; every cell gets a fresh,
 #: empty directory whether or not it checkpoints.
 CELLS: Dict[str, Callable[[str], Dict[str, object]]] = {
-    "static/queue_depth=3": _whole(queue_depth=3),
-    "static/queue_depth=1": _whole(queue_depth=1),
+    "static": _whole(),
     "static/checkpoint_root": _whole(checkpointed=True),
     "drain_then_resume": _drain_then_resume,
     "budget=1/park_arrivals=10": _whole(True, memory_budget=1,

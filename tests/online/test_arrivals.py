@@ -1,13 +1,18 @@
 """Arrival processes: registry, schedules, determinism, fingerprints."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import InvalidInstanceError
 from repro.online.arrivals import (
     ARRIVAL_PROCESSES,
+    FINGERPRINT_FORMAT,
+    ArrivalFingerprint,
     ArrivalSchedule,
     arrival_process_names,
     build_arrival_schedule,
@@ -315,3 +320,71 @@ class TestPayloadRoundTrip:
         assert ArrivalSchedule.from_payload(
             json.loads(text2)
         ).fingerprint() == schedule.fingerprint()
+
+
+def _reference_record(element, new_batch, timestamp) -> str:
+    """The fingerprint record as canonical ``json.dumps`` writes it."""
+    return json.dumps([repr(element), bool(new_batch), timestamp],
+                      sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _reference_chain(header, arrivals) -> str:
+    chain = hashlib.sha256(
+        json.dumps(header, sort_keys=True, separators=(",", ":"),
+                   allow_nan=False).encode("utf-8")
+    ).hexdigest()
+    for arrival in arrivals:
+        chain = hashlib.sha256(
+            (chain + _reference_record(*arrival)).encode("utf-8")
+        ).hexdigest()
+    return chain
+
+
+#: Text that leans on what JSON escapes: quotes, backslashes, control
+#: and non-ASCII characters (astral ones included).
+_TEXT = st.text(alphabet=st.one_of(
+    st.sampled_from('"\\\'/\x00\x1f\x7f\n\t\u2028\xe9\U0001f600'),
+    st.characters(),
+))
+
+_ELEMENTS = st.one_of(
+    _TEXT, st.integers(), st.tuples(st.integers(), _TEXT),
+)
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+_TIMESTAMPS = st.one_of(
+    st.none(),
+    _FINITE,
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
+    st.integers(),
+    _FINITE.map(np.float64),
+)
+
+
+class TestFingerprintRecord:
+    """``update``'s hand-built record is the ``json.dumps`` one, byte for byte."""
+
+    HEADER = {"format": FINGERPRINT_FORMAT, "process": "uniform", "seed": 0,
+              "params": {}}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_ELEMENTS, st.booleans(), _TIMESTAMPS),
+                    max_size=6))
+    def test_chain_equals_the_reference_chain(self, arrivals):
+        fp = ArrivalFingerprint(self.HEADER)
+        for arrival in arrivals:
+            fp.update(*arrival)
+        assert fp.digest == _reference_chain(self.HEADER, arrivals)
+        assert fp.count == len(arrivals)
+
+    @pytest.mark.parametrize("timestamp", [
+        math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf"),
+    ])
+    def test_non_finite_timestamps_raise_on_both_paths(self, timestamp):
+        with pytest.raises(ValueError):
+            _reference_record("s1", True, timestamp)
+        fp = ArrivalFingerprint(self.HEADER)
+        with pytest.raises(ValueError):
+            fp.update("s1", True, timestamp)
+        assert fp.count == 0

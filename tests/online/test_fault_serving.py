@@ -5,18 +5,20 @@ tenant's hires, value, and oracle-call count bit-identical to an
 unfaulted serve (rollback + retry re-bills each batch exactly once);
 permanent faults quarantine exactly the struck tenant after
 ``max_strikes`` while the fleet keeps serving; a corrupt per-tenant
-checkpoint quarantines that tenant on resume instead of aborting the
-fleet; backoff schedules are seed-deterministic across runs and across
+checkpoint, or one whose resume raises any library error, quarantines
+that tenant on resume instead of aborting the fleet; backoff schedules are seed-deterministic across runs and across
 a drain/resume hop; and a ``memory_budget`` caps resident sessions
 without moving any result.
 """
 
 import asyncio
 import json
+import shutil
 
 import pytest
 
 from repro.errors import InvalidInstanceError
+from repro.online import serving
 from repro.online.checkpoint import IdleCheckpointPolicy, tenant_checkpoint_path
 from repro.online.faults import FaultPlan, FaultRule, RetryPolicy
 from repro.online.serving import ServingLoop, TenantSpec, load_tenant_specs
@@ -252,6 +254,65 @@ class TestDamagedCheckpointIsolation:
         assert "'policy'" in report["tenants"]["mono-a"]["error"]
         assert_results_match(json.loads(json.dumps(baseline)), report,
                              skip=("mono-a",))
+
+
+    def test_a_library_error_on_resume_quarantines_one_tenant(
+        self, tmp_path, capsys
+    ):
+        # b's policy claims a hire that never arrived: the checkpoint
+        # passes validation, and its resume raises OracleError.
+        from repro.cli import main
+
+        fleet = {
+            "defaults": {"family": "coverage", "n": 60, "k": 3,
+                         "policy": "monotone"},
+            "tenants": [{"id": "a", "seed": 41}, {"id": "b", "seed": 42}],
+        }
+        spec = tmp_path / "fleet.json"
+        spec.write_text(json.dumps(fleet), encoding="utf-8")
+        clean, damaged = str(tmp_path / "clean"), str(tmp_path / "damaged")
+        hires = []
+
+        def drain_after_two_hires(tenant_id, position, element):
+            hires.append(tenant_id)
+            if len(hires) == 2:
+                loop.request_drain()
+
+        loop = ServingLoop(load_tenant_specs(fleet), checkpoint_root=clean,
+                           on_decision=drain_after_two_hires)
+        assert loop.serve()["totals"]["drained"] is True
+        shutil.copytree(clean, damaged)
+        path = tenant_checkpoint_path(damaged, "b")
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["policy"]["state"]["selected"].append("s9999")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        assert main(["online", "serve", str(spec), "--checkpoint-dir", clean,
+                     "--resume"]) == 0
+        want = json.loads(capsys.readouterr().out)
+        assert main(["online", "serve", str(spec), "--checkpoint-dir",
+                     damaged, "--resume"]) == 3
+        got = json.loads(capsys.readouterr().out)
+        victim = got["tenants"]["b"]
+        assert victim["state"] == "quarantined"
+        assert "checkpoint resume failed" in victim["error"]
+        assert "have not arrived" in victim["error"]
+        assert got["tenants"]["a"]["finished"] is True
+        for key in RESULT_KEYS:
+            assert got["tenants"]["a"][key] == want["tenants"]["a"][key], key
+
+    def test_a_programming_error_on_resume_still_propagates(
+        self, tmp_path, monkeypatch
+    ):
+        root = self._serve_clean(tmp_path)
+
+        def broken_resume(*args, **kwargs):
+            raise TypeError("a bug, not a damaged checkpoint")
+
+        monkeypatch.setattr(serving, "resume_any_session", broken_resume)
+        with pytest.raises(TypeError, match="a bug"):
+            ServingLoop(specs(), checkpoint_root=root, resume=True).serve()
 
 
 class TestBackoffDeterminism:

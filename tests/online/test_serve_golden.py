@@ -2,7 +2,8 @@
 
 ``golden_serve_reports.json`` was generated by
 :mod:`tests.online.generate_serve_golden` before the serving loop was
-folded into one tenant lifecycle; every cell is re-served here and its
+folded into one tenant lifecycle and each lane's producer and consumer
+into one coroutine; every cell is re-served here and its
 report, minus timing fields, must match the capture exactly —
 per-tenant bookkeeping (``batches``, ``max_in_flight``, ``parks``,
 ``rehydrations``, drain states) and the workload-cache stats included.

@@ -2,7 +2,9 @@
 
 Two contracts.  A damaged ``source.state`` (a non-integer cursor or
 ``batch_end``, a malformed fingerprint, an RNG state the bit generator
-refuses) is a clean :class:`~repro.errors.InvalidInstanceError` naming
+refuses, or a shard lane's ``parent``, ``pending``, ``pending_ts`` or
+``pending_new`` that is mistyped or disagrees with the lane's stream) is
+a clean :class:`~repro.errors.InvalidInstanceError` naming
 ``source.state.<field>``, so ``repro online resume`` exits 2 and a serve
 quarantines only that tenant.  And a ``source`` block whose process,
 seed or params disagree with the embedded recipe, or that embeds a
@@ -17,7 +19,12 @@ from repro.cli import main
 from repro.errors import InvalidInstanceError
 from repro.online.checkpoint import tenant_checkpoint_path
 from repro.online.serving import ServingLoop, load_tenant_specs
-from repro.online.session import resume_any_session, resume_session, start_session
+from repro.online.session import (
+    resume_any_session,
+    resume_session,
+    start_session,
+    start_sharded_session,
+)
 
 RUN = dict(policy="monotone", family="coverage", n=200, k=4, seed=1,
            process="bursty")
@@ -109,6 +116,105 @@ class TestDamagedSourceState:
         assert "'source.state.fingerprint'" in capsys.readouterr().err
 
 
+def _sharded_suspended():
+    """A JSON round-tripped two-shard manifest, shard 0 holding a pending
+    arrival of its parent's last batch."""
+    ck = start_sharded_session(**RUN, shards=2).advance(60).checkpoint()
+    ck = json.loads(json.dumps(ck))
+    assert ck["shards"][0]["source"]["state"]["pending"]
+    return ck
+
+
+SHARD_DAMAGE = [
+    pytest.param(lambda s: s.update(pending=5), "'source.state.pending'",
+                 id="int-pending"),
+    pytest.param(lambda s: s.pop("pending"), "'source.state.pending'",
+                 id="no-pending"),
+    pytest.param(lambda s: s.update(pending=["s9999"]),
+                 "'source.state.pending'", id="foreign-pending"),
+    pytest.param(lambda s: s.update(pending_ts="q"),
+                 "'source.state.pending_ts'", id="str-pending-ts"),
+    pytest.param(lambda s: s.update(pending_ts=[0.5] * (len(s["pending"]) + 1)),
+                 "'source.state.pending_ts'", id="pending-ts-length"),
+    pytest.param(lambda s: s.update(pending_ts=[float("inf")] * len(s["pending"])),
+                 "'source.state.pending_ts'", id="infinite-pending-ts"),
+    pytest.param(lambda s: s.update(pending_new=1),
+                 "'source.state.pending_new'", id="int-pending-new"),
+    pytest.param(lambda s: s.update(parent="x"), "'source.state.parent'",
+                 id="str-parent"),
+    pytest.param(lambda s: s.pop("parent"), "'source.state.parent'",
+                 id="no-parent"),
+    pytest.param(lambda s: s["parent"].update(cursor=0),
+                 "'source.state.parent.cursor'", id="parent-cursor-0"),
+    pytest.param(lambda s: s["parent"].update(cursor=s["parent"]["cursor"] - 1),
+                 "'source.state.parent.cursor'", id="parent-cursor-behind"),
+    pytest.param(lambda s: s["parent"].update(cursor="x"),
+                 "'source.state.parent.cursor'", id="str-parent-cursor"),
+    pytest.param(lambda s: s["parent"].update(cursor=201),
+                 "'source.state.parent.cursor'", id="parent-cursor-past-stream"),
+    pytest.param(lambda s: s["parent"].update(batch_end="q"),
+                 "'source.state.parent.batch_end'", id="str-parent-batch-end"),
+    pytest.param(lambda s: s["parent"]["fingerprint"].update(count=None),
+                 "'source.state.parent.fingerprint.count'",
+                 id="null-parent-count"),
+]
+
+
+class TestDamagedShardLaneState:
+    @pytest.mark.parametrize("damage,field", SHARD_DAMAGE)
+    def test_cli_resume_exits_2_naming_the_field(self, tmp_path, capsys,
+                                                 damage, field):
+        path = tmp_path / "sharded.json"
+        ck = _sharded_suspended()
+        damage(ck["shards"][0]["source"]["state"])
+        path.write_text(json.dumps(ck), encoding="utf-8")
+        assert main(["online", "resume", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_a_lane_cursor_that_skips_its_pending_is_refused(self):
+        # The lane (and its manifest entry) moved back one arrival with
+        # pending unchanged: the lane would skip an arrival on resume.
+        ck = _sharded_suspended()
+        ck["shards"][0]["source"]["state"]["cursor"] -= 1
+        ck["shards"][0]["cursor"] -= 1
+        with pytest.raises(InvalidInstanceError,
+                           match="'source.state.pending'"):
+            resume_any_session(ck)
+
+    def test_a_failed_restore_leaves_the_parent_as_it_was(self):
+        session = start_sharded_session(**RUN, shards=2).advance(60)
+        lane = session.run.runs[0].source
+        parent = lane._parent
+        before = (lane.cursor, parent.cursor, parent.fingerprint())
+        state = json.loads(json.dumps(lane.state_dict()))
+        state["parent"]["cursor"] -= 1
+        state["pending"] = ["s9999"]
+        with pytest.raises(InvalidInstanceError):
+            lane.restore(state)
+        assert (lane.cursor, parent.cursor, parent.fingerprint()) == before
+
+    def test_cli_serve_exits_3_with_the_damaged_shard_lane_quarantined(
+        self, tmp_path, capsys, clean_serve
+    ):
+        spec = tmp_path / "fleet.json"
+        spec.write_text(json.dumps(FLEET), encoding="utf-8")
+        root = _serve_then_edit(
+            tmp_path, "s-4",
+            lambda ck: ck["shards"][0]["source"]["state"].update(pending=5),
+        )
+        assert main(["online", "serve", str(spec), "--checkpoint-dir", root,
+                     "--resume"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        quarantined = {tid for tid, t in report["tenants"].items()
+                       if t["state"] == "quarantined"}
+        assert quarantined == {"s-4"}
+        assert "'source.state.pending'" in report["tenants"]["s-4"]["error"]
+        want = json.loads(json.dumps(clean_serve))
+        for tid in ("b-1", "b-2", "u-3"):
+            for key in RESULT_KEYS:
+                assert report["tenants"][tid][key] == want["tenants"][tid][key]
+
+
 def _serve_then_edit(tmp_path, tenant, edit):
     """Serve FLEET with checkpoints, edit one tenant's file, return root."""
     root = str(tmp_path / "ckpt")
@@ -137,6 +243,9 @@ def clean_serve():
     pytest.param("s-4",
                  lambda ck: ck["shards"][1]["source"].update(seed=5),
                  "'shards[1].source.seed'", id="tampered-shard-seed"),
+    pytest.param("s-4",
+                 lambda ck: ck["shards"][0]["source"]["state"].update(pending=5),
+                 "'source.state.pending'", id="shard-pending-not-a-list"),
 ])
 def test_serve_quarantines_only_the_bad_tenant(tmp_path, clean_serve,
                                                tenant, edit, field):

@@ -164,6 +164,33 @@ class TestFingerprintEquivalence:
             pass
         assert shard_src.fingerprint() == sharded.fingerprint()
 
+    @pytest.mark.parametrize("process", ALL_PROCESSES)
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_shard_source_survives_every_suspend_point(self, fn, process,
+                                                       index):
+        """Mid-batch cuts included: the restore checks on ``parent`` and
+        ``pending`` accept every state a shard lane can suspend in."""
+        params = process_params(process, fn)
+        want = shard_schedule(
+            build_arrival_schedule(process, fn, 13, **params), 2
+        )[index]
+
+        def lane():
+            return ShardSource(build_arrival_source(process, fn, 13, **params),
+                               index, 2)
+
+        for cut in range(want.n + 1):
+            source = lane()
+            while source.cursor < cut:
+                assert source.take(cut - source.cursor) is not None
+            state = json.loads(json.dumps(source.state_dict(),
+                                          allow_nan=False))
+            resumed = lane()
+            resumed.restore(state)
+            while resumed.take(None) is not None:
+                pass
+            assert resumed.fingerprint() == want.fingerprint(), (process, cut)
+
     def test_restore_validates_cursor_bounds(self, fn):
         """The satellite bugfix: a bad cursor is a clean error, not a
         reference to an undefined ``schedule.n``."""
