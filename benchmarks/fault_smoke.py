@@ -32,10 +32,11 @@ other tenant still matches the baseline.
 and per-tenant retry backoff schedules must match event for event.
 
 **Damaged-checkpoint cell** — after a clean checkpointed serve, one
-tenant's file is overwritten with non-UTF-8 bytes and another's
-``policy`` block is dropped: ``serve --resume`` must exit 3 with
-exactly those two tenants quarantined and every other tenant matching
-the baseline.
+tenant's file is overwritten with non-UTF-8 bytes, another's
+``policy`` block is dropped, and the sharded tenant's first lane names
+``num_shards: "x"`` in its shard block: ``serve --resume`` must exit 3
+with exactly those three tenants quarantined and every other tenant
+matching the baseline.
 
 Usage::
 
@@ -251,26 +252,36 @@ def run_determinism_cell(workdir: str, spec: str) -> dict:
     }
 
 
+def _edit_checkpoint(ckpt: str, tenant: str, edit) -> None:
+    """Apply *edit* to one tenant's checkpoint payload in place."""
+    # <root>/<tenant id>/checkpoint.json: these ids need no escaping.
+    path = os.path.join(ckpt, tenant, "checkpoint.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    edit(payload)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+
+
 def run_damaged_checkpoint_cell(workdir: str, spec: str, baseline: dict) -> dict:
-    """Non-UTF-8 bytes and a dropped policy block quarantine two tenants."""
+    """Non-UTF-8 bytes, a dropped policy block and a mistyped shard
+    block quarantine three tenants."""
     t0 = time.perf_counter()
     ckpt = os.path.join(workdir, "ckpt-damaged")
     serve(spec, "--checkpoint-dir", ckpt)
-    # <root>/<tenant id>/checkpoint.json: these ids need no escaping.
     with open(os.path.join(ckpt, "mono-b", "checkpoint.json"), "wb") as fh:
         fh.write(bytes.fromhex("fffe0067617262616765"))
-    path = os.path.join(ckpt, "robust", "checkpoint.json")
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    del payload["policy"]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    _edit_checkpoint(ckpt, "robust", lambda ck: ck.pop("policy"))
+    _edit_checkpoint(
+        ckpt, "sharded",
+        lambda ck: ck["shards"][0]["source"]["shard"].update(num_shards="x"),
+    )
     out = os.path.join(workdir, "damaged.json")
     serve(spec, "--checkpoint-dir", ckpt, "--resume", "--output", out,
           expect=3)
     with open(out, "r", encoding="utf-8") as fh:
         report = json.load(fh)
-    damaged = {"mono-b", "robust"}
+    damaged = {"mono-b", "robust", "sharded"}
     problems = []
     quarantined = {t for t, v in report["tenants"].items()
                    if v.get("state") == "quarantined"}

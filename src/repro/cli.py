@@ -605,56 +605,47 @@ def _render_params(params: object) -> dict:
 
 
 def _describe_shard_checkpoint(ck: dict) -> dict:
-    """Summary of one ordinary (per-shard or unsharded) checkpoint payload."""
-    version = int(ck.get("schema_version", 1))
+    """Summary of one ordinary (per-shard or unsharded) checkpoint payload.
+
+    The version, ``source`` and ``source.state`` checks a resume runs
+    first run here too, so a damaged or unsupported payload is a clean
+    error.
+    """
+    from repro.online.arrivals import ArrivalSource, _require
+    from repro.online.checkpoint import check_schema_version
+
+    check_schema_version(ck)
+    source = _require(ck.get("source"), dict, "source", "an object")
+    ArrivalSource.check_state(source.get("state"))
     entry: dict = {
-        "schema_version": version,
+        "schema_version": ck["schema_version"],
         "cursor": ck.get("cursor"),
         "policy": (ck.get("policy") or {}).get("name"),
+        "process": source.get("process"),
+        "seed": source.get("seed"),
+        "params": _render_params(source.get("params")),
     }
-    if version >= 2:
-        from repro.online.arrivals import ArrivalSource
-
-        source = ck.get("source") or {}
-        # The same field checks a resume runs first, so a damaged state
-        # is a clean error here too.
-        ArrivalSource.check_state(source.get("state"))
-        entry["process"] = source.get("process")
-        entry["seed"] = source.get("seed")
-        entry["params"] = _render_params(source.get("params"))
-        shard = source.get("shard")
-        if shard:
-            partition = shard.get("partition") if isinstance(shard, dict) else None
-            if isinstance(partition, dict):
-                # A resharded lane: summarise the epoch history instead
-                # of dumping the full per-epoch cursor lists.
-                epochs = partition.get("epochs") or []
-                entry["shard"] = {
-                    "index": shard.get("index"),
-                    "partition_epoch": max(0, len(epochs) - 1),
-                    "num_shards": (epochs[-1] or {}).get("num_shards")
-                    if epochs else None,
-                    "salt": (epochs[-1] or {}).get("salt")
-                    if epochs else None,
-                }
-            else:
-                entry["shard"] = shard
-        entry["hired"] = len(ck.get("decisions") or [])
-        entry["frontier"] = len(ck.get("frontier") or [])
-        entry["fingerprint"] = source["state"]["fingerprint"]["chain"]
-        entry["embedded_schedule"] = "schedule" in source
-    else:
-        schedule = ck.get("schedule") or {}
-        entry["process"] = schedule.get("process")
-        entry["seed"] = schedule.get("seed")
-        entry["params"] = _render_params(schedule.get("params"))
-        order = schedule.get("order")
-        entry["n"] = None if order is None else len(order)
-        # v1 recorded no decision log; the hire count lives (if anywhere)
-        # inside policy state, whose layout is policy-specific.
-        state = (ck.get("policy") or {}).get("state") or {}
-        selected = state.get("selected")
-        entry["hired"] = len(selected) if isinstance(selected, list) else None
+    shard = source.get("shard")
+    if shard:
+        partition = shard.get("partition") if isinstance(shard, dict) else None
+        if isinstance(partition, dict):
+            # A resharded lane: summarise the epoch history instead
+            # of dumping the full per-epoch cursor lists.
+            epochs = partition.get("epochs") or []
+            entry["shard"] = {
+                "index": shard.get("index"),
+                "partition_epoch": max(0, len(epochs) - 1),
+                "num_shards": (epochs[-1] or {}).get("num_shards")
+                if epochs else None,
+                "salt": (epochs[-1] or {}).get("salt")
+                if epochs else None,
+            }
+        else:
+            entry["shard"] = shard
+    entry["hired"] = len(ck.get("decisions") or [])
+    entry["frontier"] = len(ck.get("frontier") or [])
+    entry["fingerprint"] = source["state"]["fingerprint"]["chain"]
+    entry["embedded_schedule"] = "schedule" in source
     return entry
 
 
@@ -665,7 +656,11 @@ def _cmd_online_inspect(args) -> int:
     so it works even when the workload recipe's family is unknown to
     this release.  Corrupt files exit 2 through the shared loader.
     """
-    from repro.online.checkpoint import CHECKPOINT_FORMAT
+    from repro.online.checkpoint import (
+        CHECKPOINT_FORMAT,
+        SUPPORTED_MANIFEST_VERSIONS,
+        check_schema_version,
+    )
     from repro.online.sharding import SHARDED_CHECKPOINT_FORMAT
 
     payload = _load_checkpoint_file(args.checkpoint_file)
@@ -676,10 +671,13 @@ def _cmd_online_inspect(args) -> int:
             f"{fmt!r} (expected {CHECKPOINT_FORMAT} or "
             f"{SHARDED_CHECKPOINT_FORMAT})"
         )
+    if fmt == SHARDED_CHECKPOINT_FORMAT:
+        check_schema_version(payload, "sharded checkpoint",
+                             supported=SUPPORTED_MANIFEST_VERSIONS)
     out: dict = {
         "file": args.checkpoint_file,
         "format": fmt,
-        "schema_version": int(payload.get("schema_version", 1)),
+        "schema_version": payload.get("schema_version"),
     }
     recipe = payload.get("instance")
     if isinstance(recipe, dict):

@@ -94,13 +94,13 @@ def _require(value, kind, field: str, what: str):
 
 
 def _state_position(state: Mapping[str, object], name: str,
-                    n: Optional[int], field: str = "source.state") -> int:
+                    n: Optional[int]) -> int:
     """``state[name]`` as a stream position in ``[0, n]``, or an error
-    naming ``<field>.<name>``."""
-    value = _require(state.get(name), int, f"{field}.{name}", "an integer")
+    naming ``source.state.<name>``."""
+    value = _require(state.get(name), int, f"source.state.{name}", "an integer")
     if value < 0 or (n is not None and value > n):
         raise InvalidInstanceError(
-            f"checkpoint field '{field}.{name}': {name} {value} "
+            f"checkpoint field 'source.state.{name}': {name} {value} "
             f"outside stream of {n}"
         )
     return value
@@ -412,6 +412,14 @@ def bursty_process(
     if mean_batch < 1.0:
         raise InvalidInstanceError(f"mean_batch must be >= 1, got {mean_batch}")
     order = _uniform_order(utility, seed)
+    return _bursty_schedule(order, seed, mean_batch)
+
+
+def _bursty_schedule(order: List[Hashable], seed,
+                     mean_batch: float) -> ArrivalSchedule:
+    """*order* cut into the geometric minibatches the seed's
+    ``"bursty-batches"`` child draws (the same draws
+    :class:`BurstySource` makes one batch at a time)."""
     gen = _child_gen(seed, "bursty-batches")
     sizes: List[int] = []
     remaining = len(order)
@@ -640,24 +648,6 @@ class ArrivalSource:
                 return
             yield step[0], step[1]
 
-    def seek(self, cursor: int) -> None:
-        """Advance to *cursor* by consuming (and discarding) arrivals.
-
-        O(cursor) — the v1-checkpoint migration path, which has no saved
-        fingerprint state; v2 resumes restore in O(1) via
-        :meth:`restore`.
-        """
-        cursor = int(cursor)
-        if cursor < 0:
-            raise InvalidInstanceError(
-                f"cursor {cursor} outside stream of {self._n}"
-            )
-        while self._cursor < cursor:
-            if self.take(cursor - self._cursor) is None:
-                raise InvalidInstanceError(
-                    f"cursor {cursor} outside stream of {self._n}"
-                )
-
     # -- resumable state ------------------------------------------------
 
     def spec(self) -> Dict[str, object]:
@@ -677,9 +667,9 @@ class ArrivalSource:
     def _extra_state(self) -> Dict[str, object]:
         return {}
 
-    def _restore_extra(self, state: Dict[str, object], field: str) -> None:
+    def _restore_extra(self, state: Dict[str, object]) -> None:
         """Check, then apply, the extras of :meth:`_extra_state`; errors
-        name ``<field>.<extra>``."""
+        name ``source.state.<extra>``."""
 
     def state_dict(self) -> Dict[str, object]:
         """JSON-able suspend state: cursor + fingerprint chain + extras."""
@@ -691,35 +681,39 @@ class ArrivalSource:
         return state
 
     @staticmethod
-    def check_state(state, n: Optional[int] = None,
-                    field: str = "source.state") -> None:
+    def check_state(state, n: Optional[int] = None) -> None:
         """Check the suspend-state fields every source restores.
 
         *state* must be an object with a JSON-integer ``cursor`` in
-        ``[0, n]`` and a ``{"chain": str, "count": int}`` fingerprint;
-        else :class:`~repro.errors.InvalidInstanceError` names
-        ``<field>.<name>``.  Subclass extras are checked on restore.
+        ``[0, n]`` and a ``{"chain": str, "count": int}`` fingerprint
+        whose count is the cursor (every arrival taken is hashed once,
+        so a moved cursor would resume a different stream); else
+        :class:`~repro.errors.InvalidInstanceError` names
+        ``source.state.<name>``.  Subclass extras are checked on restore.
         """
-        _require(state, Mapping, field, "an object")
-        _state_position(state, "cursor", n, field)
+        _require(state, Mapping, "source.state", "an object")
+        cursor = _state_position(state, "cursor", n)
         fingerprint = _require(state.get("fingerprint"), Mapping,
-                               f"{field}.fingerprint", "an object")
+                               "source.state.fingerprint", "an object")
         _require(fingerprint.get("chain"), str,
-                 f"{field}.fingerprint.chain", "a string")
-        _require(fingerprint.get("count"), int,
-                 f"{field}.fingerprint.count", "an integer")
+                 "source.state.fingerprint.chain", "a string")
+        count = _require(fingerprint.get("count"), int,
+                         "source.state.fingerprint.count", "an integer")
+        if count != cursor:
+            raise InvalidInstanceError(
+                f"checkpoint field 'source.state.fingerprint.count': the "
+                f"chain hashes {count} arrivals, but the cursor is {cursor}"
+            )
 
-    def restore(self, state: Mapping[str, object],
-                field: str = "source.state") -> None:
+    def restore(self, state: Mapping[str, object]) -> None:
         """O(1) resume: jump to the saved cursor without replaying.
 
         Every field is checked before any is applied (:meth:`check_state`,
         then the subclass extras), so a damaged *state* raises, naming
-        the field under *field*, and leaves the cursor and chain as they
-        were.
+        the field, and leaves the cursor and chain as they were.
         """
-        self.check_state(state, self._n, field)
-        self._restore_extra(state, field)
+        self.check_state(state, self._n)
+        self._restore_extra(state)
         self._cursor = int(state["cursor"])  # type: ignore[arg-type]
         self._fp = ArrivalFingerprint.from_state(
             {
@@ -753,10 +747,10 @@ class ScheduleSource(ArrivalSource):
     ``(process, seed, params)`` triple the spec records, so the spec
     alone reconstructs it and suspend state stays O(1).  Every other
     construction path (hand-built schedules, pre-sharded schedules,
-    live-Generator seeds) embeds the schedule payload in the spec — the
-    v1-style O(n) fallback — because resuming such a spec through the
-    builder could produce a *different* stream (or a source class whose
-    state layout does not match).
+    live-Generator seeds) embeds the schedule payload in the spec, an
+    O(n) spec, because resuming such a spec through the builder could
+    produce a *different* stream (or a source class whose state layout
+    does not match).
     """
 
     def __init__(self, schedule: ArrivalSchedule, *,
@@ -853,36 +847,24 @@ class BurstySource(ArrivalSource):
             "rng_state": self._gen.bit_generator.state,
         }
 
-    def _restore_extra(self, state: Dict[str, object], field: str) -> None:
-        batch_end = _state_position(state, "batch_end", self._n, field)
+    def _restore_extra(self, state: Dict[str, object]) -> None:
+        batch_end = _state_position(state, "batch_end", self._n)
         try:
             self._gen.bit_generator.state = state.get("rng_state")
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise InvalidInstanceError(
-                f"checkpoint field '{field}.rng_state' is not a state of "
-                f"this stream's bit generator: {exc}"
+                f"checkpoint field 'source.state.rng_state' is not a state "
+                f"of this stream's bit generator: {exc}"
             ) from exc
         self._batch_end = batch_end
 
     def materialize(self) -> ArrivalSchedule:
-        """The full remaining stream as an :class:`ArrivalSchedule`."""
+        """The full stream as an :class:`ArrivalSchedule`."""
         if self._materialized is None:
-            self._materialized = bursty_process(
-                _OrderGround(self._order), self.seed,
-                mean_batch=self.mean_batch,
+            self._materialized = _bursty_schedule(
+                self._order, self.seed, self.mean_batch
             )
         return self._materialized
-
-
-class _OrderGround:
-    """Minimal utility stand-in: just a ground set (for re-building a
-    schedule whose order is already known)."""
-
-    def __init__(self, order: List[Hashable]) -> None:
-        self.ground_set = frozenset(order)
-
-    def value(self, subset) -> float:  # pragma: no cover - never queried
-        raise NotImplementedError
 
 
 SourceBuilder = Callable[..., ArrivalSource]
@@ -992,8 +974,11 @@ def source_from_spec(spec: Dict[str, object], utility: SetFunction) -> ArrivalSo
     """Rebuild a source from its :meth:`ArrivalSource.spec` payload.
 
     The single resume entry point: handles the embedded-schedule
-    fallback (opaque seeds) and shard-filtered sources (the ``"shard"``
-    key wraps the parent in a :class:`~repro.online.sharding.ShardSource`).
+    fallback (opaque seeds) and shard lanes (the ``"shard"`` block names
+    a lane of the parent stream; see
+    :class:`~repro.online.sharding.PartitionLaneSource`).  A shard block
+    that is not an object of JSON integers raises
+    :class:`~repro.errors.InvalidInstanceError` naming the field.
     """
     if not isinstance(spec, dict) or "process" not in spec:
         raise InvalidInstanceError("checkpoint carries no rebuildable source spec")
@@ -1006,27 +991,30 @@ def source_from_spec(spec: Dict[str, object], utility: SetFunction) -> ArrivalSo
             str(spec["process"]), utility, spec.get("seed"),
             **dict(spec.get("params") or {}),  # type: ignore[arg-type]
         )
-    shard = spec.get("shard")
-    if shard:
-        # Imported lazily: sharding imports this module.
-        from repro.online.sharding import (
-            PartitionMap,
-            ShardSource,
-            partition_lane_source,
-        )
+    if spec.get("shard") is None:
+        return base
+    # Imported lazily: sharding imports this module.
+    from repro.online.sharding import (
+        PartitionMap,
+        ShardSource,
+        partition_lane_source,
+    )
 
-        partition = shard.get("partition")  # type: ignore[union-attr]
-        if partition is not None:
-            # A resharded lane: the spec carries the full epoch history.
-            return partition_lane_source(
-                base, int(shard["index"]),  # type: ignore[index]
-                PartitionMap.from_payload(partition),
-            )
-        return ShardSource(
-            base, int(shard["index"]), int(shard["num_shards"]),  # type: ignore[index]
-            salt=int(shard.get("salt", 0)),  # type: ignore[union-attr]
+    shard = _require(spec["shard"], Mapping, "source.shard", "an object")
+    index = _require(shard.get("index"), int, "source.shard.index",
+                     "an integer")
+    if shard.get("partition") is not None:
+        # A resharded lane: the spec carries the full epoch history.
+        return partition_lane_source(
+            base, index, PartitionMap.from_payload(shard["partition"]),
         )
-    return base
+    return ShardSource(
+        base, index,
+        _require(shard.get("num_shards"), int, "source.shard.num_shards",
+                 "an integer"),
+        salt=_require(shard.get("salt", 0), int, "source.shard.salt",
+                      "an integer"),
+    )
 
 
 register_arrival_source("bursty", BurstySource)

@@ -12,9 +12,10 @@ arrival followed by resume reproduces the uninterrupted run's hired set
 exactly (the property suite asserts this for every policy × arrival
 process), at O(selected) cost for million-arrival streams.
 
-Schema **v1** checkpoints (PR 5 and earlier: full embedded schedule,
-prefix re-reveal on resume) still load through a migration shim — the
-legacy O(stream) path, kept so old files keep working.
+Schema **v1** (a full embedded schedule, with the consumed prefix
+re-revealed on resume: O(stream) at both ends) is no longer read: such
+a file, or one with no ``schema_version``, is refused with a clean
+error.
 
 The utility itself is not serialised — values can be arbitrarily large
 objects and are already reproducible from workload seeds — so
@@ -39,13 +40,7 @@ from urllib.parse import quote, unquote
 
 from repro.core.submodular import SetFunction
 from repro.errors import InvalidInstanceError
-from repro.online.arrivals import (
-    ArrivalSchedule,
-    ArrivalSource,
-    ScheduleSource,
-    _require,
-    source_from_spec,
-)
+from repro.online.arrivals import ArrivalSource, _require, source_from_spec
 from repro.online.driver import OnlineRun
 from repro.online.policies import OnlinePolicy, make_policy
 
@@ -72,13 +67,13 @@ CHECKPOINT_FORMAT = "repro-online-checkpoint/1"
 #: materialized schedule and re-revealed the consumed prefix on resume
 #: (O(stream) at both ends); v2 stores a source spec + decision log +
 #: frontier (O(selected)).  Payloads written before versioning carry no
-#: marker and are accepted as version 1; unknown versions are rejected
-#: up front with an actionable error instead of a ``KeyError`` deep
-#: inside a policy's ``from_config``.
+#: marker and read as version 1; every version not listed below is
+#: rejected up front with an actionable error instead of a ``KeyError``
+#: deep inside a policy's ``from_config``.
 CHECKPOINT_SCHEMA_VERSION = 2
 
-#: Every schema version this release can read (v1 via the migration shim).
-SUPPORTED_CHECKPOINT_VERSIONS = (1, 2)
+#: Every schema version this release can read.
+SUPPORTED_CHECKPOINT_VERSIONS = (2,)
 
 #: Schema version of a *sharded manifest* that carries a partition-epoch
 #: history (a ``"partition"`` block recording every reshard; see
@@ -88,10 +83,9 @@ SUPPORTED_CHECKPOINT_VERSIONS = (1, 2)
 #: :func:`repro.online.sharding.reshard_manifest` emits version 3.
 SHARDED_MANIFEST_SCHEMA_VERSION = 3
 
-#: Every sharded-manifest schema version this release can read (v1/v2
-#: through the same migration shims as flat checkpoints, v3 with the
-#: epoch history).
-SUPPORTED_MANIFEST_VERSIONS = (1, 2, 3)
+#: Every sharded-manifest schema version this release can read (v2, and
+#: v3 with the epoch history).
+SUPPORTED_MANIFEST_VERSIONS = (2, 3)
 
 
 def check_schema_version(
@@ -104,6 +98,7 @@ def check_schema_version(
     """Reject payloads written under an unknown schema version.
 
     *supported* is a single version or a collection of readable ones.
+    A payload without *key* reads as version 1.
     """
     version = payload.get(key, 1)
     ok = (
@@ -111,6 +106,12 @@ def check_schema_version(
         if isinstance(supported, (tuple, list, set, frozenset))
         else (supported,)
     )
+    if version == 1 and 1 not in ok:
+        raise InvalidInstanceError(
+            f"{what} is schema version 1 (an embedded-schedule checkpoint "
+            "written by a release before O(selected) checkpoints), which is "
+            "no longer supported; re-run the stream with this release"
+        )
     if version not in ok:
         shown = ", ".join(str(v) for v in ok)
         raise InvalidInstanceError(
@@ -176,14 +177,11 @@ def resume_run(
 ) -> OnlineRun:
     """Rebuild a suspended :class:`OnlineRun` from *checkpoint*.
 
-    v2 payloads resume in O(selected): the source is rebuilt from its
-    spec (or taken from the explicit *source* argument — the session
-    layer passes one built over the uncounted base utility, so stream
+    Resume is O(selected): the source is rebuilt from its spec (or
+    taken from the explicit *source* argument — the session layer
+    passes one built over the uncounted base utility, so stream
     construction never inflates oracle-call accounting), jumped to the
-    saved cursor, and only the frontier is re-revealed.  v1 payloads go
-    through the migration shim: schedule from the embedded payload,
-    prefix re-revealed, decision log reconstructed from the restored
-    policy — the legacy O(stream) path.
+    saved cursor, and only the frontier is re-revealed.
 
     The policy is rebuilt from the checkpoint's config unless an
     explicit *policy* instance is given (required when it carries
@@ -208,9 +206,6 @@ def resume_run(
     _require(checkpoint.get("cursor"), int, "cursor", "an integer")
     if policy is None:
         policy = make_policy(name, config, **dict(deps or {}))
-    version = int(checkpoint.get("schema_version", 1))  # type: ignore[arg-type]
-    if version == 1:
-        return _resume_v1(checkpoint, utility, policy)
     if source is None:
         source = source_from_spec(checkpoint.get("source"), utility)  # type: ignore[arg-type]
     run = OnlineRun(utility, source, policy)
@@ -370,35 +365,3 @@ class IdleCheckpointPolicy:
         """Record that the tenant just checkpointed at *cursor*."""
         self._last_cursor[str(tenant_id)] = int(cursor)
 
-
-def _resume_v1(
-    checkpoint: Mapping[str, object],
-    utility: SetFunction,
-    policy: OnlinePolicy,
-) -> OnlineRun:
-    """Migration shim for schema-v1 (PR 5) checkpoints.
-
-    The embedded schedule is materialized, the consumed prefix is
-    re-revealed to a fresh arrival oracle (v1 stored no frontier), and
-    the decision log — which v1 never recorded — is reconstructed from
-    the restored policy's hired set, with positions recovered from the
-    embedded order.  O(stream), as v1 always was.
-    """
-    schedule = ArrivalSchedule.from_payload(checkpoint["schedule"])  # type: ignore[arg-type]
-    cursor = int(checkpoint["cursor"])  # type: ignore[arg-type]
-    if not (0 <= cursor <= schedule.n):
-        raise InvalidInstanceError(
-            f"cursor {cursor} outside stream of {schedule.n}"
-        )
-    run = OnlineRun(utility, ScheduleSource(schedule), policy)
-    run.seek(cursor)
-    for element in schedule.order[:cursor]:
-        run.oracle.reveal(element)
-    policy.load_state(checkpoint["policy"]["state"])  # type: ignore[index]
-    position = {e: i for i, e in enumerate(schedule.order)}
-    hired = frozenset(policy.hired_set())
-    run.decisions = sorted(
-        ([position[e], e] for e in hired), key=lambda d: d[0]
-    )
-    run._hired_logged = hired
-    return run

@@ -11,8 +11,10 @@ Arrivals come from an :class:`~repro.online.arrivals.ArrivalSource`
 (materialized :class:`~repro.online.arrivals.ArrivalSchedule` inputs are
 wrapped transparently), so the driver itself never needs the full order:
 it pulls batches, reveals them, and appends every hire to an append-only
-``decisions`` log — ``[position, element]`` pairs — which is what the v2
-checkpoint persists instead of the stream.
+``decisions`` log — ``[position, element]`` pairs — which is what a
+checkpoint persists instead of the stream.  A resume restores the
+source's cursor and fingerprint chain in O(1); nothing replays the
+consumed prefix.
 
 Minibatch schedules are revealed a whole batch at a time (the
 Section 3.2.1 no-peeking contract holds *per batch*: everything in a
@@ -75,11 +77,6 @@ class OnlineRun:
         policy.bind(self.oracle, source.n)
 
     # -- state ----------------------------------------------------------
-
-    @property
-    def schedule(self) -> ArrivalSchedule:
-        """Materialized view of the stream (legacy accessor)."""
-        return self.source.materialize()
 
     @property
     def n(self) -> int:
@@ -192,12 +189,8 @@ class OnlineRun:
 
     # -- resume ----------------------------------------------------------
 
-    def seek(self, cursor: int) -> None:
-        """Advance the source to *cursor* without observing (v1 resume)."""
-        self.source.seek(cursor)
-
     def restore(self, checkpoint: Mapping[str, object]) -> None:
-        """Restore a v2 checkpoint's stream/oracle/policy state in place.
+        """Restore a checkpoint's stream/oracle/policy state in place.
 
         O(selected): the saved frontier (hired set plus any elements the
         policy may still query, e.g. the knapsack rule's observation

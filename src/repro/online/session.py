@@ -510,18 +510,17 @@ def resume_session(
     run.
     """
     recipe = _checked_recipe(checkpoint)
+    check_schema_version(checkpoint)  # before the source block is read
     fn, weights, shared = _workload(recipe, workload_cache)
     counting = CountingOracle(shared)
     target: SetFunction = counting
     if fault_injector is not None:
         target = fault_injector.wrap_oracle(counting, fault_scope or "session")
-    source = None
-    if int(checkpoint.get("schema_version", 1)) >= 2:  # type: ignore[arg-type]
-        # Rebuild the stream over the *base* utility so value-sorted
-        # processes' construction queries never inflate call accounting.
-        block = checkpoint.get("source")
-        _check_source_block(block, _recipe_source(recipe, fn).spec(), "source")
-        source = source_from_spec(block, fn)  # type: ignore[arg-type]
+    # Rebuild the stream over the *base* utility so value-sorted
+    # processes' construction queries never inflate call accounting.
+    block = checkpoint.get("source")
+    _check_source_block(block, _recipe_source(recipe, fn).spec(), "source")
+    source = source_from_spec(block, fn)  # type: ignore[arg-type]
     run = resume_run(
         checkpoint, target, source=source,
         deps=_policy_deps(recipe, fn, weights, workload_cache),
@@ -577,15 +576,9 @@ def _finish_shard_worker(job: Tuple[Dict, Dict]) -> Tuple[Dict, int]:
     recipe, shard_ck = job
     fn, weights = build_workload(recipe)
     deps = _policy_deps(recipe, fn, weights)
-    if int(shard_ck.get("schema_version", 1)) >= 2:
-        src = source_from_spec(shard_ck["source"], fn)
-        view = ShardView(fn, src.order)
-        counting = CountingOracle(view)
-        run = resume_run(shard_ck, counting, source=src, deps=deps)
-    else:
-        view = ShardView(fn, shard_ck["schedule"]["order"])
-        counting = CountingOracle(view)
-        run = resume_run(shard_ck, counting, deps=deps)
+    src = source_from_spec(shard_ck["source"], fn)
+    counting = CountingOracle(ShardView(fn, src.order))
+    run = resume_run(shard_ck, counting, source=src, deps=deps)
     # Net out what the resume itself billed (evaluator construction,
     # frontier re-derivation): the parent already accounted for those
     # values, so the worker reports only genuinely new queries and the

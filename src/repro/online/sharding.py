@@ -29,8 +29,13 @@ and :func:`resume_sharded_run` rebuilds exactly that state.
 
 The partition itself is an explicit, *versioned* layer: a
 :class:`PartitionMap` is an append-only list of epochs ``(num_shards,
-salt, consumed boundary)``, and lane sources consult the map at yield
-time instead of baking the hash in.  A topology change (S → S') is a
+salt, consumed boundary)``, and every lane is one positional
+:class:`PartitionLaneSource` whose order and batch starts are computed
+from the map and the parent stream once, when the lane is built — so a
+suspended lane is its cursor and fingerprint chain, nothing more, and a
+manifest entry is pinned to its lane by its ``source.shard`` block
+(checked against the manifest's topology on every resume and
+reshard).  A topology change (S → S') is a
 new epoch appended by :func:`reshard_manifest`: every already-consumed
 prefix (and its hired set, decision log, and fingerprint chain) stays
 exactly where it is, pinned to its lane forever, and only the
@@ -194,8 +199,13 @@ class PartitionMap:
     epoch's hash.
 
     A single-epoch map is byte-compatible with the pre-epoch runtime:
-    its lane sources emit the old ``{"index", "num_shards", "salt"}``
-    shard spec and filter by the same :func:`shard_of` hash.
+    its lanes emit the old ``{"index", "num_shards", "salt"}`` shard
+    spec and split by the same :func:`shard_of` hash.
+
+    Every epoch field must be a JSON integer (``consumed`` a list of
+    them); anything else raises
+    :class:`~repro.errors.InvalidInstanceError` naming
+    ``partition.epochs[k].<field>``.
     """
 
     def __init__(self, epochs: Sequence[Mapping[str, object]]) -> None:
@@ -203,7 +213,10 @@ class PartitionMap:
             raise InvalidInstanceError("a partition map needs at least one epoch")
         normalized: List[Dict[str, object]] = []
         for k, epoch in enumerate(epochs):
-            num_shards = int(epoch["num_shards"])  # type: ignore[arg-type]
+            where = f"partition.epochs[{k}]"
+            _require(epoch, Mapping, where, "an object")
+            num_shards = _require(epoch.get("num_shards"), int,
+                                  f"{where}.num_shards", "an integer")
             if num_shards < 1:
                 raise InvalidInstanceError(
                     f"partition epoch {k}: num_shards must be >= 1, "
@@ -211,7 +224,8 @@ class PartitionMap:
                 )
             entry: Dict[str, object] = {
                 "num_shards": num_shards,
-                "salt": int(epoch.get("salt", 0)),  # type: ignore[arg-type]
+                "salt": _require(epoch.get("salt", 0), int, f"{where}.salt",
+                                 "an integer"),
             }
             if k == 0:
                 if epoch.get("consumed"):
@@ -226,7 +240,10 @@ class PartitionMap:
                         f"partition epoch {k} needs a per-lane 'consumed' "
                         "boundary list"
                     )
-                boundary = [int(c) for c in consumed]
+                boundary = [
+                    _require(c, int, f"{where}.consumed", "a list of integers")
+                    for c in consumed
+                ]
                 if any(c < 0 for c in boundary):
                     raise InvalidInstanceError(
                         f"partition epoch {k}: negative consumed boundary "
@@ -244,11 +261,9 @@ class PartitionMap:
     @classmethod
     def from_payload(cls, payload: Mapping[str, object]) -> "PartitionMap":
         """Rebuild a map from its :meth:`payload` (checkpoint block)."""
-        if not isinstance(payload, Mapping) or "epochs" not in payload:
-            raise InvalidInstanceError(
-                "partition payload needs an 'epochs' list"
-            )
-        return cls(payload["epochs"])  # type: ignore[arg-type]
+        _require(payload, Mapping, "partition", "an object")
+        return cls(_require(payload.get("epochs"), list, "partition.epochs",
+                            "a list"))
 
     def payload(self) -> Dict[str, object]:
         """JSON-able epoch history (the manifest's ``partition`` block)."""
@@ -282,6 +297,15 @@ class PartitionMap:
     def assign(self, element: Hashable) -> int:
         """Newest-epoch lane for an *unconsumed* element (pure hash)."""
         return shard_of(element, self.num_shards, self.salt)
+
+    def lane_block(self, index: int) -> Dict[str, object]:
+        """The ``source.shard`` block of lane *index*'s spec: the old
+        ``{"index", "num_shards", "salt"}`` block under a base map, and
+        ``{"index", "partition"}`` once the map has been resharded."""
+        if not self.single_epoch:
+            return {"index": int(index), "partition": self.payload()}
+        return {"index": int(index), "num_shards": self.num_shards,
+                "salt": self.salt}
 
     def lane_count(self) -> int:
         """Lanes that may hold state under this history.
@@ -386,192 +410,24 @@ class PartitionMap:
         ]
 
 
-class ShardSource(ArrivalSource):
-    """Lazy hash partition: one shard's view of a parent arrival source.
-
-    Filters each parent minibatch to the elements hashing to this shard
-    *at yield time* — no materialized pre-split — with shard-local
-    positions, batch structure, and timestamps exactly matching the
-    corresponding :func:`shard_schedule` entry (the streaming ≡
-    materialized equivalence suite pins shard fingerprints equal).
-
-    The source owns its parent exclusively: it pulls whole parent
-    batches, so suspend state is the parent's O(1) state plus the
-    pending (already-pulled, not-yet-emitted) tail of at most one batch.
-    """
-
-    def __init__(self, parent: ArrivalSource, index: int, num_shards: int,
-                 *, salt: int = 0) -> None:
-        if num_shards <= 0:
-            raise InvalidInstanceError(
-                f"num_shards must be positive, got {num_shards}"
-            )
-        if not (0 <= int(index) < int(num_shards)):
-            raise InvalidInstanceError(
-                f"shard index {index} outside [0, {num_shards})"
-            )
-        self._parent = parent
-        self.index = int(index)
-        self.partition = PartitionMap.base(int(num_shards), int(salt))
-        self.num_shards = self.partition.num_shards
-        self.salt = self.partition.salt
-        parent_order = parent.order
-        order = (
-            None if parent_order is None
-            else [e for e in parent_order
-                  if self.partition.assign(e) == self.index]
-        )
-        n = None if order is None else len(order)
-        super().__init__(
-            parent.process, parent.seed,
-            {
-                **parent.params,
-                "shard_index": self.index,
-                "num_shards": self.num_shards,
-                "shard_salt": self.salt,
-            },
-            n,
-        )
-        self._order = order
-        self._pending: List[Hashable] = []
-        self._pending_ts: Optional[List[float]] = None
-        self._pending_new = False
-        self._materialized: Optional[ArrivalSchedule] = None
-
-    @property
-    def order(self) -> Optional[List[Hashable]]:
-        """The materialized arrival order (forces lazy generation)."""
-        return self._order
-
-    def _emit(self, limit: Optional[int]):
-        while not self._pending:
-            step = self._parent.take(None)
-            if step is None:
-                return None
-            _pos0, batch, stamps = step
-            keep = [
-                i for i, e in enumerate(batch)
-                if self.partition.assign(e) == self.index
-            ]
-            if keep:
-                self._pending = [batch[i] for i in keep]
-                self._pending_ts = (
-                    None if stamps is None else [stamps[i] for i in keep]
-                )
-                self._pending_new = True
-        hi = len(self._pending) if limit is None else min(limit, len(self._pending))
-        elements = self._pending[:hi]
-        stamps = None if self._pending_ts is None else self._pending_ts[:hi]
-        starts = self._pending_new
-        self._pending = self._pending[hi:]
-        if self._pending_ts is not None:
-            self._pending_ts = self._pending_ts[hi:]
-        self._pending_new = False
-        return elements, stamps, starts
-
-    def spec(self) -> Dict[str, object]:
-        """JSON-able stream identity: process name, seed, sorted params."""
-        spec = self._parent.spec()
-        spec["shard"] = {
-            "index": self.index,
-            "num_shards": self.num_shards,
-            "salt": self.salt,
-        }
-        return spec
-
-    def _extra_state(self) -> Dict[str, object]:
-        return {
-            "parent": self._parent.state_dict(),
-            "pending": list(self._pending),
-            "pending_ts": (
-                None if self._pending_ts is None else list(self._pending_ts)
-            ),
-            "pending_new": self._pending_new,
-        }
-
-    def _restore_extra(self, state: Dict[str, object], field: str) -> None:
-        parent_field = f"{field}.parent"
-        parent = _require(state.get("parent"), Mapping, parent_field,
-                          "an object")
-        self._parent.check_state(parent, self._parent.n, parent_field)
-        pending = _require(state.get("pending"), list, f"{field}.pending",
-                           "a list")
-        stamps = state.get("pending_ts")
-        if stamps is not None and not (
-            isinstance(stamps, list) and len(stamps) == len(pending)
-            and all(isinstance(t, float) and math.isfinite(t) for t in stamps)
-        ):
-            raise InvalidInstanceError(
-                f"checkpoint field '{field}.pending_ts' must be null or "
-                f"{len(pending)} finite floats, got {stamps!r:.60}"
-            )
-        pending_new = state.get("pending_new")
-        if not isinstance(pending_new, bool):
-            raise InvalidInstanceError(
-                f"checkpoint field '{field}.pending_new' must be a bool, "
-                f"got {pending_new!r:.60}"
-            )
-        self._check_pulled(state["cursor"], pending, parent["cursor"], field)  # type: ignore[arg-type]
-        self._parent.restore(parent, parent_field)
-        self._pending = list(pending)
-        self._pending_ts = None if stamps is None else list(stamps)
-        self._pending_new = pending_new
-
-    def _check_pulled(self, cursor: int, pending: List[Hashable],
-                      parent_cursor: int, field: str) -> None:
-        """The parent's first *parent_cursor* arrivals must hold exactly
-        this lane's first ``cursor + len(pending)``, *pending* last; an
-        O(batch) walk back from *parent_cursor* finds the last of them.
-        """
-        lane, pulled = self._order, cursor + len(pending)
-        if lane is not None and pending != lane[cursor:pulled]:
-            raise InvalidInstanceError(
-                f"checkpoint field '{field}.pending': {pending!r:.60} is not "
-                f"this lane's arrivals {cursor} to {pulled}"
-            )
-        if lane:
-            order, p = self._parent.order, parent_cursor - 1
-            while p >= 0 and self.partition.assign(order[p]) != self.index:
-                p -= 1
-            ok = (p >= 0) == (pulled > 0) and (
-                pulled == 0 or order[p] == lane[pulled - 1])
-        else:  # an unknown or empty lane order pins only the count
-            ok = pulled <= parent_cursor
-        if not ok:
-            raise InvalidInstanceError(
-                f"checkpoint field '{field}.parent.cursor': the parent's "
-                f"first {parent_cursor} arrivals do not hold exactly this "
-                f"lane's first {pulled}"
-            )
-
-    def materialize(self) -> ArrivalSchedule:
-        """The full remaining stream as an :class:`ArrivalSchedule`."""
-        if self._materialized is None:
-            self._materialized = shard_schedule(
-                self._parent.materialize(), self.num_shards, salt=self.salt
-            )[self.index]
-        return self._materialized
-
-
 class PartitionLaneSource(ArrivalSource):
-    """One lane's stream under a multi-epoch :class:`PartitionMap`.
+    """One lane's stream under a :class:`PartitionMap`: a positional source.
 
-    The post-reshard replacement for :class:`ShardSource`: the lane's
-    order is its pinned consumed prefix (every element the lane took
-    before some epoch boundary, in consumption order) followed by the
-    unconsumed suffix the newest epoch assigns to it (in parent order).
-    A resumed lane's cursor always sits at or past the prefix boundary,
-    so emission only ever walks the suffix — the prefix exists to keep
-    the cursor = consumed-count invariant (and hence O(1) restore and
-    fingerprint-chain continuity) intact across topology changes.
+    The lane's order is its pinned consumed prefix (every element the
+    lane took before some epoch boundary, in consumption order) followed
+    by the unconsumed suffix the newest epoch assigns to it (in parent
+    order); for a never-resharded map that is simply the parent order's
+    elements hashing to the lane.  Order, timestamps and batch starts
+    are computed once, from the parent stream, when the lane is built,
+    so emission is purely positional and suspend state is the plain
+    cursor + fingerprint pair: no parent stream state, no pending tail.
 
     Batch structure groups consecutive lane arrivals by their parent
-    minibatch (revealed-together stays revealed-together within a lane,
-    exactly like :class:`ShardSource`) — across the prefix/suffix
-    boundary too, so a lane suspended mid-batch resumes the batch's tail
-    without opening a new one.  Suspend state is the plain cursor +
-    fingerprint pair — emission is purely positional, so no parent
-    stream state is needed.
+    minibatch (revealed-together stays revealed-together within a
+    lane) — across the prefix/suffix boundary too, so a lane suspended
+    mid-batch resumes the batch's tail without opening a new one.  A
+    never-resharded lane's stream, params and fingerprint chain equal
+    the matching :func:`shard_schedule` entry's.
     """
 
     def __init__(self, parent: ArrivalSource, index: int,
@@ -593,10 +449,7 @@ class PartitionLaneSource(ArrivalSource):
         parent_starts = [0]
         for size in schedule.batch_sizes:
             parent_starts.append(parent_starts[-1] + size)
-        # Group consecutive lane arrivals sharing a parent minibatch —
-        # across the prefix/suffix boundary too, so a lane suspended
-        # mid-batch resumes its tail with ``starts_new_batch=False``
-        # exactly like an un-resharded ShardSource would.
+        # Group consecutive lane arrivals sharing a parent minibatch.
         sizes: List[int] = []
         last_batch = None
         for p in positions:
@@ -606,20 +459,17 @@ class PartitionLaneSource(ArrivalSource):
             else:
                 sizes.append(1)
             last_batch = b
-        super().__init__(
-            parent.process, parent.seed,
-            {
-                **parent.params,
-                "shard_index": self.index,
-                "num_shards": partition.num_shards,
-                "shard_salt": partition.salt,
-                "partition_epoch": partition.epoch,
-            },
-            len(order),
-        )
+        params = {
+            **parent.params,
+            "shard_index": self.index,
+            "num_shards": partition.num_shards,
+            "shard_salt": partition.salt,
+        }
+        if partition.epoch:
+            params["partition_epoch"] = partition.epoch
+        super().__init__(parent.process, parent.seed, params, len(order))
         self._order = order
         self._stamps = stamps
-        self._suffix_start = len(pinned)
         starts = [0]
         for size in sizes:
             starts.append(starts[-1] + size)
@@ -630,11 +480,6 @@ class PartitionLaneSource(ArrivalSource):
     def order(self) -> List[Hashable]:
         """The materialized arrival order (forces lazy generation)."""
         return self._order
-
-    @property
-    def suffix_start(self) -> int:
-        """First lane position past the pinned consumed prefix."""
-        return self._suffix_start
 
     def _emit(self, limit: Optional[int]):
         if self._cursor >= len(self._order):
@@ -651,14 +496,11 @@ class PartitionLaneSource(ArrivalSource):
     def spec(self) -> Dict[str, object]:
         """JSON-able stream identity: process name, seed, sorted params."""
         spec = self._parent.spec()
-        spec["shard"] = {
-            "index": self.index,
-            "partition": self.partition.payload(),
-        }
+        spec["shard"] = self.partition.lane_block(self.index)
         return spec
 
     def materialize(self) -> ArrivalSchedule:
-        """The full remaining stream as an :class:`ArrivalSchedule`."""
+        """The full stream as an :class:`ArrivalSchedule`."""
         if self._materialized is None:
             sizes = [
                 self._starts[i + 1] - self._starts[i]
@@ -675,15 +517,31 @@ class PartitionLaneSource(ArrivalSource):
         return self._materialized
 
 
+class ShardSource(PartitionLaneSource):
+    """Lane *index* of a never-resharded run: the base map
+    ``(num_shards, salt)``, hashing each element with :func:`shard_of`."""
+
+    def __init__(self, parent: ArrivalSource, index: int, num_shards: int,
+                 *, salt: int = 0) -> None:
+        if num_shards <= 0:
+            raise InvalidInstanceError(
+                f"num_shards must be positive, got {num_shards}"
+            )
+        if not (0 <= int(index) < int(num_shards)):
+            raise InvalidInstanceError(
+                f"shard index {index} outside [0, {num_shards})"
+            )
+        super().__init__(parent, index, PartitionMap.base(num_shards, salt))
+
+
 def partition_lane_source(
     parent: ArrivalSource, index: int, partition: PartitionMap
 ) -> ArrivalSource:
     """Lane *index* of *parent* under *partition*.
 
-    Single-epoch maps stay on the byte-compatible fast paths — the
-    parent itself for a one-shard map, :class:`ShardSource` (lazy
-    filtering, old-style spec) otherwise — so never-resharded runs keep
-    their exact pre-epoch checkpoints.  Multi-epoch maps build a
+    A one-shard base map is the identity (the parent itself, so S=1
+    stays bit-identical to the unsharded run); any other base map gives
+    a :class:`ShardSource`, and a resharded map a
     :class:`PartitionLaneSource`.
     """
     if partition.single_epoch:
@@ -898,27 +756,20 @@ class ShardedRun:
         limit: Optional[int] = None,
         salt: int = 0,
     ) -> "ShardedRun":
-        """Lazy-partition construction: no materialized pre-split.
+        """Source-backed construction: one :class:`ShardSource` per shard.
 
         *source_factory* builds a fresh parent source per shard (each
-        shard filters its own stream clone at yield time through
-        :class:`ShardSource`).  ``num_shards == 1`` feeds the parent
+        lane computes its positions from its own stream clone, which it
+        never advances).  ``num_shards == 1`` feeds the parent
         source to the single replica directly — the identity partition
         the S=1 bit-identity pin relies on.  *policy_factory* gets
         ``(shard_index, shard_source)``; the source exposes ``n`` like a
         schedule does.
         """
-        if num_shards <= 0:
-            raise InvalidInstanceError(
-                f"num_shards must be positive, got {num_shards}"
-            )
+        partition = PartitionMap.base(num_shards, salt)
         runs = []
         for i in range(num_shards):
-            parent = source_factory()
-            src: ArrivalSource = (
-                parent if num_shards == 1
-                else ShardSource(parent, i, num_shards, salt=salt)
-            )
+            src = partition_lane_source(source_factory(), i, partition)
             view = ShardView(utility, src.order or ())
             oracle = view if oracle_factory is None else oracle_factory(i, view)
             runs.append(OnlineRun(oracle, src, policy_factory(i, src)))
@@ -1050,18 +901,77 @@ def make_sharded_checkpoint(
 def partition_from_manifest(manifest: Mapping[str, object]) -> PartitionMap:
     """The manifest's partition map.
 
-    v3 manifests carry it verbatim under ``"partition"``; older
-    (never-resharded) manifests synthesise the single-epoch base map
-    from their ``num_shards``/``salt`` fields — which is exactly the
-    migration shim: every pre-epoch manifest is a valid epoch-0 history.
+    v3 manifests carry it verbatim under ``"partition"``; a
+    never-resharded (v2) manifest is the single-epoch base map of its
+    ``num_shards``/``salt`` fields, which must be JSON integers.
     """
     block = manifest.get("partition")
     if block:
         return PartitionMap.from_payload(block)  # type: ignore[arg-type]
     return PartitionMap.base(
-        int(manifest.get("num_shards", 1)),  # type: ignore[arg-type]
-        int(manifest.get("salt", 0)),  # type: ignore[arg-type]
+        _require(manifest.get("num_shards", 1), int, "num_shards",
+                 "an integer"),
+        _require(manifest.get("salt", 0), int, "salt", "an integer"),
     )
+
+
+def _checked_manifest(
+    manifest: Mapping[str, object],
+) -> Tuple[List[Mapping[str, object]], PartitionMap]:
+    """A sharded manifest's lane entries and partition map, checked.
+
+    The manifest must be a supported schema version, and so must every
+    entry: a schema-v1 entry in a v2 manifest is refused like a v1
+    manifest.  Each entry must be an object whose ``source`` block
+    names the lane the manifest's topology gives its position — a block
+    naming another lane or topology would resume a different stream;
+    only an entry that embeds its schedule (as
+    :meth:`ShardedRun.from_schedule` writes) may omit it.  The
+    top-level ``num_shards``, ``salt`` and ``limit`` must be JSON
+    integers (``limit`` may be null), and ``num_shards`` must count the
+    entries.  O(1) per entry; any failure raises
+    :class:`~repro.errors.InvalidInstanceError` naming the field.
+    """
+    if manifest.get("format") != SHARDED_CHECKPOINT_FORMAT:
+        raise InvalidInstanceError(
+            f"not a {SHARDED_CHECKPOINT_FORMAT} payload: "
+            f"{manifest.get('format')!r}"
+        )
+    check_schema_version(
+        manifest, "sharded checkpoint", supported=SUPPORTED_MANIFEST_VERSIONS
+    )
+    entries = manifest.get("shards")
+    if not isinstance(entries, list) or not entries:
+        raise InvalidInstanceError("sharded checkpoint has no shard entries")
+    declared = _require(manifest.get("num_shards", len(entries)), int,
+                        "num_shards", "an integer")
+    if declared != len(entries):
+        raise InvalidInstanceError(
+            f"sharded checkpoint manifest declares {declared} shards but "
+            f"carries {len(entries)}"
+        )
+    _require(manifest.get("salt", 0), int, "salt", "an integer")
+    if manifest.get("limit") is not None:
+        _require(manifest["limit"], int, "limit", "an integer or null")
+    partition = partition_from_manifest(manifest)
+    # A one-shard base map's only lane is the parent stream itself.
+    identity = partition.single_epoch and partition.num_shards == 1
+    for i, entry in enumerate(entries):
+        where = f"shards[{i}]"
+        _require(entry, Mapping, where, "an object")
+        check_schema_version(entry, f"sharded checkpoint entry {where}")
+        source = _require(entry.get("source"), Mapping, f"{where}.source",
+                          "an object")
+        block = source.get("shard")
+        want = None if identity else partition.lane_block(i)
+        if block != want and not (
+            block is None and source.get("schedule") is not None
+        ):
+            raise InvalidInstanceError(
+                f"checkpoint field '{where}.source.shard' is {block!r:.80}, "
+                f"but the manifest's topology gives lane {i} {want!r:.80}"
+            )
+    return entries, partition
 
 
 def reshard_manifest(
@@ -1093,39 +1003,32 @@ def reshard_manifest(
     schema-v3 manifest carrying the full epoch history; the input is
     not modified.
     """
-    if manifest.get("format") != SHARDED_CHECKPOINT_FORMAT:
-        raise InvalidInstanceError(
-            f"not a {SHARDED_CHECKPOINT_FORMAT} payload: "
-            f"{manifest.get('format')!r}"
-        )
-    check_schema_version(
-        manifest, "sharded checkpoint", supported=SUPPORTED_MANIFEST_VERSIONS
-    )
+    entries, partition = _checked_manifest(manifest)
     if int(num_shards) <= 0:
         raise InvalidInstanceError(
             f"num_shards must be positive, got {num_shards}"
         )
-    entries = manifest.get("shards")
-    if not isinstance(entries, list) or not entries:
-        raise InvalidInstanceError("sharded checkpoint has no shard entries")
-    partition = partition_from_manifest(manifest)
     if (
         int(num_shards) == partition.num_shards
         and (salt is None or int(salt) == partition.salt)
     ):
         return copy.deepcopy(dict(manifest))
+    cursors = []
     for i, entry in enumerate(entries):
-        if int(entry.get("schema_version", 1)) < 2:
+        state = entry["source"].get("state")  # type: ignore[union-attr]
+        ArrivalSource.check_state(state)
+        if _require(entry.get("cursor"), int, f"shards[{i}].cursor",
+                    "an integer") != state["cursor"]:
             raise InvalidInstanceError(
-                f"shard {i} is a v1 checkpoint entry with no rebuildable "
-                "source spec; resume and re-checkpoint it before resharding"
+                f"checkpoint field 'shards[{i}].cursor' does not match the "
+                f"source state's cursor {state['cursor']}"
             )
-    cursors = [int(e.get("cursor", 0)) for e in entries]
+        cursors.append(state["cursor"])
     new_partition = partition.reshard(int(num_shards), cursors, salt=salt)
     # The shared parent stream: any entry's source spec minus its shard
     # filter and suspend state (every lane wraps the same parent).
     parent_spec = {
-        k: v for k, v in dict(entries[0]["source"]).items()
+        k: v for k, v in dict(entries[0]["source"]).items()  # type: ignore[arg-type]
         if k not in ("shard", "state")
     }
     # Keep lanes [0, keep): at least the new topology, plus every lane
@@ -1143,11 +1046,11 @@ def reshard_manifest(
         )
         if i < len(entries):
             entry = copy.deepcopy(dict(entries[i]))
-            old_state = dict(entry["source"].get("state") or {})
+            state = entry["source"]["state"]
             spec = lane_src.spec()
             spec["state"] = {
-                "cursor": int(old_state.get("cursor", entry.get("cursor", 0))),
-                "fingerprint": dict(old_state["fingerprint"]),  # type: ignore[arg-type]
+                "cursor": state["cursor"],
+                "fingerprint": state["fingerprint"],
             }
             entry["source"] = spec
             new_entries.append(entry)
@@ -1186,43 +1089,20 @@ def resume_sharded_run(
     """Rebuild a :class:`ShardedRun` from its manifest checkpoint.
 
     Every shard resumes through the ordinary
-    :func:`~repro.online.checkpoint.resume_run` path (v2: O(selected)
-    source rebuild + frontier reveal; v1 entries: legacy prefix
-    re-reveal) against a fresh :class:`ShardView` of
-    *utility* — optionally wrapped by *oracle_factory* (counting).
-    *policies*/*deps* forward to the per-shard resume for policies with
-    non-serializable dependencies; *can_take* re-injects the merge
-    constraint.
+    :func:`~repro.online.checkpoint.resume_run` path (O(selected)
+    source rebuild + frontier reveal) against a fresh
+    :class:`ShardView` of *utility* — optionally wrapped by
+    *oracle_factory* (counting).  *policies*/*deps* forward to the
+    per-shard resume for policies with non-serializable dependencies;
+    *can_take* re-injects the merge constraint.
     """
-    if checkpoint.get("format") != SHARDED_CHECKPOINT_FORMAT:
-        raise InvalidInstanceError(
-            f"not a {SHARDED_CHECKPOINT_FORMAT} payload: "
-            f"{checkpoint.get('format')!r}"
-        )
-    check_schema_version(
-        checkpoint, "sharded checkpoint", supported=SUPPORTED_MANIFEST_VERSIONS
-    )
-    shard_payloads = checkpoint.get("shards")
-    if not isinstance(shard_payloads, list) or not shard_payloads:
-        raise InvalidInstanceError("sharded checkpoint has no shard entries")
-    if len(shard_payloads) != int(checkpoint.get("num_shards", len(shard_payloads))):
-        raise InvalidInstanceError(
-            f"sharded checkpoint manifest declares {checkpoint.get('num_shards')} "
-            f"shards but carries {len(shard_payloads)}"
-        )
+    entries, partition = _checked_manifest(checkpoint)
     runs = []
-    for i, shard_ck in enumerate(shard_payloads):
-        source = None
-        if int(shard_ck.get("schema_version", 1)) >= 2:
-            # v2 entry: rebuild the shard's source from its spec over
-            # the *base* utility (stream construction must not count as
-            # oracle work), then restrict the view to its elements.
-            source = source_from_spec(shard_ck.get("source"), utility)
-            order = source.order or ()
-        else:
-            # v1 entry (migration shim): the shard order is embedded.
-            order = shard_ck["schedule"]["order"]  # type: ignore[index]
-        view = ShardView(utility, order)
+    for i, shard_ck in enumerate(entries):
+        # Rebuild the lane over the *base* utility (stream construction
+        # must not count as oracle work), then restrict the view to it.
+        source = source_from_spec(shard_ck["source"], utility)  # type: ignore[arg-type]
+        view = ShardView(utility, source.order or ())
         oracle = view if oracle_factory is None else oracle_factory(i, view)
         runs.append(
             resume_run(
@@ -1233,13 +1113,11 @@ def resume_sharded_run(
                 source=source,
             )
         )
-    limit = checkpoint.get("limit")
-    partition = partition_from_manifest(checkpoint)
     return ShardedRun(
         utility,
         runs,
         can_take=can_take,
-        limit=None if limit is None else int(limit),  # type: ignore[arg-type]
-        salt=int(checkpoint.get("salt", 0)),  # type: ignore[arg-type]
+        limit=checkpoint.get("limit"),  # type: ignore[arg-type]
+        salt=checkpoint.get("salt", 0),  # type: ignore[arg-type]
         partition=None if partition.single_epoch else partition,
     )

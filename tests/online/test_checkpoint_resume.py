@@ -263,7 +263,7 @@ def test_oracle_frontier_restored_no_peeking():
     session = start_session(policy="monotone", family="coverage", n=16, k=3,
                             seed=2).advance(5)
     resumed = resume_session(_roundtrip(session.checkpoint()))
-    order = resumed.run.schedule.order
+    order = resumed.run.source.materialize().order
     frontier = frozenset(resumed.run.policy.frontier())
     assert resumed.run.oracle.arrived == frontier
     assert frontier <= frozenset(order[:5])
@@ -359,7 +359,7 @@ def test_truncated_batch_resumes_from_in_batch_cursor(process, params):
     full = start_session(**kwargs).advance()
     want = full.run.result().selected
     # Every position strictly inside a multi-arrival batch.
-    sizes = full.run.schedule.batch_sizes
+    sizes = full.run.source.materialize().batch_sizes
     in_batch_cuts, pos = [], 0
     for size in sizes:
         in_batch_cuts.extend(range(pos + 1, pos + size))

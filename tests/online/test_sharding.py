@@ -316,17 +316,17 @@ class TestSchemaVersioning:
             resume_any_session(ck)
 
     def test_missing_version_means_version_one(self):
-        """Pre-versioning (v1-layout) checkpoints with no marker resume.
+        """Pre-versioning (v1-layout) checkpoints with no marker are refused.
 
         A version-less payload is read as schema v1 — embedded schedule,
-        no source spec or decision log — through the migration shim.
+        no source spec or decision log — which is no longer supported.
         """
         session = start_session(n=10, k=2, seed=1).advance(3)
         run = session.run
         v1 = {
             "format": "repro-online-checkpoint/1",
             "cursor": run.cursor,
-            "schedule": run.schedule.payload(),
+            "schedule": run.source.materialize().payload(),
             "policy": {
                 "name": run.policy.name,
                 "config": run.policy.config_dict(),
@@ -337,7 +337,9 @@ class TestSchemaVersioning:
                 if k != "recipe_version"
             },
         }
-        assert resume_any_session(_roundtrip(v1)).advance().finished
+        with pytest.raises(InvalidInstanceError,
+                           match="schema version 1 .* no longer supported"):
+            resume_any_session(_roundtrip(v1))
 
     def test_unknown_recipe_version_rejected(self):
         session = start_session(n=10, k=2, seed=1).advance(3)

@@ -1,14 +1,17 @@
 """A checkpoint's ``source`` block is checked before a resume trusts it.
 
-Two contracts.  A damaged ``source.state`` (a non-integer cursor or
+Three contracts.  A damaged ``source.state`` (a non-integer cursor or
 ``batch_end``, a malformed fingerprint, an RNG state the bit generator
-refuses, or a shard lane's ``parent``, ``pending``, ``pending_ts`` or
-``pending_new`` that is mistyped or disagrees with the lane's stream) is
+refuses, or a cursor moved away from the fingerprint chain's count) is
 a clean :class:`~repro.errors.InvalidInstanceError` naming
 ``source.state.<field>``, so ``repro online resume`` exits 2 and a serve
-quarantines only that tenant.  And a ``source`` block whose process,
-seed or params disagree with the embedded recipe, or that embeds a
-schedule, is refused instead of silently resuming a different stream.
+quarantines only that tenant.  A sharded manifest whose entries are not
+objects, whose ``num_shards``, ``salt`` or ``limit`` is mistyped, or
+whose entry's ``source.shard`` block names another lane or topology is
+refused the same way, naming the field.  And a ``source`` block whose
+process, seed or params disagree with the embedded recipe, or that
+embeds a schedule, is refused instead of silently resuming a different
+stream.
 """
 
 import json
@@ -20,6 +23,7 @@ from repro.errors import InvalidInstanceError
 from repro.online.checkpoint import tenant_checkpoint_path
 from repro.online.serving import ServingLoop, load_tenant_specs
 from repro.online.session import (
+    reshard_session,
     resume_any_session,
     resume_session,
     start_session,
@@ -115,48 +119,67 @@ class TestDamagedSourceState:
         assert main(["online", "inspect", str(path)]) == 2
         assert "'source.state.fingerprint'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shift", [100, 5, -5])
+    @pytest.mark.parametrize("command", ["resume", "inspect"])
+    def test_a_moved_cursor_exits_2(self, tmp_path, capsys, shift, command):
+        # Moving both cursors together used to resume a different
+        # stream; the chain still counts the arrivals really taken.
+        path = tmp_path / "one.json"
+        ck = json.loads(json.dumps(
+            start_session(**{**RUN, "process": "uniform"}).advance(60)
+            .checkpoint()
+        ))
+        ck["cursor"] += shift
+        ck["source"]["state"]["cursor"] += shift
+        path.write_text(json.dumps(ck), encoding="utf-8")
+        assert main(["online", command, str(path)]) == 2
+        assert "'source.state.fingerprint.count'" in capsys.readouterr().err
+
 
 def _sharded_suspended():
-    """A JSON round-tripped two-shard manifest, shard 0 holding a pending
-    arrival of its parent's last batch."""
+    """A JSON round-tripped two-shard manifest suspended mid-batch."""
     ck = start_sharded_session(**RUN, shards=2).advance(60).checkpoint()
-    ck = json.loads(json.dumps(ck))
-    assert ck["shards"][0]["source"]["state"]["pending"]
-    return ck
+    return json.loads(json.dumps(ck))
+
+
+def _lane(ck, i=0):
+    return ck["shards"][i]["source"]
+
+
+def _move_lane_cursor(ck, shift):
+    ck["shards"][0]["cursor"] += shift
+    _lane(ck)["state"]["cursor"] += shift
 
 
 SHARD_DAMAGE = [
-    pytest.param(lambda s: s.update(pending=5), "'source.state.pending'",
-                 id="int-pending"),
-    pytest.param(lambda s: s.pop("pending"), "'source.state.pending'",
-                 id="no-pending"),
-    pytest.param(lambda s: s.update(pending=["s9999"]),
-                 "'source.state.pending'", id="foreign-pending"),
-    pytest.param(lambda s: s.update(pending_ts="q"),
-                 "'source.state.pending_ts'", id="str-pending-ts"),
-    pytest.param(lambda s: s.update(pending_ts=[0.5] * (len(s["pending"]) + 1)),
-                 "'source.state.pending_ts'", id="pending-ts-length"),
-    pytest.param(lambda s: s.update(pending_ts=[float("inf")] * len(s["pending"])),
-                 "'source.state.pending_ts'", id="infinite-pending-ts"),
-    pytest.param(lambda s: s.update(pending_new=1),
-                 "'source.state.pending_new'", id="int-pending-new"),
-    pytest.param(lambda s: s.update(parent="x"), "'source.state.parent'",
-                 id="str-parent"),
-    pytest.param(lambda s: s.pop("parent"), "'source.state.parent'",
-                 id="no-parent"),
-    pytest.param(lambda s: s["parent"].update(cursor=0),
-                 "'source.state.parent.cursor'", id="parent-cursor-0"),
-    pytest.param(lambda s: s["parent"].update(cursor=s["parent"]["cursor"] - 1),
-                 "'source.state.parent.cursor'", id="parent-cursor-behind"),
-    pytest.param(lambda s: s["parent"].update(cursor="x"),
-                 "'source.state.parent.cursor'", id="str-parent-cursor"),
-    pytest.param(lambda s: s["parent"].update(cursor=201),
-                 "'source.state.parent.cursor'", id="parent-cursor-past-stream"),
-    pytest.param(lambda s: s["parent"].update(batch_end="q"),
-                 "'source.state.parent.batch_end'", id="str-parent-batch-end"),
-    pytest.param(lambda s: s["parent"]["fingerprint"].update(count=None),
-                 "'source.state.parent.fingerprint.count'",
-                 id="null-parent-count"),
+    pytest.param(lambda ck: _lane(ck).update(shard="x"),
+                 "'shards[0].source.shard'", id="str-shard-block"),
+    pytest.param(lambda ck: _lane(ck).pop("shard"),
+                 "'shards[0].source.shard'", id="no-shard-block"),
+    pytest.param(lambda ck: _lane(ck)["shard"].update(index=1),
+                 "'shards[0].source.shard'", id="other-lane-index"),
+    pytest.param(lambda ck: _lane(ck)["shard"].update(index="a"),
+                 "'shards[0].source.shard'", id="str-index"),
+    pytest.param(lambda ck: _lane(ck)["shard"].update(num_shards=3),
+                 "'shards[0].source.shard'", id="other-num-shards"),
+    pytest.param(lambda ck: _lane(ck)["shard"].pop("num_shards"),
+                 "'shards[0].source.shard'", id="no-num-shards"),
+    pytest.param(lambda ck: _lane(ck)["shard"].update(salt=1),
+                 "'shards[0].source.shard'", id="other-salt"),
+    pytest.param(lambda ck: _lane(ck)["shard"].update(salt=None),
+                 "'shards[0].source.shard'", id="null-salt"),
+    pytest.param(lambda ck: _move_lane_cursor(ck, 1),
+                 "'source.state.fingerprint.count'", id="lane-cursor-ahead"),
+    pytest.param(lambda ck: _move_lane_cursor(ck, -1),
+                 "'source.state.fingerprint.count'", id="lane-cursor-behind"),
+    pytest.param(lambda ck: ck.update(num_shards="x"), "'num_shards'",
+                 id="str-manifest-num-shards"),
+    pytest.param(lambda ck: ck.update(salt=None), "'salt'",
+                 id="null-manifest-salt"),
+    pytest.param(lambda ck: ck.update(limit="q"), "'limit'",
+                 id="str-manifest-limit"),
+    pytest.param(lambda ck: ck.update(shards=[1, 2]), "'shards[0]'",
+                 id="non-object-entries"),
 ]
 
 
@@ -166,49 +189,64 @@ class TestDamagedShardLaneState:
                                                  damage, field):
         path = tmp_path / "sharded.json"
         ck = _sharded_suspended()
-        damage(ck["shards"][0]["source"]["state"])
+        damage(ck)
         path.write_text(json.dumps(ck), encoding="utf-8")
         assert main(["online", "resume", str(path)]) == 2
         assert field in capsys.readouterr().err
 
-    def test_a_lane_cursor_that_skips_its_pending_is_refused(self):
-        # The lane (and its manifest entry) moved back one arrival with
-        # pending unchanged: the lane would skip an arrival on resume.
-        ck = _sharded_suspended()
-        ck["shards"][0]["source"]["state"]["cursor"] -= 1
-        ck["shards"][0]["cursor"] -= 1
+    def test_a_resharded_lane_names_its_partition_field(self):
+        ck = json.loads(json.dumps(reshard_session(_sharded_suspended(), 3)))
+        resume_any_session(json.loads(json.dumps(ck)))  # undamaged: fine
+        ck["partition"]["epochs"][1]["consumed"] = ["a"]
         with pytest.raises(InvalidInstanceError,
-                           match="'source.state.pending'"):
+                           match=r"'partition\.epochs\[1\]\.consumed'"):
             resume_any_session(ck)
 
-    def test_a_failed_restore_leaves_the_parent_as_it_was(self):
-        session = start_sharded_session(**RUN, shards=2).advance(60)
-        lane = session.run.runs[0].source
-        parent = lane._parent
-        before = (lane.cursor, parent.cursor, parent.fingerprint())
-        state = json.loads(json.dumps(lane.state_dict()))
-        state["parent"]["cursor"] -= 1
-        state["pending"] = ["s9999"]
-        with pytest.raises(InvalidInstanceError):
-            lane.restore(state)
-        assert (lane.cursor, parent.cursor, parent.fingerprint()) == before
+    def test_a_lane_block_from_another_epoch_history_is_refused(self):
+        ck = json.loads(json.dumps(reshard_session(_sharded_suspended(), 3)))
+        _lane(ck, 1)["shard"]["partition"]["epochs"][1]["consumed"][0] -= 1
+        with pytest.raises(InvalidInstanceError,
+                           match=r"'shards\[1\]\.source\.shard'"):
+            resume_any_session(ck)
 
+    @pytest.mark.parametrize("damage,field", [
+        pytest.param(lambda ck: ck["shards"][0].update(cursor="x"),
+                     "'shards[0].cursor'", id="str-cursor"),
+        pytest.param(lambda ck: ck["shards"][0].update(source="x"),
+                     "'shards[0].source'", id="str-source"),
+        pytest.param(lambda ck: _move_lane_cursor(ck, 1),
+                     "'source.state.fingerprint.count'", id="moved-cursor"),
+    ])
+    def test_cli_reshard_exits_2_naming_the_field(self, tmp_path, capsys,
+                                                  damage, field):
+        path = tmp_path / "sharded.json"
+        ck = _sharded_suspended()
+        damage(ck)
+        path.write_text(json.dumps(ck), encoding="utf-8")
+        assert main(["online", "reshard", str(path), "--shards", "3"]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,field", [
+        pytest.param(
+            lambda ck: _lane(ck)["shard"].update(num_shards="x"),
+            "'shards[0].source.shard'", id="lane-num-shards",
+        ),
+        pytest.param(lambda ck: ck.update(salt=None), "'salt'",
+                     id="manifest-salt"),
+    ])
     def test_cli_serve_exits_3_with_the_damaged_shard_lane_quarantined(
-        self, tmp_path, capsys, clean_serve
+        self, tmp_path, capsys, clean_serve, edit, field
     ):
         spec = tmp_path / "fleet.json"
         spec.write_text(json.dumps(FLEET), encoding="utf-8")
-        root = _serve_then_edit(
-            tmp_path, "s-4",
-            lambda ck: ck["shards"][0]["source"]["state"].update(pending=5),
-        )
+        root = _serve_then_edit(tmp_path, "s-4", edit)
         assert main(["online", "serve", str(spec), "--checkpoint-dir", root,
                      "--resume"]) == 3
         report = json.loads(capsys.readouterr().out)
         quarantined = {tid for tid, t in report["tenants"].items()
                        if t["state"] == "quarantined"}
         assert quarantined == {"s-4"}
-        assert "'source.state.pending'" in report["tenants"]["s-4"]["error"]
+        assert field in report["tenants"]["s-4"]["error"]
         want = json.loads(json.dumps(clean_serve))
         for tid in ("b-1", "b-2", "u-3"):
             for key in RESULT_KEYS:
@@ -244,8 +282,8 @@ def clean_serve():
                  lambda ck: ck["shards"][1]["source"].update(seed=5),
                  "'shards[1].source.seed'", id="tampered-shard-seed"),
     pytest.param("s-4",
-                 lambda ck: ck["shards"][0]["source"]["state"].update(pending=5),
-                 "'source.state.pending'", id="shard-pending-not-a-list"),
+                 lambda ck: ck["shards"][0]["source"]["shard"].update(index=1),
+                 "'shards[0].source.shard'", id="shard-block-of-another-lane"),
 ])
 def test_serve_quarantines_only_the_bad_tenant(tmp_path, clean_serve,
                                                tenant, edit, field):

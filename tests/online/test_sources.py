@@ -168,8 +168,8 @@ class TestFingerprintEquivalence:
     @pytest.mark.parametrize("index", [0, 1])
     def test_shard_source_survives_every_suspend_point(self, fn, process,
                                                        index):
-        """Mid-batch cuts included: the restore checks on ``parent`` and
-        ``pending`` accept every state a shard lane can suspend in."""
+        """Mid-batch cuts included: a lane restored from its cursor and
+        fingerprint chain alone finishes the shard schedule's stream."""
         params = process_params(process, fn)
         want = shard_schedule(
             build_arrival_schedule(process, fn, 13, **params), 2
@@ -329,6 +329,6 @@ class TestCheckpointStaysSmall:
         assert sorted(e for _, e in ck["decisions"]) == sorted(
             run.result().selected, key=repr
         )
-        order = run.schedule.order
+        order = run.source.materialize().order
         for pos, element in ck["decisions"]:
             assert order[pos] == element

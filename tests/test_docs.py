@@ -198,13 +198,13 @@ class TestDocsTree:
         )
 
         assert SHARDED_MANIFEST_SCHEMA_VERSION == 3
-        assert SUPPORTED_MANIFEST_VERSIONS == (1, 2, 3)
+        assert SUPPORTED_MANIFEST_VERSIONS == (2, 3)
         with open(
             os.path.join(DOCS, "CHECKPOINT_FORMAT.md"), encoding="utf-8"
         ) as fh:
             text = fh.read()
         assert "SHARDED_MANIFEST_SCHEMA_VERSION = 3" in text
-        assert "SUPPORTED_MANIFEST_VERSIONS = (1, 2, 3)" in text
+        assert "SUPPORTED_MANIFEST_VERSIONS = (2, 3)" in text
         assert "## Re-sharding" in text
         assert '"partition"' in text or "`partition`" in text
         with open(os.path.join(DOCS, "ARCHITECTURE.md"), encoding="utf-8") as fh:
