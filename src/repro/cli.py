@@ -608,8 +608,9 @@ def _describe_shard_checkpoint(ck: dict) -> dict:
     """Summary of one ordinary (per-shard or unsharded) checkpoint payload.
 
     The version, ``source`` and ``source.state`` checks a resume runs
-    first run here too, so a damaged or unsupported payload is a clean
-    error.
+    first run here too, and ``policy`` must be an object and
+    ``decisions`` and ``frontier`` lists, so a damaged or unsupported
+    payload is a clean error.
     """
     from repro.online.arrivals import ArrivalSource, _require
     from repro.online.checkpoint import check_schema_version
@@ -617,10 +618,13 @@ def _describe_shard_checkpoint(ck: dict) -> dict:
     check_schema_version(ck)
     source = _require(ck.get("source"), dict, "source", "an object")
     ArrivalSource.check_state(source.get("state"))
+    policy = _require(ck.get("policy"), dict, "policy", "an object")
+    decisions = _require(ck.get("decisions", []), list, "decisions", "a list")
+    frontier = _require(ck.get("frontier", []), list, "frontier", "a list")
     entry: dict = {
         "schema_version": ck["schema_version"],
         "cursor": ck.get("cursor"),
-        "policy": (ck.get("policy") or {}).get("name"),
+        "policy": policy.get("name"),
         "process": source.get("process"),
         "seed": source.get("seed"),
         "params": _render_params(source.get("params")),
@@ -642,8 +646,8 @@ def _describe_shard_checkpoint(ck: dict) -> dict:
             }
         else:
             entry["shard"] = shard
-    entry["hired"] = len(ck.get("decisions") or [])
-    entry["frontier"] = len(ck.get("frontier") or [])
+    entry["hired"] = len(decisions)
+    entry["frontier"] = len(frontier)
     entry["fingerprint"] = source["state"]["fingerprint"]["chain"]
     entry["embedded_schedule"] = "schedule" in source
     return entry

@@ -18,17 +18,21 @@ integers ``0..n-1``, the instance lives in CSR/COO numpy arrays, and
 nothing O(ground set) in python objects is ever built eagerly — the
 naive ``value`` path reads the arrays through lazy mapping views, and
 ``ground_set`` materializes only if something actually asks for it.
+``CoverageFunction.from_arrays`` also takes element and item names,
+building the mapping-built instance on those covers straight from the
+arrays.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.submodular import Element, SetFunction
+from repro.errors import InvalidInstanceError
 
 __all__ = [
     "AdditiveFunction",
@@ -78,6 +82,34 @@ class _CsrCovers(Mapping):
 
     def __len__(self) -> int:
         return len(self._indptr) - 1
+
+
+class _NamedCsrCovers(Mapping):
+    """Lazy ``{element -> frozenset(items)}`` view of a named kernel.
+
+    Iterates the caller's element order, as the mapping it stands in
+    for would; each row materializes on first access and is kept, so
+    the naive path pays one frozenset per element it reads, once.
+    """
+
+    def __init__(self, kernel, elements: List):
+        self._kernel = kernel
+        self._elements = elements
+        self._rows: Dict = {}
+
+    def __getitem__(self, element) -> FrozenSet:
+        row = self._rows.get(element)
+        if row is None:
+            kernel = self._kernel
+            ids = kernel.covered_by(kernel.index[element]).tolist()
+            row = self._rows[element] = frozenset([kernel.items[j] for j in ids])
+        return row
+
+    def __iter__(self):
+        return iter(self._elements)
+
+    def __len__(self) -> int:
+        return len(self._elements)
 
 
 class _ArrayWeights(Mapping):
@@ -142,9 +174,10 @@ class CoverageFunction(SetFunction):
 
     @classmethod
     def from_arrays(
-        cls, indptr, indices, *, n_items: Optional[int] = None
+        cls, indptr, indices, *, n_items: Optional[int] = None,
+        elements: Optional[Sequence] = None, items: Optional[Sequence] = None,
     ) -> "CoverageFunction":
-        """Build from a CSR incidence over integer elements/items.
+        """Build from a CSR incidence over integer element/item ids.
 
         Row ``i`` of ``(indptr, indices)`` lists the item ids covered by
         element ``i``; rows are canonicalized (sorted, deduplicated) on
@@ -152,6 +185,14 @@ class CoverageFunction(SetFunction):
         ``0..n_items-1`` (default: ``max(indices) + 1``).  The instance
         stays in its arrays — no per-element python sets are built until
         the naive path asks for them.
+
+        With *elements* and/or *items* (name sequences: element ``i`` is
+        ``elements[i]``, item ``j`` is ``items[j]``; a missing one
+        defaults to the ids), the instance is the mapping-built
+        ``CoverageFunction({elements[i]: {items[j] for j in row i}})``:
+        same ``canonical_payload`` (so engine fingerprints), ground set,
+        values and kernel arrays, with the kernel canonicalized once,
+        vectorized, instead of from per-element python sets.
         """
         from repro.core.kernels import _CoverageKernel
 
@@ -160,17 +201,30 @@ class CoverageFunction(SetFunction):
         indices = np.asarray(indices, dtype=np.intp)
         if n_items is None:
             n_items = int(indices.max()) + 1 if len(indices) else 0
-        self._kernel = _CoverageKernel.from_csr(indptr, indices, int(n_items))
-        self._covers = _CsrCovers(self._kernel.indptr, self._kernel.indices)
+        if elements is None and items is None:
+            self._kernel = _CoverageKernel.from_csr(indptr, indices, int(n_items))
+            self._covers = _CsrCovers(self._kernel.indptr, self._kernel.indices)
+            self._positional = True
+        else:
+            names = list(range(len(indptr) - 1) if elements is None else elements)
+            item_names = list(range(n_items) if items is None else items)
+            bad_ids = len(indices) and not 0 <= indices.min() <= indices.max() < len(item_names)
+            if (bad_ids or len(names) != len(indptr) - 1 or len(set(names)) != len(names)
+                    or len(set(item_names)) != len(item_names)):
+                raise InvalidInstanceError(
+                    "named CSR needs one distinct name per row and per item id"
+                )
+            self._kernel = _CoverageKernel.from_named_csr(indptr, indices, names, item_names)
+            self._covers = _NamedCsrCovers(self._kernel, names)
+            self._positional = False
         self._ground = None
         self._universe = None
-        self._positional = True
         return self
 
     @property
     def ground_set(self) -> FrozenSet[Element]:
         if self._ground is None:
-            self._ground = frozenset(range(len(self._covers)))
+            self._ground = frozenset(self._covers)
         return self._ground
 
     def canonical_payload(self) -> Dict[str, object]:

@@ -54,7 +54,7 @@ the property suite pins agreement to 1e-12.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -500,43 +500,67 @@ class _CoverageKernel:
     Built once per function instance and shared by all its evaluators.
     The canonical core is a CSR incidence (``indptr``/``indices`` over
     item ids in the canonical item order, rows ascending-unique) —
-    O(nnz) however large the instance.  The dense boolean matrix and
-    its packed-bitset form are derived **lazily** via
-    :meth:`ensure_dense`, only when a dense evaluator is actually
-    constructed, so a 10^6-element instance never materializes its
-    ``n × m`` incidence just because the function object exists.
-    Mapping-built kernels also carry ``index``, the element → canonical
-    index map every evaluator shares (``None`` when array-built).
+    O(nnz) however large the instance.  The packed-bitset rows are
+    derived **lazily** via :meth:`ensure_dense`, only when a dense
+    evaluator is actually constructed, so a 10^6-element instance never
+    materializes its ``n × m`` incidence just because the function
+    object exists.  Named kernels (mapping-built, or array-built with
+    names) also carry ``index``, the element → canonical index map
+    every evaluator shares (``None`` when positional).
     """
 
-    def __init__(self, covers: Dict[Element, FrozenSet], weights: Optional[Dict] = None):
-        self.elements: Sequence[Element] = sorted(covers, key=repr)
-        universe: set = set()
-        for s in covers.values():
-            universe |= s
-        self.items: Sequence = sorted(universe, key=repr)
-        item_index = {u: j for j, u in enumerate(self.items)}
-        self.n_items = len(self.items)
-        self.index: Optional[Dict[Element, int]] = {
-            e: i for i, e in enumerate(self.elements)
-        }
-        lens = np.array([len(covers[e]) for e in self.elements], dtype=np.int64)
-        indptr = np.zeros(len(self.elements) + 1, dtype=np.int64)
-        np.cumsum(lens, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.intp)
-        for i, e in enumerate(self.elements):
-            indices[indptr[i]:indptr[i + 1]] = sorted(item_index[u] for u in covers[e])
-        self.indptr, self.indices = indptr, indices
+    def __init__(self, covers: Mapping[Element, FrozenSet], weights: Optional[Mapping] = None):
+        elements = list(covers)
+        item_ids: Dict = {}
+        indices = [item_ids.setdefault(u, len(item_ids)) for e in elements for u in covers[e]]
+        indptr = np.zeros(len(elements) + 1, dtype=np.int64)
+        np.cumsum(np.array([len(covers[e]) for e in elements], dtype=np.int64), out=indptr[1:])
+        self._canonicalise(indptr, np.array(indices, dtype=np.intp), elements, list(item_ids))
         if weights is None:
             self.weights = None
         else:
-            self.weights = (
-                np.array([float(weights.get(u, 1.0)) for u in self.items], dtype=float)
-                if self.n_items
-                else np.zeros(0)
-            )
-        self.rows: Optional[np.ndarray] = None
+            self.weights = np.array([float(weights.get(u, 1.0)) for u in self.items], dtype=float)
         self.packed: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_named_csr(
+        cls, indptr: np.ndarray, indices: np.ndarray, elements: Sequence, items: Sequence
+    ) -> "_CoverageKernel":
+        """Array-built kernel over names, canonical as a mapping build.
+
+        ``elements[i]`` covers the ``items`` that CSR row ``i`` lists.
+        """
+        self = cls.__new__(cls)
+        self._canonicalise(indptr, indices, elements, items)
+        self.weights = None
+        self.packed = None
+        return self
+
+    def _canonicalise(
+        self, indptr: np.ndarray, indices: np.ndarray, elements: Sequence, items: Sequence
+    ) -> None:
+        """Set the canonical named arrays, the one ordering both builds use.
+
+        Elements are ordered by ``repr``, and so are the items some row
+        covers (an uncovered item is dropped); ids are remapped to those
+        orders and every row is sorted ascending and deduplicated.
+        """
+        element_reprs = [repr(e) for e in elements]
+        order = np.array(sorted(range(len(elements)), key=element_reprs.__getitem__),
+                         dtype=np.intp)
+        covered = np.flatnonzero(np.bincount(indices, minlength=len(items)))
+        item_reprs = [repr(items[j]) for j in covered.tolist()]
+        covered = covered[sorted(range(len(covered)), key=item_reprs.__getitem__)]
+        rank = np.zeros(len(items), dtype=np.intp)
+        rank[covered] = np.arange(len(covered), dtype=np.intp)
+        flat, lens = _slice_gather(indptr, order)
+        new_indptr = np.zeros(len(order) + 1, dtype=np.int64)
+        np.cumsum(lens, out=new_indptr[1:])
+        self.indptr, self.indices = _canonical_csr(new_indptr, rank[indices[flat]])
+        self.elements: Sequence[Element] = [elements[i] for i in order.tolist()]
+        self.items: Sequence = [items[j] for j in covered.tolist()]
+        self.n_items = len(self.items)
+        self.index: Optional[Dict[Element, int]] = {e: i for i, e in enumerate(self.elements)}
 
     @classmethod
     def from_csr(
@@ -555,7 +579,6 @@ class _CoverageKernel:
         self.items = range(self.n_items)
         self.index = None
         self.weights = None if weights is None else np.asarray(weights, dtype=float)
-        self.rows = None
         self.packed = None
         return self
 
@@ -572,7 +595,7 @@ class _CoverageKernel:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
     def ensure_dense(self) -> None:
-        """Materialize the boolean incidence + packed bitset rows."""
+        """Materialize the packed-bitset incidence rows."""
         if self.packed is not None:
             return
         n, m = len(self.elements), max(1, self.n_items)
@@ -580,7 +603,6 @@ class _CoverageKernel:
         if self.nnz:
             lens = np.diff(self.indptr)
             rows[np.repeat(np.arange(n, dtype=np.intp), lens), self.indices] = True
-        self.rows = rows
         self.packed = np.packbits(rows, axis=1)
 
 

@@ -38,11 +38,14 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence
 
 from repro.core.submodular import SetFunction
 from repro.errors import InvalidInstanceError
-from repro.online.arrivals import ArrivalSchedule, ArrivalSource, as_arrival_source
+from repro.online.arrivals import ArrivalSchedule, ArrivalSource, _require, as_arrival_source
 from repro.online.policies import OnlinePolicy
 from repro.secretary.stream import ArrivalOracle
 
 __all__ = ["OnlineRun", "drive_stream", "run_online"]
+
+#: What a checkpoint's ``frontier`` and decision log may hold per element.
+_SCALARS = (str, int, float, type(None))
 
 
 class OnlineRun:
@@ -198,6 +201,11 @@ class OnlineRun:
         its saved cursor/fingerprint, the decision log is reinstated,
         and the policy state machine reloads.  Nothing scales with the
         consumed prefix.
+
+        ``frontier`` must list JSON scalars and ``decisions`` ``[position,
+        element]`` pairs with an integer position in ``[0, cursor)``; both
+        are checked before anything is applied, else
+        :class:`~repro.errors.InvalidInstanceError` names the field.
         """
         cursor = int(checkpoint["cursor"])  # type: ignore[arg-type]
         n = self.source.n
@@ -208,15 +216,28 @@ class OnlineRun:
         source_block = checkpoint.get("source")
         if not isinstance(source_block, Mapping) or "state" not in source_block:
             raise InvalidInstanceError("checkpoint carries no source state")
-        self.source.restore(source_block["state"])  # type: ignore[arg-type]
-        if self.source.cursor != cursor:
+        state = source_block["state"]
+        self.source.check_state(state, n)
+        if state["cursor"] != cursor:  # type: ignore[index]
             raise InvalidInstanceError(
                 f"cursor {cursor} does not match the source state's "
-                f"cursor {self.source.cursor}"
+                f"cursor {state['cursor']}"  # type: ignore[index]
             )
-        for element in checkpoint.get("frontier", ()):  # type: ignore[union-attr]
+        frontier = _require(checkpoint.get("frontier", []), list, "frontier", "a list")
+        decisions = _require(checkpoint.get("decisions", []), list, "decisions", "a list")
+        if not all(isinstance(e, _SCALARS) for e in frontier):
+            raise InvalidInstanceError("checkpoint field 'frontier' must list JSON scalars")
+        for d in decisions:
+            if not (isinstance(d, list) and len(d) == 2 and type(d[0]) is int
+                    and 0 <= d[0] < cursor and isinstance(d[1], _SCALARS)):
+                raise InvalidInstanceError(
+                    "checkpoint field 'decisions' must list [position, element] "
+                    f"pairs with a position in [0, {cursor}), got {d!r:.60}"
+                )
+        self.source.restore(state)  # type: ignore[arg-type]
+        for element in frontier:
             self.oracle.reveal(element)
-        self.decisions = [list(d) for d in checkpoint.get("decisions", ())]  # type: ignore[union-attr]
+        self.decisions = [list(d) for d in decisions]
         self.policy.load_state(checkpoint["policy"]["state"])  # type: ignore[index]
         self._hired_logged = frozenset(self.policy.hired_set())
         self._result = None

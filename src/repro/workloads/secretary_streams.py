@@ -143,11 +143,11 @@ def knapsack_weights(
         )
     if not (0.0 <= low < high):
         raise InvalidInstanceError(f"need 0 <= low < high, got [{low}, {high})")
+    order = sorted(elements, key=repr)
     span = high - low
-    return {
-        e: [float(low + span * gen.random()) for _ in range(n_knapsacks)]
-        for e in sorted(elements, key=repr)
-    }
+    # One draw, row-major: the same doubles, in the same order, as a
+    # ``gen.random()`` per element and knapsack.
+    return dict(zip(order, (low + span * gen.random((len(order), n_knapsacks))).tolist()))
 
 
 def arrival_stream(utility: SetFunction, process: str = "uniform", seed=None, **params):
@@ -174,16 +174,91 @@ def coverage_utility(
     skills_per_secretary: int = 4,
     rng=None,
 ) -> CoverageFunction:
-    """Each secretary covers a random subset of a skill universe."""
+    """Each secretary covers a random subset of a skill universe.
+
+    Secretary ``s{i}`` covers the skills ``u{j}`` drawn by, in turn for
+    ``i = 0..n-1``, ``size = min(universe_size, gen.integers(1,
+    skills_per_secretary + 1))`` and ``gen.choice(universe_size, size,
+    replace=False)``.  Those calls are not made: the draws are replayed
+    from blocks of the generator's 32-bit stream
+    (:func:`_coverage_rows`), and the rows go straight into the named
+    :meth:`CoverageFunction.from_arrays` form (elements ``s{i}``, items
+    ``u{j}``), so the instance and the generator's end state are
+    exactly the loop's.
+    """
     gen = as_generator(rng)
     if n <= 0 or universe_size <= 0:
         raise InvalidInstanceError("n and universe_size must be positive")
-    covers = {}
-    for i in range(n):
-        size = min(universe_size, max(1, int(gen.integers(1, skills_per_secretary + 1))))
-        idx = gen.choice(universe_size, size=size, replace=False)
-        covers[f"s{i}"] = {f"u{j}" for j in idx}
-    return CoverageFunction(covers)
+    if not (1 <= skills_per_secretary <= 2**32 and universe_size < 2**32):
+        # Past these bounds numpy draws 64-bit words, which is not replayed.
+        raise InvalidInstanceError(
+            "need 1 <= skills_per_secretary <= 2**32 and universe_size < 2**32, "
+            f"got {skills_per_secretary} and {universe_size}"
+        )
+    indptr, indices = _coverage_rows(gen, n, universe_size, skills_per_secretary)
+    # Name only the drawn skills: the kernel drops uncovered items anyway.
+    drawn, indices = np.unique(np.asarray(indices, dtype=np.int64), return_inverse=True)
+    return CoverageFunction.from_arrays(
+        indptr, indices,
+        elements=[f"s{i}" for i in range(n)],
+        items=[f"u{j}" for j in drawn.tolist()],
+    )
+
+
+def _coverage_rows(gen, n: int, universe: int, skills: int):
+    """CSR rows of :func:`coverage_utility`'s draws, replayed.
+
+    ``integers(1, s + 1)`` and ``choice(U, k, replace=False)`` read the
+    ``next_uint32`` stream that ``integers(0, 2**32, dtype=np.uint32)``
+    returns in order.  A value in ``[0, r]`` is numpy's Lemire draw:
+    none if ``r == 0``, else ``u * (r + 1) >> 32``, redrawn while the
+    low word is below ``(2**32 - 1 - r) % (r + 1)``.  ``choice`` runs
+    Floyd's algorithm and then shuffles (which only costs draws here),
+    unless ``U > 10000`` and ``k > U // 50``: then it tail-shuffles a
+    virtual ``arange(U)``.  The generator ends advanced by exactly the
+    words the loop reads.
+    """
+    state = gen.bit_generator.state
+    block = min(n * (2 * min(skills, universe) + 2), 1 << 16)
+    words: List[int] = []
+    used = 0
+
+    def bounded(r: int) -> int:
+        nonlocal used
+        if r == 0:
+            return 0
+        span = r + 1
+        while True:
+            if used == len(words):
+                words.extend(gen.integers(0, 2**32, size=block, dtype=np.uint32).tolist())
+            m = words[used] * span
+            used += 1
+            low = m & 0xFFFFFFFF
+            if low >= span or low >= (0xFFFFFFFF - r) % span:
+                return m >> 32
+
+    indptr = [0]
+    indices: List[int] = []
+    for _ in range(n):
+        k = min(universe, 1 + bounded(skills - 1))
+        if universe > 10000 and k > universe // 50:
+            perm: Dict[int, int] = {}
+            for i in range(universe - 1, max(universe - k, 1) - 1, -1):
+                j = bounded(i)
+                perm[i], perm[j] = perm.get(j, j), perm.get(i, i)
+            indices.extend(perm.get(i, i) for i in range(universe - k, universe))
+        else:
+            picked = set()
+            for j in range(universe - k, universe):
+                v = bounded(j)
+                picked.add(j if v in picked else v)
+            for i in range(k - 1, 0, -1):
+                bounded(i)
+            indices.extend(picked)
+        indptr.append(len(indices))
+    gen.bit_generator.state = state
+    gen.integers(0, 2**32, size=used, dtype=np.uint32)
+    return indptr, indices
 
 
 def facility_utility(

@@ -1,5 +1,6 @@
 """Secretary utility generators."""
 
+import numpy as np
 import pytest
 
 from repro.core.submodular import check_monotone, check_submodular
@@ -9,6 +10,7 @@ from repro.workloads.secretary_streams import (
     coverage_utility,
     cut_utility,
     facility_utility,
+    knapsack_weights,
 )
 
 
@@ -82,3 +84,30 @@ class TestCut:
     def test_bad_parameters(self):
         with pytest.raises(InvalidInstanceError):
             cut_utility(5, edge_probability=2.0)
+
+
+class TestKnapsackWeights:
+    @staticmethod
+    def loop_weights(elements, n_knapsacks, gen, low=0.05, high=0.5):
+        """The per-element, per-knapsack ``gen.random()`` loop it replaced."""
+        span = high - low
+        return {
+            e: [float(low + span * gen.random()) for _ in range(n_knapsacks)]
+            for e in sorted(elements, key=repr)
+        }
+
+    @pytest.mark.parametrize("n_knapsacks", [1, 2, 3, 5])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_one_draw_equals_the_loop(self, seed, n_knapsacks):
+        elements = {f"s{i}" for i in range(37)} | {3, (1, "x")}
+        ref, gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = self.loop_weights(elements, n_knapsacks, ref)
+        got = knapsack_weights(elements, n_knapsacks, rng=gen)
+        assert list(got.items()) == list(want.items())
+        assert gen.bit_generator.state == ref.bit_generator.state
+
+    def test_bad_parameters(self):
+        with pytest.raises(InvalidInstanceError):
+            knapsack_weights({"a"}, 0)
+        with pytest.raises(InvalidInstanceError):
+            knapsack_weights({"a"}, 2, low=0.5, high=0.5)
