@@ -622,20 +622,44 @@ class FacilityLocationFunction(SetFunction):
     The uncapacitated facility-location utility [2, 11, 12].  *benefit*
     is a (clients x facilities) non-negative matrix; opening facility set
     S serves each client by its best open facility.  Monotone submodular.
+
+    The function keeps its own copy of *benefit*: on the first read
+    (``value``, ``canonical_payload`` or ``fast_evaluator``) its kernel
+    retiles that buffer in place for column gathers, so the caller's
+    array is never written and later writes to it never show.
     """
 
     def __init__(self, facilities: Iterable[Element], benefit: np.ndarray):
+        self._own(facilities, np.array(benefit, dtype=float, order="C"))
+
+    @classmethod
+    def _adopt(cls, facilities: Iterable[Element], benefit: np.ndarray) -> "FacilityLocationFunction":
+        """Build over *benefit* itself, a C-order float array no one else holds."""
+        self = cls.__new__(cls)
+        self._own(facilities, benefit)
+        return self
+
+    def _own(self, facilities: Iterable[Element], mat: np.ndarray) -> None:
         self._facilities = list(facilities)
         self._index = {f: i for i, f in enumerate(self._facilities)}
-        mat = np.asarray(benefit, dtype=float)
         if mat.ndim != 2 or mat.shape[1] != len(self._facilities):
             raise ValueError(
                 f"benefit must be (clients x {len(self._facilities)}) 2-D, got {mat.shape}"
             )
-        if (mat < 0).any():
+        if not (mat >= 0).all():  # also false for NaN
             raise ValueError("facility benefits must be non-negative")
-        self._benefit = mat
+        self._benefit: Optional[np.ndarray] = mat
+        self._kernel = None
         self._ground = frozenset(self._facilities)
+
+    def _facility_kernel(self):
+        """The tiled kernel; the first call hands it the matrix to retile."""
+        if self._kernel is None:
+            from repro.core.kernels import _FacilityKernel
+
+            self._kernel = _FacilityKernel(self._benefit)
+            self._benefit = None
+        return self._kernel
 
     @property
     def ground_set(self) -> FrozenSet[Element]:
@@ -647,14 +671,15 @@ class FacilityLocationFunction(SetFunction):
         cols = [self._index[f] for f in subset]
         # Vectorised best-facility-per-client reduction; this is the hot
         # call in secretary sweeps, hence numpy instead of a python loop.
-        return float(self._benefit[:, cols].max(axis=1).sum())
+        return float(self._facility_kernel().columns(cols).max(axis=0).sum())
 
     def canonical_payload(self) -> Dict[str, object]:
         """JSON-able content description (engine fingerprints hash this)."""
+        kernel = self._facility_kernel()
         return {
             "kind": "facility",
             "facilities": [repr(f) for f in self._facilities],
-            "benefit": self._benefit.tolist(),
+            "benefit": kernel.columns(np.arange(kernel.facilities)).T.tolist(),
         }
 
     def fast_evaluator(self, backend: Optional[str] = None):
@@ -669,7 +694,7 @@ class FacilityLocationFunction(SetFunction):
         if backend == "naive":
             return None
         return FacilityLocationEvaluator(
-            self, self._facilities, self._benefit, index=self._index
+            self, self._facility_kernel(), self._facilities, index=self._index
         )
 
 

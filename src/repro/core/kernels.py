@@ -20,10 +20,11 @@ Three pieces:
 
 * **dense kernels** — numpy-backed evaluators sized by the full
   instance: coverage via packed-bitset incidence rows and (blocked)
-  popcounts, facility location via running per-client best arrays, cut
-  functions via a dense symmetric adjacency with an incrementally
-  maintained ``W @ x`` product, and (budget-)additive utilities via
-  value vectors.
+  popcounts, facility location via running per-client best arrays over
+  a benefit matrix tiled in place so each facility's column reads as
+  contiguous runs, cut functions via a dense symmetric adjacency with
+  an incrementally maintained ``W @ x`` product, and (budget-)additive
+  utilities via value vectors.
 
 * **sparse (CSR) kernels** — the v2 backend for million-element ground
   sets: coverage incidence and cut adjacency are stored as CSR
@@ -780,8 +781,58 @@ class WeightedCoverageEvaluator(_KernelEvaluator):
 
 
 # ---------------------------------------------------------------------------
-# facility location (running per-client best arrays)
+# facility location (tiled benefit columns, running per-client best arrays)
 # ---------------------------------------------------------------------------
+
+#: Values per facility tile: a tile holds ``max(1, 2^16 // facilities)``
+#: client rows, so it spans about 512 kB whatever the facility count.
+_FACILITY_TILE_VALUES = 1 << 16
+
+
+class _FacilityKernel:
+    """A facility-location benefit matrix, tiled for column reads.
+
+    Takes over *benefit*, a C-order float (clients × facilities) array
+    nothing else holds, and retiles it in place: each block of ``rows``
+    consecutive client rows is transposed within its own span into a
+    (facilities × rows) tile, through one block-sized scratch; a ragged
+    last block is its own, shorter tile.  A facility's column is then
+    ``⌈clients / rows⌉`` contiguous runs instead of one value per client
+    row, and :meth:`columns` gathers a batch of them with one fancy
+    index.  Every reader goes through :meth:`columns`; the buffer has
+    no other layout after construction.
+    """
+
+    def __init__(self, benefit: np.ndarray):
+        self.clients, self.facilities = clients, facilities = benefit.shape
+        rows = max(1, _FACILITY_TILE_VALUES // max(facilities, 1))
+        full = clients - clients % rows
+        flat = benefit.reshape(-1)
+        scratch = np.empty(min(rows, clients) * facilities)
+        for start in range(0, clients, rows):
+            n = min(rows, clients - start)
+            span = flat[start * facilities:(start + n) * facilities]
+            block = scratch[:len(span)]
+            block[:] = span
+            span.reshape(facilities, n)[...] = block.reshape(n, facilities).T
+        self._head = flat[:full * facilities].reshape(full // rows, facilities, rows)
+        self._tail = flat[full * facilities:].reshape(facilities, clients - full)
+
+    def columns(self, ids) -> np.ndarray:
+        """C-order ``(len(ids), clients)`` array of the facilities' columns.
+
+        Row ``j`` is ``benefit[:, ids[j]]``, contiguous, so a reduction
+        over it runs in the order it would over that column.
+        """
+        head, tail = self._head, self._tail
+        if not head.shape[0]:
+            return tail[ids]
+        # numpy lays a middle-axis gather out advanced axis first, so
+        # this reshape of the (tiles, m, rows) result is a view.
+        cols = head[:, ids, :].transpose(1, 0, 2).reshape(len(ids), head.shape[0] * head.shape[2])
+        if not tail.shape[1]:
+            return cols
+        return np.concatenate((cols, tail[ids]), axis=1)
 
 
 class FacilityLocationEvaluator(_KernelEvaluator):
@@ -789,34 +840,36 @@ class FacilityLocationEvaluator(_KernelEvaluator):
 
     ``F(S) = Σ_clients max_{f ∈ S} benefit[c, f]`` — adding a facility
     updates a running max array, and a candidate's marginal is
-    ``Σ max(0, column - best)``, batched as one matrix expression.
-    The benefit matrix is inherently dense (clients × facilities), so
-    this family has no separate sparse backend.
+    ``Σ max(0, column - best)``, batched over one
+    :meth:`_FacilityKernel.columns` gather.  The evaluators of one
+    function share its kernel, so its tiled matrix exists once.  The
+    matrix is inherently dense (clients × facilities), so this family
+    has no separate sparse backend.
     """
 
-    def __init__(self, fn, facilities: List[Element], benefit: np.ndarray,
+    def __init__(self, fn, kernel: _FacilityKernel, facilities: List[Element],
                  selection: Iterable[Element] = (), *, index: Dict[Element, int]):
-        self._benefit = benefit
+        self._kernel = kernel
         super().__init__(fn, facilities, selection, index=index)
 
     def _init_state(self) -> None:
-        self._best = np.zeros(self._benefit.shape[0])
+        self._best = np.zeros(self._kernel.clients)
 
     def _gain_ids(self, ids: np.ndarray) -> np.ndarray:
-        return np.maximum(self._benefit[:, ids] - self._best[:, None], 0.0).sum(axis=0)
+        return np.maximum(self._kernel.columns(ids) - self._best, 0.0).sum(axis=1)
 
     def _add_id(self, i: int) -> None:
-        np.maximum(self._best, self._benefit[:, i], out=self._best)
+        np.maximum(self._best, self._kernel.columns([i])[0], out=self._best)
         self._value = float(self._best.sum())
 
     def prepare(self, candidate_sets: Sequence[Iterable[Element]]) -> PreparedBatch:
-        benefit = self._benefit
+        kernel = self._kernel
 
-        def digest(cset, self=self, benefit=benefit):
+        def digest(cset, self=self, kernel=kernel):
             ids = [self._id_of(e) for e in cset]
             if not ids:
-                return np.zeros(benefit.shape[0])
-            return benefit[:, ids].max(axis=1)
+                return np.zeros(kernel.clients)
+            return kernel.columns(ids).max(axis=0)
 
         def gains(cols, self=self):
             if not cols:

@@ -272,7 +272,7 @@ def facility_utility(
     if n <= 0 or n_clients <= 0:
         raise InvalidInstanceError("n and n_clients must be positive")
     benefit = gen.random((n_clients, n))
-    return FacilityLocationFunction([f"s{i}" for i in range(n)], benefit)
+    return FacilityLocationFunction._adopt([f"s{i}" for i in range(n)], benefit)
 
 
 def cut_utility(

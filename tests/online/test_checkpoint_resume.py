@@ -330,6 +330,63 @@ def test_oracle_calls_exact_across_sharded_resume():
     assert resumed.summary()["oracle_calls"] == want
 
 
+def _batch_bounds(source):
+    """Cursor positions of *source* that fall between two minibatches."""
+    bounds, pos = {0}, 0
+    for size in source.materialize().batch_sizes:
+        pos += size
+        bounds.add(pos)
+    return bounds
+
+
+@pytest.mark.parametrize("shards", [None, 2])
+def test_mid_batch_resume_bills_at_most_the_straight_run(shards):
+    """The call-count half of resume bit-identity holds at batch boundaries.
+
+    ``observe_batch`` scores a minibatch's whole tail at once and bills
+    those scores even when a hire mid-batch discards them; a cut inside
+    that batch ends the tail at the cut, so the resumed run never makes
+    the discarded scores.  At every cut the hires match the straight
+    run's; the call count matches wherever every lane stands between
+    two batches, and is never higher anywhere else.
+    """
+    from repro.online.session import resume_any_session, start_sharded_session
+
+    kwargs = dict(policy="monotone", family="coverage", n=200, k=4, seed=1,
+                  process="bursty")
+
+    def start():
+        if shards is None:
+            return start_session(**kwargs)
+        return start_sharded_session(shards=shards, **kwargs)
+
+    def lanes(session):
+        return [session.run] if shards is None else session.run.runs
+
+    straight = start().advance()
+    want = straight.summary()
+    bounds = [_batch_bounds(run.source) for run in lanes(straight)]
+    boundary_cuts, fewer = 0, []
+    for cut in range(201):
+        session = start().advance(cut)
+        at_bounds = all(run.cursor in b for run, b in zip(lanes(session), bounds))
+        got = resume_any_session(_roundtrip(session.checkpoint())).advance().summary()
+        assert got["selected"] == want["selected"], cut
+        assert got["oracle_calls"] <= want["oracle_calls"], cut
+        if at_bounds:
+            boundary_cuts += 1
+            assert got["oracle_calls"] == want["oracle_calls"], cut
+        elif got["oracle_calls"] < want["oracle_calls"]:
+            fewer.append(cut)
+    # The cuts this pins, on this workload: 113 calls straight through
+    # and 112 after a cut at 19 or 119 (flat); 164, and 162 or 163
+    # after seven in-batch cuts (two shards).
+    assert (want["oracle_calls"], boundary_cuts, fewer) == {
+        None: (113, 44, [19, 119]),
+        2: (164, 72, [11, 60, 138, 139, 166, 167, 190]),
+    }[shards]
+
+
 def test_double_resume_chain():
     """Checkpoint → resume → checkpoint → resume equals one shot."""
     kwargs = dict(policy="knapsack", family="additive", n=18, k=3, seed=6,
