@@ -26,10 +26,9 @@ regression beyond tolerance (the CI perf gate).  ``online`` serves the
 unified arrival runtime (:mod:`repro.online`): ``run`` starts a policy
 on a seeded workload under any registered arrival process — optionally
 sharded across ``--shards`` policy replicas (merged under the task's
-feasibility constraint, spawn-pool parallel with ``--workers``) —
-optionally stopping after ``--max-arrivals`` and writing a
-self-contained JSON checkpoint (atomically: temp file + rename);
-``resume`` picks such a checkpoint (plain or sharded manifest) up
+feasibility constraint) — optionally stopping after ``--max-arrivals``
+and writing a self-contained JSON checkpoint (atomically: temp file +
+rename); ``resume`` picks such a checkpoint (plain or sharded manifest) up
 mid-stream — in a fresh process — and continues where the suspended
 run stopped.  ``reshard`` rewrites a suspended sharded manifest from S
 to S' lanes without losing a single consumed arrival or hire: consumed
@@ -222,12 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="suspend after this many arrivals (default: run to completion)",
     )
     online_run.add_argument(
-        "--workers", type=int, default=0,
-        help="run unfinished shards to completion in a spawn pool of this "
-             "many processes (0/1 = inline; sharded runs only, incompatible "
-             "with --max-arrivals)",
-    )
-    online_run.add_argument(
         "--checkpoint", default=None,
         help="where to write the checkpoint when suspended "
              "(default online_checkpoint.json; ignored for finished runs)",
@@ -240,12 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     online_resume.add_argument(
         "--max-arrivals", type=int, default=None,
         help="suspend again after this many further arrivals",
-    )
-    online_resume.add_argument(
-        "--workers", type=int, default=0,
-        help="run unfinished shards to completion in a spawn pool of this "
-             "many processes (0/1 = inline; sharded checkpoints only, "
-             "incompatible with --max-arrivals)",
     )
     online_resume.add_argument(
         "--checkpoint", default=None,
@@ -302,11 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
              "per tenant id; omit to disable checkpointing)",
     )
     online_serve.add_argument(
-        "--batch-limit", type=int, default=None,
-        help="max arrivals per lane step (default: whole minibatches, "
-             "which keeps oracle-call counts identical to plain runs)",
-    )
-    online_serve.add_argument(
         "--idle-seconds", type=float, default=None,
         help="checkpoint a quiescent tenant after this much idle time "
              "(default: checkpoint only at drain/finish)",
@@ -345,13 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--park-arrivals", type=int, default=None,
         help="arrivals an admitted tenant may consume per slice before it "
              "is parked for the next tenant (needs --memory-budget)",
-    )
-    online_serve.add_argument(
-        "--autoscale", default=None, metavar="MIN:MAX",
-        help="elastic shard topology: keep each tenant's lane count "
-             "inside MIN:MAX and steal unconsumed work from hot lanes "
-             "onto idle ones mid-serve (incompatible with "
-             "--memory-budget)",
     )
     return parser
 
@@ -770,21 +745,6 @@ def _cmd_online_reshard(args) -> int:
     return 0
 
 
-def _parse_autoscale(text: str):
-    """Parse ``--autoscale MIN:MAX`` into an ``(int, int)`` pair."""
-    parts = text.split(":")
-    if len(parts) != 2 or not all(p.strip().isdigit() for p in parts):
-        raise ReproError(
-            f"--autoscale expects MIN:MAX (e.g. 2:8), got {text!r}"
-        )
-    lo, hi = (int(p) for p in parts)
-    if lo < 1 or lo > hi:
-        raise ReproError(
-            f"--autoscale needs 1 <= MIN <= MAX, got {lo}:{hi}"
-        )
-    return lo, hi
-
-
 def _cmd_online_serve(args) -> int:
     """``online serve``: multiplex many tenant sessions in one process.
 
@@ -824,20 +784,15 @@ def _cmd_online_serve(args) -> int:
     fault_plan = None
     if args.fault_plan is not None:
         fault_plan = load_fault_plan(args.fault_plan)
-    autoscale = None
-    if args.autoscale is not None:
-        autoscale = _parse_autoscale(args.autoscale)
     loop = ServingLoop(
         specs,
         checkpoint_root=args.checkpoint_dir,
-        batch_limit=args.batch_limit,
         idle_policy=idle_policy,
         pace_seconds=args.pace_seconds,
         resume=args.resume,
         fault_plan=fault_plan,
         memory_budget=args.memory_budget,
         park_arrivals=args.park_arrivals,
-        autoscale=autoscale,
     )
     report = asyncio.run(loop.serve_async(install_signals=True))
     totals = report["totals"]
@@ -866,7 +821,6 @@ def _cmd_online_serve(args) -> int:
 
 def _cmd_online(args) -> int:
     from repro.online.session import (
-        ShardedSession,
         resume_any_session,
         start_session,
         start_sharded_session,
@@ -879,11 +833,8 @@ def _cmd_online(args) -> int:
     if args.online_command == "reshard":
         return _cmd_online_reshard(args)
     # run/resume share tail flags; reject nonsense values up front with
-    # the flag's name (a negative --workers used to fall through to the
-    # inline path silently, a negative --max-arrivals ran the full
+    # the flag's name (a negative --max-arrivals used to run the full
     # stream).
-    if args.workers < 0:
-        raise ReproError(f"--workers must be >= 0, got {args.workers}")
     if args.max_arrivals is not None and args.max_arrivals < 0:
         raise ReproError(
             f"--max-arrivals must be >= 0, got {args.max_arrivals}"
@@ -919,17 +870,7 @@ def _cmd_online(args) -> int:
             session = start_session(**kwargs)
     else:
         session = resume_any_session(_load_checkpoint_file(args.checkpoint_file))
-    if args.workers > 1:
-        if not isinstance(session, ShardedSession):
-            raise ReproError("--workers applies to sharded runs only")
-        if args.max_arrivals is not None:
-            raise ReproError(
-                "--workers runs shards to completion; drop --max-arrivals "
-                "or run inline"
-            )
-        session.advance_parallel(args.workers)
-    else:
-        session.advance(args.max_arrivals)
+    session.advance(args.max_arrivals)
     return _finish_online(session, args)
 
 

@@ -620,8 +620,9 @@ class FacilityLocationFunction(SetFunction):
     """``F(S) = sum over clients of max benefit from an open facility in S``.
 
     The uncapacitated facility-location utility [2, 11, 12].  *benefit*
-    is a (clients x facilities) non-negative matrix; opening facility set
-    S serves each client by its best open facility.  Monotone submodular.
+    is a (clients x facilities) finite, non-negative matrix; opening
+    facility set S serves each client by its best open facility.
+    Monotone submodular.
 
     The function keeps its own copy of *benefit*: on the first read
     (``value``, ``canonical_payload`` or ``fast_evaluator``) its kernel
@@ -630,11 +631,19 @@ class FacilityLocationFunction(SetFunction):
     """
 
     def __init__(self, facilities: Iterable[Element], benefit: np.ndarray):
-        self._own(facilities, np.array(benefit, dtype=float, order="C"))
+        mat = np.array(benefit, dtype=float, order="C")
+        # +inf would turn later gains into NaN (inf - inf).
+        if not np.isfinite(mat).all():
+            raise ValueError("facility benefits must be finite and non-negative")
+        self._own(facilities, mat)
 
     @classmethod
     def _adopt(cls, facilities: Iterable[Element], benefit: np.ndarray) -> "FacilityLocationFunction":
-        """Build over *benefit* itself, a C-order float array no one else holds."""
+        """Build over *benefit* itself, a C-order float array no one else holds.
+
+        Its entries must already be finite (``facility_utility`` draws
+        them in [0, 1)), so the finiteness pass is skipped.
+        """
         self = cls.__new__(cls)
         self._own(facilities, benefit)
         return self

@@ -92,7 +92,7 @@ KILL_EXIT_CODE = 137
 
 #: The registered hard-kill sites the crash-consistency audit sweeps:
 #: killing at any of them must leave every tenant resumable from its
-#: last durable checkpoint, bit-identical to an unfaulted run.
+#: last complete checkpoint, bit-identical to an unfaulted run.
 KILL_SITES = (
     "checkpoint.before_write",
     "checkpoint.mid_write",

@@ -11,10 +11,10 @@ loop once — one step per lane per loop pass, so a tenant whose oracle
 is slow holds up only its own lane.
 
 Determinism is inherited, not re-proven: lanes take the *same*
-batches in the *same* order the pull-based ``run()`` loop would (the
-default ``batch_limit=None`` keeps minibatches whole, so vectorized
-``observe_batch`` calls — and therefore oracle-call counts — are
-untouched), and ``feed`` replays the exact reveal/observe/log sequence.
+whole minibatches in the *same* order the pull-based ``run()`` loop
+would (so vectorized ``observe_batch`` calls — and therefore oracle-call
+counts — are untouched), and ``feed`` replays the exact
+reveal/observe/log sequence.
 Hires and per-tenant oracle counts are bit-identical to running each
 tenant alone (pinned by ``tests/online/test_serving.py``).
 
@@ -35,19 +35,18 @@ that raises an :class:`~repro.online.faults.InjectedFault` is rolled
 back and retried on the fault plan's deterministic backoff schedule;
 transient faults that outlast ``max_attempts``, or ``max_strikes``
 permanent faults, transition the tenant to ``quarantined`` — its lanes
-stop, its last durable checkpoint survives untouched, and every other
+stop, its last complete checkpoint survives untouched, and every other
 tenant keeps serving.  The same isolation covers resume: a per-tenant
 checkpoint that is corrupt or fails to resume with any library error
 (:class:`~repro.errors.ReproError`) quarantines that tenant with a
 per-tenant error instead of aborting the fleet.
 
-Every serve — static, memory-budgeted or autoscaled — runs the same
-per-tenant *lifecycle*, one task per tenant: wait for an admission
-slot, hydrate (start fresh, resume from the tenant's checkpoint, or
-rehydrate it after a park), run the lanes until they stop, re-binding
-them in place each time the ``autoscale`` rebalancer flags the tenant,
-then stop.  Unbudgeted, every tenant holds a slot from the start and
-stays attached until the final checkpoint.  A ``memory_budget`` caps
+Every serve — static or memory-budgeted — runs the same per-tenant
+*lifecycle*, one task per tenant: wait for an admission slot, hydrate
+(start fresh, resume from the tenant's checkpoint, or rehydrate it
+after a park), run the lanes until they stop, then stop.  Unbudgeted,
+every tenant holds a slot from the start and stays attached until the
+final checkpoint.  A ``memory_budget`` caps
 the slots, so at most that many tenants hold live sessions at once:
 an admitted tenant runs a slice (optionally capped at
 ``park_arrivals`` arrivals), then checkpoints, detaches its session
@@ -69,7 +68,7 @@ import json
 import signal
 import time
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.core.oracle import CountingOracle
 from repro.errors import InvalidInstanceError, ReproError
@@ -86,17 +85,14 @@ from repro.online.faults import (
     PermanentFault,
     install_injector,
 )
-from repro.engine.hashing import derive_seed
 from repro.online.session import (
     OnlineSession,
     ShardedSession,
     WorkloadCache,
-    reshard_session,
     resume_any_session,
     start_session,
     start_sharded_session,
 )
-from repro.online.sharding import partition_from_manifest
 
 __all__ = [
     "ServingLoop",
@@ -221,15 +217,8 @@ class TenantSpec:
         *,
         fault_injector: Optional[FaultInjector] = None,
         fault_scope: Optional[str] = None,
-        force_sharded: bool = False,
     ) -> Union[OnlineSession, ShardedSession]:
-        """Start a fresh session for this tenant (sharded when asked).
-
-        *force_sharded* starts even a one-shard tenant through the
-        sharded path (an autoscaling serve needs the manifest format to
-        reshard; ``--shards 1`` sharded runs are pinned bit-identical to
-        the plain runtime, so results are unchanged).
-        """
+        """Start a fresh session for this tenant (sharded when asked)."""
         kwargs = dict(
             policy=self.policy,
             family=self.family,
@@ -245,7 +234,7 @@ class TenantSpec:
             fault_injector=fault_injector,
             fault_scope=fault_scope or self.tenant_id,
         )
-        if self.shards > 1 or force_sharded:
+        if self.shards > 1:
             return start_sharded_session(shards=self.shards, **kwargs)  # type: ignore[arg-type]
         return start_session(**kwargs)  # type: ignore[arg-type]
 
@@ -254,8 +243,8 @@ class TenantSpec:
 
         One ``"field: checkpoint X, spec Y"`` entry per differing recipe
         field (a resume rebuilds the checkpoint's workload, not the
-        spec's).  ``shards`` is exempt: autoscale and ``repro online
-        reshard`` change it legitimately.
+        spec's).  ``shards`` is exempt: ``repro online reshard`` changes
+        it legitimately.
         """
         recipe = checkpoint.get("instance")
         if not isinstance(recipe, Mapping):
@@ -384,14 +373,6 @@ class _Tenant:
         self.retries = 0
         self.retry_delays: List[float] = []
         self.strikes = 0
-        #: Elastic-topology state: the rebalancer sets ``rebinding`` to
-        #: ask this tenant's lane tasks to wind down; the tenant's
-        #: lifecycle task then reshards and re-attaches.  ``rebinds``
-        #: counts completed topology changes; ``last_rebind_cursor``
-        #: dampens the loop (no rebind without progress since the last).
-        self.rebinding = False
-        self.rebinds = 0
-        self.last_rebind_cursor = -1
         self.parks = 0
         self.rehydrations = 0
         self.arrivals = 0
@@ -483,7 +464,7 @@ class ServingLoop:
     One lifecycle task per tenant (see the module docstring) moves it
     through ``pending`` → ``running`` → ``finished`` / ``drained`` /
     ``quarantined``; budgeted tenants cycle through ``parked`` between
-    slices, and autoscaled ones re-bind their lanes while ``running``.
+    slices.
     The first wave — every tenant, or the first ``memory_budget`` of
     them — hydrates before the serve's first await, so no lane waits
     behind the whole fleet's start-up.
@@ -495,12 +476,6 @@ class ServingLoop:
     checkpoint_root:
         Directory that receives one subdirectory per tenant (percent-
         encoded id).  ``None`` disables checkpointing entirely.
-    batch_limit:
-        Per-``take`` arrival cap passed to the sources.  The default
-        ``None`` pulls whole minibatches, which is what keeps vectorized
-        observe calls — and oracle-call counts — bit-identical to the
-        pull path; set it only when arrival granularity matters more
-        than count parity.
     idle_policy:
         :class:`~repro.online.checkpoint.IdleCheckpointPolicy` deciding
         when a quiescent tenant is worth snapshotting mid-serve.
@@ -532,19 +507,6 @@ class ServingLoop:
         Arrivals an admitted tenant may consume per slice before it is
         parked and the next tenant admitted (``None`` = run to
         completion once admitted).  Requires *memory_budget*.
-    autoscale:
-        ``(min, max)`` lane bounds enabling the elastic-topology serve:
-        a load-aware rebalancer watches each tenant's per-lane remaining
-        work and, when a lane runs dry while siblings still hold
-        unconsumed suffix (or the topology violates the bounds),
-        suspends the tenant at a quiescent point, re-shards its manifest
-        under a fresh epoch salt (stealing unconsumed suffix from hot
-        lanes), and re-binds the lanes mid-serve.  Every tenant starts
-        through the sharded path so its manifest can reshard
-        (``shards 1`` sharded runs are pinned bit-identical to plain).
-        ``None`` — the default — leaves the static serve byte-unchanged.
-        Incompatible with *memory_budget* (parked tenants have no lanes
-        to watch).
     """
 
     def __init__(
@@ -552,7 +514,6 @@ class ServingLoop:
         specs: Sequence[TenantSpec],
         *,
         checkpoint_root: Optional[str] = None,
-        batch_limit: Optional[int] = None,
         idle_policy: Optional[IdleCheckpointPolicy] = None,
         workload_cache: Optional[WorkloadCache] = None,
         pace_seconds: float = 0.0,
@@ -561,15 +522,10 @@ class ServingLoop:
         fault_plan: Optional[FaultPlan] = None,
         memory_budget: Optional[int] = None,
         park_arrivals: Optional[int] = None,
-        autoscale: Optional[Tuple[int, int]] = None,
     ) -> None:
         """Validate knobs and stage the serve (no sessions built yet)."""
         if not specs:
             raise InvalidInstanceError("nothing to serve: no tenant specs")
-        if batch_limit is not None and int(batch_limit) < 1:
-            raise InvalidInstanceError(
-                f"batch_limit must be >= 1 (or None), got {batch_limit}"
-            )
         if memory_budget is not None:
             if int(memory_budget) < 1:
                 raise InvalidInstanceError(
@@ -592,27 +548,8 @@ class ServingLoop:
                 raise InvalidInstanceError(
                     f"park_arrivals must be >= 1, got {park_arrivals}"
                 )
-        if autoscale is not None:
-            try:
-                lo, hi = (int(autoscale[0]), int(autoscale[1]))
-            except (TypeError, ValueError, IndexError) as exc:
-                raise InvalidInstanceError(
-                    f"autoscale must be a (min, max) lane pair, got "
-                    f"{autoscale!r}"
-                ) from exc
-            if lo < 1 or hi < lo:
-                raise InvalidInstanceError(
-                    f"autoscale bounds need 1 <= min <= max, got {lo}:{hi}"
-                )
-            if memory_budget is not None:
-                raise InvalidInstanceError(
-                    "autoscale and memory_budget are mutually exclusive "
-                    "(parked tenants have no lanes to rebalance)"
-                )
-            autoscale = (lo, hi)
         self.specs = list(specs)
         self.checkpoint_root = checkpoint_root
-        self.batch_limit = None if batch_limit is None else int(batch_limit)
         self.idle_policy = idle_policy
         self.workload_cache = (
             WorkloadCache() if workload_cache is None else workload_cache
@@ -630,12 +567,11 @@ class ServingLoop:
         self.park_arrivals = (
             None if park_arrivals is None else int(park_arrivals)
         )
-        self.autoscale = autoscale
         self._tenants: List[_Tenant] = []
         self._draining = False
         self._wall_seconds = 0.0
         #: Tenants admitted and not yet stopped or parked: the loop
-        #: condition of the idle monitor and the rebalancer.
+        #: condition of the idle monitor.
         self._live = 0
         self._max_resident = 0
 
@@ -705,8 +641,6 @@ class ServingLoop:
             self._admit(tenant)
         self._admission = asyncio.Semaphore(slots - self._live)
         tasks = [asyncio.ensure_future(self._lifecycle(t)) for t in self._tenants]
-        if self.autoscale is not None:
-            tasks.append(asyncio.ensure_future(self._rebalancer()))
         if self.idle_policy is not None and self.checkpoint_root is not None:
             tasks.append(asyncio.ensure_future(self._monitor()))
         await asyncio.gather(*tasks)
@@ -723,7 +657,9 @@ class ServingLoop:
                 if not self._admit(tenant):
                     self._admission.release()
                     return
-            await self._run(tenant)
+            await asyncio.gather(
+                *(self._lane(tenant, lane) for lane in tenant.lanes)
+            )
             self._live -= 1
             parked = self._park(tenant)
             self._admission.release()
@@ -735,7 +671,7 @@ class ServingLoop:
         """Hydrate *tenant* into a slot; ``False`` leaves the slot free.
 
         A drain leaves an already-parked tenant parked (its checkpoint
-        is durable); a corrupt checkpoint quarantines it.
+        is already written); a corrupt checkpoint quarantines it.
         """
         if (self._draining and tenant.parks > 0) or not self._hydrate(tenant):
             return False
@@ -743,35 +679,13 @@ class ServingLoop:
         self._max_resident = max(self._max_resident, self._live)
         return True
 
-    async def _run(self, tenant: _Tenant) -> None:
-        """Run *tenant*'s lanes, re-binding in place while it is flagged.
-
-        Once every lane coroutine has returned the tenant is quiescent,
-        so the rebind's synchronous checkpoint is consistent.
-        """
-        while True:
-            await asyncio.gather(
-                *(self._lane(tenant, lane) for lane in tenant.lanes)
-            )
-            if (
-                self._draining
-                or tenant.state == "quarantined"
-                or tenant.finished
-                or not tenant.rebinding
-            ):
-                return
-            tenant.rebinding = False
-            target = self._rebind_target(tenant)
-            if target is not None:
-                self._rebind(tenant, target)
-
     def _park(self, tenant: _Tenant) -> bool:
         """Checkpoint and detach a budgeted tenant; ``True``: queue again.
 
         Unbudgeted tenants stay attached until :meth:`_finalize` (a
         sharded tenant's merge bills in the report step), and
         quarantined ones keep their session for reporting while their
-        last durable checkpoint stays untouched on disk.
+        last complete checkpoint stays untouched on disk.
         """
         if self.memory_budget is None or tenant.state == "quarantined":
             return False
@@ -787,100 +701,14 @@ class ServingLoop:
         tenant.parks += 1
         return True
 
-    def _rebind_target(self, tenant: _Tenant) -> Optional[int]:
-        """Lane count to reshard *tenant* to, or ``None`` to leave it be.
-
-        The load rule: target ``max(min_lanes, min(remaining, max_lanes))``
-        — enough lanes that every one has work, never outside the
-        autoscale bounds.  A rebind is worth it when the active topology
-        violates the bounds, or when some lane has run dry while another
-        still holds at least a batch of unconsumed suffix (the work-
-        stealing trigger).  Progress damping: never rebind twice at the
-        same cursor, so a stream that cannot advance cannot thrash.
-        """
-        session = tenant.session
-        if not isinstance(session, ShardedSession):
-            return None
-        if tenant.state == "quarantined" or session.finished:
-            return None
-        if tenant.cursor <= tenant.last_rebind_cursor:
-            return None
-        assert self.autoscale is not None
-        lo, hi = self.autoscale
-        remaining = [
-            0 if run.policy.done else max(0, run.n - run.cursor)
-            for run in session.run.runs
-        ]
-        total = sum(remaining)
-        if total < 2:
-            return None  # nothing left worth moving
-        busy = sum(1 for r in remaining if r > 0)
-        partition = session.run.partition
-        active = (
-            partition.num_shards if partition is not None
-            else len(session.run.runs)
-        )
-        target = max(lo, min(total, hi))
-        if active < lo or active > hi:
-            return target
-        if busy < target and max(remaining) >= 2:
-            return target  # idle lane(s) while a hot lane holds suffix
-        return None
-
-    def _rebind(self, tenant: _Tenant, target: int) -> None:
-        """Re-shard a quiescent tenant to *target* lanes and re-attach.
-
-        Checkpoint → :func:`~repro.online.session.reshard_session` under
-        a fresh rebind-derived epoch salt (same-width reshards must
-        still move suffix, and the salt keeps each rebind's assignment
-        deterministic from the manifest) → resume → attach.  Failures
-        quarantine the tenant; its pre-rebind state is still live in the
-        session object and its last durable checkpoint is untouched.
-        """
-        session = tenant.session
-        assert session is not None
-
-        def resharded() -> Mapping[str, object]:
-            manifest = session.checkpoint()
-            salt = derive_seed(
-                int(partition_from_manifest(manifest).salt),
-                "rebalance", tenant.rebinds + 1,
-            )
-            return reshard_session(
-                manifest, int(target), salt=salt,
-                workload_cache=self.workload_cache,
-            )
-
-        if self._resume(tenant, resharded, "rebind failed"):
-            tenant.rebinds += 1
-            tenant.last_rebind_cursor = tenant.cursor
-
-    async def _rebalancer(self) -> None:
-        """Flag tenants whose lane topology is worth re-binding.
-
-        Runs alongside the lifecycle tasks: a flagged tenant's lanes
-        stop at their next check, once their in-flight step is fed, and
-        its lifecycle task re-shards at the quiescent point.  The tick
-        is deliberately small relative to the lane pace so a lane going
-        idle is noticed within a few arrivals.
-        """
-        tick = max(self.pace_seconds / 2.0, 0.002)
-        while self._live > 0:
-            await asyncio.sleep(tick)
-            if self._draining:
-                continue
-            for tenant in self._tenants:
-                if tenant.rebinding or tenant.session is None:
-                    continue
-                if self._rebind_target(tenant) is not None:
-                    tenant.rebinding = True
-
     def _hydrate(self, tenant: _Tenant) -> bool:
         """Attach a live session (fresh, resumed, or rehydrated).
 
         Returns ``False`` — after quarantining the tenant — when its
-        checkpoint is corrupt, unresumable, or records another workload
-        than the spec; the rest of the fleet is unaffected.
+        checkpoint is corrupt, records another workload than the spec,
+        or fails to resume with any library error (:class:`ReproError`);
+        the rest of the fleet is unaffected.  Programming errors such as
+        ``TypeError`` still propagate.
         """
         spec = tenant.spec
         if self.checkpoint_root is not None and (
@@ -902,11 +730,17 @@ class ServingLoop:
                         + "; ".join(drift),
                     )
                     return False
-                if not self._resume(
-                    tenant, lambda: payload, "checkpoint resume failed",
-                    resumed=tenant.parks == 0,
-                ):
+                try:
+                    session = resume_any_session(
+                        payload,
+                        workload_cache=self.workload_cache,
+                        fault_injector=self.fault_injector,
+                        fault_scope=spec.tenant_id,
+                    )
+                except ReproError as exc:
+                    self._quarantine(tenant, f"checkpoint resume failed: {exc}")
                     return False
+                tenant.attach(session, resumed=tenant.parks == 0)
                 if tenant.parks > 0:
                     tenant.rehydrations += 1
                 return True
@@ -915,42 +749,14 @@ class ServingLoop:
                 self.workload_cache,
                 fault_injector=self.fault_injector,
                 fault_scope=spec.tenant_id,
-                force_sharded=self.autoscale is not None,
             )
         )
-        return True
-
-    def _resume(
-        self,
-        tenant: _Tenant,
-        payload: Callable[[], Mapping[str, object]],
-        failure: str,
-        *,
-        resumed: bool = False,
-    ) -> bool:
-        """Resume the checkpoint *payload* builds and attach it, or quarantine.
-
-        Any library error (:class:`ReproError`) on the way quarantines
-        *tenant* with a *failure*-prefixed error and returns ``False``;
-        programming errors such as ``TypeError`` still propagate.
-        """
-        try:
-            session = resume_any_session(
-                payload(),
-                workload_cache=self.workload_cache,
-                fault_injector=self.fault_injector,
-                fault_scope=tenant.spec.tenant_id,
-            )
-        except ReproError as exc:
-            self._quarantine(tenant, f"{failure}: {exc}")
-            return False
-        tenant.attach(session, resumed=resumed)
         return True
 
     def _quarantine(self, tenant: _Tenant, error: str) -> None:
         """Isolate *tenant*: stop its lanes, record the error, move on.
 
-        Its last durable checkpoint (if any) is left untouched — the
+        Its last complete checkpoint (if any) is left untouched — the
         finalize pass skips quarantined tenants — so an operator can
         inspect or resume it after fixing the cause.
         """
@@ -965,9 +771,9 @@ class ServingLoop:
         ``take`` and the ``in_flight`` increment run without an
         intervening await, so the quiescence invariant (cursor ==
         consumed + in_flight at every suspension point) holds.  Stops on
-        source exhaustion, policy completion, drain, quarantine, a
-        rebind flag, or an exhausted ``park_arrivals`` slice; a step
-        taken before a quarantine is never fed.
+        source exhaustion, policy completion, drain, quarantine, or an
+        exhausted ``park_arrivals`` slice; a step taken before a
+        quarantine is never fed.
         """
         run = lane.run
         quota = self.park_arrivals
@@ -975,11 +781,10 @@ class ServingLoop:
         while (
             not self._draining
             and tenant.state != "quarantined"
-            and not tenant.rebinding
             and not run.policy.done
             and (quota is None or pulled < quota)
         ):
-            step = run.source.take(self.batch_limit)
+            step = run.source.take()
             if step is None:
                 return
             lane.in_flight += 1
@@ -1119,7 +924,7 @@ class ServingLoop:
         Every lane coroutine has returned, so every live tenant is
         quiescent; the snapshot is exact whether the tenant finished or
         was drained mid-stream — either way its checkpoint resumes.
-        Quarantined tenants are skipped: their last *durable* checkpoint
+        Quarantined tenants are skipped: their last *complete* checkpoint
         is the recovery point, and overwriting it with post-fault state
         would destroy it.  Parked tenants already checkpointed at
         eviction.
@@ -1181,9 +986,6 @@ class ServingLoop:
         if self.memory_budget is not None:
             out["parks"] = tenant.parks
             out["rehydrations"] = tenant.rehydrations
-        if self.autoscale is not None:
-            out["rebinds"] = tenant.rebinds
-            out["lanes"] = len(tenant.lanes)
         if summary is not None:
             for key in ("selected", "n_chosen", "value", "strategy"):
                 if key in summary:
@@ -1232,9 +1034,6 @@ class ServingLoop:
             totals["rehydrations"] = sum(
                 t.rehydrations for t in self._tenants
             )
-        if self.autoscale is not None:
-            totals["autoscale"] = list(self.autoscale)
-            totals["rebinds"] = sum(t.rebinds for t in self._tenants)
         report: Dict[str, object] = {
             "tenants": tenants,
             "totals": totals,

@@ -19,8 +19,6 @@ RNG state.
 
 from __future__ import annotations
 
-import multiprocessing
-
 import numpy as np
 
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -54,7 +52,6 @@ from repro.online.sharding import (
     SHARDED_CHECKPOINT_FORMAT,
     ShardCounters,
     ShardedRun,
-    ShardView,
     knapsack_constraint,
     make_sharded_checkpoint,
     reshard_manifest,
@@ -566,28 +563,6 @@ def _merge_rule(
     return None, int(recipe["k"])  # type: ignore[arg-type]
 
 
-def _finish_shard_worker(job: Tuple[Dict, Dict]) -> Tuple[Dict, int]:
-    """Spawn-pool body: resume one shard checkpoint, run to completion.
-
-    Workers rebuild the utility from the recipe (checkpoints pickle,
-    utilities need not) and return the finished shard's checkpoint plus
-    the oracle calls it consumed.
-    """
-    recipe, shard_ck = job
-    fn, weights = build_workload(recipe)
-    deps = _policy_deps(recipe, fn, weights)
-    src = source_from_spec(shard_ck["source"], fn)
-    counting = CountingOracle(ShardView(fn, src.order))
-    run = resume_run(shard_ck, counting, source=src, deps=deps)
-    # Net out what the resume itself billed (evaluator construction,
-    # frontier re-derivation): the parent already accounted for those
-    # values, so the worker reports only genuinely new queries and the
-    # parallel finish stays call-identical to the inline one.
-    restore_overhead = counting.calls
-    run.run()
-    return make_checkpoint(run), counting.calls - restore_overhead
-
-
 class ShardedSession:
     """A resumable sharded (workload, policy, arrival process) execution.
 
@@ -621,30 +596,6 @@ class ShardedSession:
     ) -> "ShardedSession":
         """Advance one shard independently (see :meth:`advance`)."""
         self.run.run_shard(index, max_arrivals)
-        return self
-
-    def advance_parallel(self, workers: int) -> "ShardedSession":
-        """Run every unfinished shard to completion in a spawn pool.
-
-        Each worker resumes one shard from its checkpoint (rebuilding
-        the utility from the recipe, like a cross-process resume) and
-        streams it dry; the parent folds the finished states back in.
-        Falls back to the inline :meth:`advance` when there is nothing
-        to parallelise.
-        """
-        pending = [i for i, r in enumerate(self.run.runs) if not r.finished]
-        if len(pending) <= 1 or workers <= 1:
-            return self.advance()
-        jobs = [
-            (dict(self.recipe), make_checkpoint(self.run.runs[i]))
-            for i in pending
-        ]
-        ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(processes=min(int(workers), len(jobs))) as pool:
-            finished = pool.map(_finish_shard_worker, jobs)
-        for i, (ck, calls) in zip(pending, finished):
-            self.run.runs[i].restore(ck)
-            self.prior_calls += calls
         return self
 
     @property
@@ -830,7 +781,6 @@ def reshard_session(
     num_shards: int,
     *,
     salt: Optional[int] = None,
-    workload_cache: Optional[WorkloadCache] = None,
 ) -> Dict[str, object]:
     """Re-partition a suspended sharded-session manifest (S → S').
 
@@ -853,7 +803,7 @@ def reshard_session(
             "run with --shards (a --shards 1 manifest counts)"
         )
     recipe = _checked_recipe(checkpoint)
-    fn, weights, _ = _workload(recipe, workload_cache)
+    fn, weights = build_workload(recipe)
     seed = int(recipe["seed"])  # type: ignore[arg-type]
 
     def policy_factory(index: int, lane) -> OnlinePolicy:
@@ -862,7 +812,6 @@ def reshard_session(
             recipe, fn, weights,
             n=lane.n,
             algo_seed=_shard_algo_seed(seed, index, int(num_shards)),
-            workload_cache=workload_cache,
         )
 
     out = reshard_manifest(

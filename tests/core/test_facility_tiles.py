@@ -163,14 +163,23 @@ def test_the_retile_does_not_reach_the_callers_matrix(layout):
     assert same_payload(fn, reference)
 
 
-def test_nan_benefits_are_rejected_and_infinities_kept():
+def test_nan_and_infinite_benefits_are_rejected():
     with pytest.raises(ValueError, match="non-negative"):
         FacilityLocationFunction(["a", "b"], [[np.nan, 1.0], [0.5, 0.2]])
     with pytest.raises(ValueError, match="non-negative"):
         FacilityLocationFunction(["a"], [[-np.inf]])
-    fn = FacilityLocationFunction(["a", "b"], [[np.inf, 1.0], [0.5, 0.2]])
-    assert fn.value(frozenset({"b"})) == 1.2
-    assert fn.value(frozenset({"a"})) == np.inf
+    # +inf would turn later gains into NaN through inf - inf.
+    with pytest.raises(ValueError, match="finite"):
+        FacilityLocationFunction(["a", "b"], [[np.inf, np.inf], [0.5, 0.2]])
+
+
+def test_one_infinite_benefit_among_finite_ones_is_rejected():
+    # One +inf cell is enough: the check covers the whole copied matrix,
+    # not whole rows or columns.
+    benefit = [[np.inf, 1.0], [0.5, 0.2]]
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        FacilityLocationFunction(["a", "b"], benefit)
+    assert benefit[0][0] == np.inf  # the caller's matrix is left as it was
 
 
 # -- one retile, one buffer ----------------------------------------------------

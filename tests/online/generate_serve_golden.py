@@ -9,9 +9,7 @@ report minus its timing fields.  Unlike the hires-only checks in
 ``max_in_flight``, ``batches``, ``parks``, ``rehydrations``, the
 ``workload_cache`` stats and the drain states.  Two seeded
 transient-fault cells pin per-tenant results and retry schedules only:
-backoff sleeps make their interleaving depend on the clock.  Elastic
-(autoscale) serves are not captured; their rebind points depend on the
-clock as well (``test_resharding.py`` covers them).
+backoff sleeps make their interleaving depend on the clock.
 
 :mod:`tests.online.test_serve_golden` replays every cell.  Rerun only
 when an *intentional* change to serve reports lands::

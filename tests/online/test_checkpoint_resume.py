@@ -339,7 +339,7 @@ def _batch_bounds(source):
     return bounds
 
 
-@pytest.mark.parametrize("shards", [None, 2])
+@pytest.mark.parametrize("shards", [None, 2, 3])
 def test_mid_batch_resume_bills_at_most_the_straight_run(shards):
     """The call-count half of resume bit-identity holds at batch boundaries.
 
@@ -380,10 +380,13 @@ def test_mid_batch_resume_bills_at_most_the_straight_run(shards):
             fewer.append(cut)
     # The cuts this pins, on this workload: 113 calls straight through
     # and 112 after a cut at 19 or 119 (flat); 164, and 162 or 163
-    # after seven in-batch cuts (two shards).
+    # after seven in-batch cuts (two shards); 170, and fewer after seven
+    # in-batch cuts (three shards: every cut resumes each shard it left
+    # unfinished, so this also pins S = 3 resume accounting).
     assert (want["oracle_calls"], boundary_cuts, fewer) == {
         None: (113, 44, [19, 119]),
         2: (164, 72, [11, 60, 138, 139, 166, 167, 190]),
+        3: (170, 97, [39, 88, 89, 90, 137, 138, 153]),
     }[shards]
 
 

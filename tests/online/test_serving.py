@@ -24,7 +24,11 @@ from repro.online.checkpoint import (
     write_tenant_checkpoint,
 )
 from repro.online.serving import ServingLoop, TenantSpec, load_tenant_specs
-from repro.online.session import WorkloadCache, workload_key
+from repro.online.session import (
+    WorkloadCache,
+    start_sharded_session,
+    workload_key,
+)
 
 
 MIXED_FLEET = {
@@ -104,9 +108,23 @@ class TestConcurrentEqualsSequential:
         assert len(cache) == 1
         assert cache.stats()["value_hits"] == 1
 
-    def test_batch_limit_none_is_the_default(self):
-        loop = ServingLoop([TenantSpec("t", n=10)])
-        assert loop.batch_limit is None
+    def test_report_has_no_elastic_keys(self):
+        # Every serve is the static lifecycle: a sharded tenant keeps one
+        # lane per shard for the whole serve, so nothing reports rebinds.
+        specs = [TenantSpec("flat", n=12, k=2, seed=1),
+                 TenantSpec("sharded", n=12, k=2, seed=1, shards=2)]
+        report = ServingLoop(specs).serve()
+        assert "autoscale" not in report["totals"]
+        assert "rebinds" not in report["totals"]
+        for tenant in report["tenants"].values():
+            assert "rebinds" not in tenant and "lanes" not in tenant
+
+    @pytest.mark.parametrize("keyword, value", [
+        ("autoscale", (1, 2)), ("batch_limit", 2),
+    ])
+    def test_removed_loop_keywords_are_refused(self, keyword, value):
+        with pytest.raises(TypeError, match=keyword):
+            ServingLoop([TenantSpec("t", n=10)], **{keyword: value})
 
 
 class TestFairness:
@@ -231,6 +249,32 @@ class TestDrainAndResume:
         assert got["finished"] is True
         assert got["selected"] == expected["selected"]
         assert got["value"] == expected["value"]
+
+    def test_skewed_sharded_checkpoint_resumes_to_the_straight_run(
+        self, tmp_path
+    ):
+        # Lane 1 ran dry before the suspend and lane 0 never started: the
+        # resumed serve finishes lane 0 alone and bills the straight run.
+        session = start_sharded_session(
+            policy="monotone", family="additive", n=40, k=4, seed=7,
+            shards=2,
+        )
+        session.advance_shard(1)
+        remaining = [r.n - r.cursor for r in session.run.runs]
+        assert remaining[1] == 0 and remaining[0] > 2
+        root = str(tmp_path / "ck")
+        write_tenant_checkpoint(session.checkpoint(), root, "hot")
+        spec = TenantSpec("hot", policy="monotone", family="additive",
+                          n=40, k=4, seed=7, shards=2)
+        report = ServingLoop(
+            [spec], checkpoint_root=root, resume=True
+        ).serve()
+        hot = report["tenants"]["hot"]
+        want = sequential_summaries([spec])["hot"]
+        assert hot["resumed"] is True and hot["finished"] is True
+        assert hot["arrivals"] == remaining[0]
+        for key in ("selected", "value", "oracle_calls", "cursor"):
+            assert hot[key] == want[key], key
 
 
 class TestResumeMatchesSpec:
@@ -478,6 +522,18 @@ class TestServeCLI:
         spec = self.write_spec(tmp_path, [{"id": "a"}])
         assert main(["online", "serve", spec, "--idle-seconds", "0.1"]) == 2
         assert "--checkpoint-dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--autoscale", "1:2"), ("--batch-limit", "2"),
+    ])
+    def test_removed_serve_modes_are_unknown_flags(
+        self, tmp_path, capsys, flag, value
+    ):
+        spec = self.write_spec(tmp_path, [{"id": "a"}])
+        with pytest.raises(SystemExit) as exc:
+            main(["online", "serve", spec, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestInspectParamsRendering:

@@ -356,19 +356,27 @@ class TestSchemaVersioning:
             resume_any_session(ck)
 
 
-class TestParallelShards:
-    def test_parallel_equals_inline(self):
+class TestShardByShard:
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0)])
+    def test_finishing_shards_one_by_one_equals_inline(self, order):
         kwargs = dict(policy="monotone", family="coverage", n=24, k=3,
                       seed=5, process="bursty", shards=3)
         inline = start_sharded_session(**kwargs).advance()
-        par = start_sharded_session(**kwargs).advance(6)
-        par.advance_parallel(2)
-        assert par.finished
-        assert par.summary()["selected"] == inline.summary()["selected"]
+        stepwise = start_sharded_session(**kwargs).advance(6)
+        for index in order:
+            stepwise.advance_shard(index)
+        assert stepwise.finished
+        # Shards are independent lanes: any finishing order hires the
+        # inline set and bills exactly the inline oracle calls.
+        assert stepwise.summary() == inline.summary()
 
-    def test_parallel_on_finished_session_is_noop(self):
+    def test_advance_shard_on_finished_session_is_noop(self):
         session = start_sharded_session(n=12, k=2, seed=1, shards=2).advance()
-        assert session.advance_parallel(4).finished
+        before = session.summary()
+        for index in range(2):
+            session.advance_shard(index)
+        assert session.finished
+        assert session.summary() == before
 
 
 class TestShardedAdapters:
