@@ -4,10 +4,11 @@ For each stream size, a sharded session is suspended at n//2, hopped
 2 -> 4 -> 2 through :func:`repro.online.session.reshard_session` (salt
 kept, no progress at the intermediate width), and resumed to
 completion; the resumed hires must equal an uninterrupted sharded
-run's.  Each cell records
-the manifest byte size and the wall time of one reshard hop — the
-transform is O(n) replay of the partition epochs plus O(selected)
-state carry, so hop time must stay a small fraction of the run time.
+run's.  Each cell records the manifest byte size, the wall time of the
+first reshard hop, and each hop's element hashes (``shard_of`` calls).
+A hop replays the partition epochs over the parent order once for all
+the lanes it builds, so it may hash at most n elements per epoch of the
+new map; a cell whose hop hashes more (say, one replay per lane) fails.
 
 There is no serve cell: the work-stealing ``serve --autoscale`` cell
 (``--steal``, recorded in ``BENCH_PR10.json``) went with that mode.
@@ -22,10 +23,12 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
 
+import repro.online.sharding as sharding
 from repro.online.session import (
     reshard_session,
     resume_sharded_session,
@@ -35,6 +38,23 @@ from repro.online.session import (
 SEED = 20100612
 TRANSFORM_NS = (64, 256, 1024)
 SHARDS = 2
+
+
+@contextlib.contextmanager
+def counted_hashes():
+    """Count the partition's element hashes made inside the block."""
+    real = sharding.shard_of
+    count = [0]
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return real(*args, **kwargs)
+
+    sharding.shard_of = counting
+    try:
+        yield count
+    finally:
+        sharding.shard_of = real
 
 
 def run_transform_cell(n: int) -> dict:
@@ -51,21 +71,30 @@ def run_transform_cell(n: int) -> dict:
                                        allow_nan=False))
     manifest_bytes = len(json.dumps(checkpoint, sort_keys=True))
 
-    t0 = time.perf_counter()
-    grown = reshard_session(checkpoint, 2 * SHARDS)
-    hop_seconds = time.perf_counter() - t0
-    hopped = reshard_session(grown, SHARDS)
+    with counted_hashes() as grow_hashes:
+        t0 = time.perf_counter()
+        grown = reshard_session(checkpoint, 2 * SHARDS)
+        hop_seconds = time.perf_counter() - t0
+    with counted_hashes() as shrink_hashes:
+        hopped = reshard_session(grown, SHARDS)
+    hop_hashes = [grow_hashes[0], shrink_hashes[0]]
+    hash_bounds = [n * len(m["partition"]["epochs"]) for m in (grown, hopped)]
 
     resumed = resume_sharded_session(hopped).advance()
     resumed_selected = sorted(map(str, resumed.summary()["selected"]))
     return {
         "n": n,
-        "ok": resumed.finished and resumed_selected == selected,
+        "ok": (
+            resumed.finished and resumed_selected == selected
+            and all(h <= b for h, b in zip(hop_hashes, hash_bounds))
+        ),
         "selected": selected,
         "resumed_selected": resumed_selected,
         "manifest_bytes": manifest_bytes,
         "run_seconds": run_seconds,
         "hop_seconds": hop_seconds,
+        "hop_hashes": hop_hashes,
+        "hop_hash_bounds": hash_bounds,
     }
 
 
@@ -81,7 +110,8 @@ def main(argv=None) -> int:
         print(f"{status} reshard n={c['n']:>5} "
               f"manifest={c['manifest_bytes']:>6}B "
               f"hop={c['hop_seconds'] * 1e3:.2f}ms "
-              f"run={c['run_seconds'] * 1e3:.1f}ms")
+              f"run={c['run_seconds'] * 1e3:.1f}ms "
+              f"hashes={c['hop_hashes']} (max {c['hop_hash_bounds']})")
     ok = all(c["ok"] for c in cells)
 
     payload = {

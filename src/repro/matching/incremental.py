@@ -16,7 +16,9 @@ Two layers:
   new slots only.  Correct because a maximum matching of ``S`` extends
   to a maximum matching of ``S ∪ I`` through augmenting paths (the
   matroid-rank update rule), which is also the engine of the paper's
-  Lemma 2.1.1 accounting.
+  Lemma 2.1.1 accounting.  :meth:`~IncrementalMatchingOracle.window_gains`
+  goes further: one sweep over a slot list scores *every* window of it,
+  by keeping a greedy matroid basis that prefers later slots.
 
 All state lives on the graph's int-indexed view
 (:mod:`repro.matching.fastgraph`): the matching is a pair of flat int
@@ -27,7 +29,9 @@ frozenset churn on the hot path.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Mapping
+from typing import FrozenSet, Iterable, List, Mapping, Optional
+
+import numpy as np
 
 from repro.core.submodular import SetFunction
 from repro.matching.fastgraph import (
@@ -138,7 +142,7 @@ class IncrementalMatchingOracle(SetFunction):
         ids = {i for i in (index.get(v) for v in subset) if i is not None}
         covered = sum(1 for i in ids if mask[i])
         if covered == sum(mask):  # subset ⊇ committed: reuse the matching
-            return float(self._size + self._sweep(([i for i in ids if not mask[i]],))[0])
+            return float(self._size + self._sweep((ids,))[0])
         return float(len(hopcroft_karp(self.graph, subset)))
 
     # -- incremental API ----------------------------------------------
@@ -160,11 +164,13 @@ class IncrementalMatchingOracle(SetFunction):
         return self._size
 
     def _sweep(self, steps) -> List[int]:
-        """Cumulative gains along a chain of fresh slot lists (no commit).
+        """Cumulative gains along a chain of slot lists (no commit).
 
-        Augments a scratch copy of the matching from each slot of
+        Augments a scratch copy of the matching from each fresh slot of
         ``steps[0]``, then ``steps[1]``, …, recording the running gain
-        after each step.  Three probe-level optimizations, all
+        after each step.  Committed slots are skipped (they add nothing
+        and are not counted as attempts), so callers may pass plain
+        slices of a slot list.  Three probe-level optimizations, all
         result-preserving:
 
         * *copy-on-success* — the scratch matching copies are made only
@@ -181,23 +187,26 @@ class IncrementalMatchingOracle(SetFunction):
           saturated (every later search is a guaranteed failure).
 
         A sweep that gains nothing promotes its explored region to the
-        dead-region memo (see :func:`~repro.matching.fastgraph.kuhn_search`).
+        dead-region memo (see :func:`~repro.matching.fastgraph.kuhn_search`);
+        the failure trail is therefore kept only until the first success.
         """
         match_l = self._match_l
         match_r = self._match_r
+        mask = self._committed_mask
         view = self._view
         visited, parent, dead = self._visited, self._parent, self._dead
         version = self.commit_version
         free_jobs = view.n_right - self._size
         gained = 0
-        copied = False
-        trail: List[int] = []
+        trail: Optional[List[int]] = []
         out: List[int] = []
         self._stamp += 1
         for ids in steps:
             for i in ids:
                 if gained >= free_jobs:
                     break
+                if mask[i]:
+                    continue
                 self.probe_augmentations += 1
                 if match_l[i] >= 0:
                     continue
@@ -206,16 +215,15 @@ class IncrementalMatchingOracle(SetFunction):
                 )
                 if free_right < 0:
                     continue
-                if not copied:
+                if trail is not None:  # first success: copy, drop the trail
                     match_l = match_l.copy()
                     match_r = match_r.copy()
-                    copied = True
+                    trail = None
                 apply_augmenting_path(match_l, match_r, free_right, parent)
                 gained += 1
                 self._stamp += 1
-                trail.clear()  # marks now belong to a post-success epoch
             out.append(gained)
-        if gained == 0:
+        if trail is not None:
             # Every search failed against the *committed* matching, so
             # the explored region is dead for the rest of this commit
             # version — future probes skip it (O(visited) promotion).
@@ -223,20 +231,86 @@ class IncrementalMatchingOracle(SetFunction):
                 dead[v] = version
         return out
 
+    def window_gains(self, slots: List[int]) -> np.ndarray:
+        """Gains of every window of one slot list, in one matching pass.
+
+        *slots* holds one processor's job-usable slot ids in time order;
+        committed ones may appear and are skipped.  Returns the ``k × k``
+        table ``G[i][j] = F(committed ∪ slots[i..j]) − F(committed)``
+        (0 below the diagonal).
+
+        Above the committed set ``F`` is the rank function of a
+        contracted transversal matroid (Lemma 2.2.2), so Edmonds' greedy
+        applies: a scratch copy of the committed matching keeps a basis
+        of ``slots[0..j]`` that prefers later slots (its matched fresh
+        slots).  Adding ``x_j`` runs one
+        :func:`~repro.matching.fastgraph.kuhn_search`.  If it reaches a
+        free job, augment (``lo[j] = -1``).  Else, if it reached fresh
+        slots of this list (``x_j``'s circuit), take over the earliest,
+        ``p``: flip the path to its mate and unmatch it (``lo[j] = p``);
+        committed slots belong to the contracted set and are never taken
+        over.  Else ``x_j`` is spanned (``lo[j] = j``).  The basis
+        restricted to ``slots[i..j]`` then spans that window, so
+        ``G[i][j] = #{j' ∈ [i, j] : lo[j'] < i}``, one ``cumsum``.
+        Stamps are shared across consecutive rejects (no free job, no
+        fresh slot, no change), and dead regions, which hold committed
+        slots only, are skipped.  One ``probe_augmentations`` per fresh
+        slot; the oracle's own matching is untouched.
+        """
+        k = len(slots)
+        mask = self._committed_mask
+        match_l = self._match_l.copy()
+        match_r = self._match_r.copy()
+        view = self._view
+        visited, parent, dead = self._visited, self._parent, self._dead
+        version = self.commit_version
+        position = {x: p for p, x in enumerate(slots) if not mask[x]}
+        lo = list(range(k))  # committed and rejected slots: lo[j] = j
+        trail: List[int] = []
+        self._stamp += 1
+        for j, x in enumerate(slots):
+            if mask[x]:
+                continue
+            self.probe_augmentations += 1
+            trail.clear()
+            free_right = kuhn_search(
+                view, match_r, x, visited, self._stamp, parent, dead, version, trail
+            )
+            if free_right >= 0:
+                apply_augmenting_path(match_l, match_r, free_right, parent)
+                lo[j] = -1
+            else:
+                earliest = j  # the earliest fresh slot the search reached
+                for v in trail:
+                    p = position.get(match_r[v])
+                    if p is not None and p < earliest:
+                        earliest = p
+                if earliest == j:
+                    continue  # rejected: the matching is unchanged
+                taken = slots[earliest]
+                apply_augmenting_path(match_l, match_r, match_l[taken], parent)
+                match_l[taken] = -1
+                lo[j] = earliest
+            self._stamp += 1
+        at = np.arange(k)
+        counts = (np.array(lo)[None, :] < at[:, None]) & (at[None, :] >= at[:, None])
+        return np.cumsum(counts, axis=1)
+
     def gain_indices(self, new_ids: List[int]) -> int:
         """Fast-path probe for solvers that pre-translated slots to indices.
 
-        *new_ids* must be disjoint from the committed set (callers filter
-        against :meth:`committed_mask` first).
+        ``F(committed ∪ new_ids) - F(committed)``; committed entries of
+        *new_ids* are skipped, so a slice of a slot list will do.
         """
         return self._sweep((new_ids,))[0]
 
     def extension_gains(self, steps: List[List[int]]) -> List[int]:
         """Cumulative gains along a *nested* chain of slot sets.
 
-        ``steps[j]`` holds the fresh slot indices added at extension
-        ``j`` (disjoint from the committed set and from earlier steps);
-        the return value's ``j``-th entry is
+        ``steps[j]`` holds the slot indices added at extension ``j``
+        (disjoint from earlier steps; committed ones are skipped, so the
+        steps may be consecutive slices of one slot list); the return
+        value's ``j``-th entry is
         ``F(committed ∪ steps[0..j]) - F(committed)``.
 
         This is the batched scoring path for candidate pools with
@@ -252,11 +326,12 @@ class IncrementalMatchingOracle(SetFunction):
         cumulative count is order-independent.
 
         It serves at any commit version.  The schedule-all greedy scores
-        every row with several live candidates through it, both in its
-        initial pass and in each lazy (CELF) re-score after later
-        commits, skipping whatever dead regions earlier probes of the
-        same version marked; a chain that gains nothing marks the
-        region it explored in turn.
+        its whole pool once with :meth:`window_gains` (every window of a
+        processor's slots in one pass), then re-scores through this
+        method every row with several live candidates in each lazy
+        (CELF) re-score after later commits, skipping whatever dead
+        regions earlier probes of the same version marked; a chain that
+        gains nothing marks the region it explored in turn.
         """
         return self._sweep(steps)
 
@@ -273,17 +348,9 @@ class IncrementalMatchingOracle(SetFunction):
     def gain(self, extra: Iterable[Vertex]) -> int:
         """``F(committed | extra) - F(committed)`` without committing."""
         index = self._view.left_index
-        mask = self._committed_mask
-        new_ids = []
-        seen = set()
-        for v in extra:
-            i = index.get(v)
-            if i is not None and not mask[i] and i not in seen:
-                seen.add(i)
-                new_ids.append(i)
         # Index order == sorted-repr order (the view sorts left_ids), so
         # probes stay independent of the caller's set-iteration order.
-        new_ids.sort()
+        new_ids = sorted({i for i in map(index.get, extra) if i is not None})
         return self._sweep((new_ids,))[0]
 
     def commit(self, extra: Iterable[Vertex]) -> int:

@@ -105,6 +105,7 @@ __all__ = [
     "make_sharded_checkpoint",
     "partition_from_manifest",
     "partition_lane_source",
+    "partition_lane_sources",
     "reshard_manifest",
     "resume_sharded_run",
 ]
@@ -342,25 +343,28 @@ class PartitionMap:
         )
 
     def lane_streams(
-        self, order: Sequence[Hashable]
+        self, order: Sequence[Hashable], lanes: Optional[Iterable[int]] = None,
     ) -> List[Tuple[List[int], List[int]]]:
         """Replay the epoch history over the parent *order*.
 
         Returns one ``(pinned_positions, suffix_positions)`` pair per
-        lane (:meth:`lane_count` of them): *pinned_positions* are the
-        parent positions the lane consumed before some epoch boundary,
-        **in consumption order**; *suffix_positions* are the unconsumed
-        parent positions the newest epoch assigns to the lane, in parent
-        order.  Every parent position lands in exactly one lane's pinned
-        or suffix list.
+        lane of *lanes* (default: all :meth:`lane_count` of them), in
+        that order: *pinned_positions* are the parent positions the lane
+        consumed before some epoch boundary, **in consumption order**;
+        *suffix_positions* are the unconsumed parent positions the
+        newest epoch assigns to the lane, in parent order.  Every parent
+        position lands in exactly one lane's pinned or suffix list.
 
-        O(n · epochs): each epoch is one pass over the parent order —
-        unpinned elements consume the lane's boundary quota front-first
-        (that *is* the order the lane consumed them in) and everything
-        past the quota re-hashes under the epoch's ``(num_shards,
-        salt)``.
+        One epoch is one pass over the parent order: unpinned elements
+        consume the lane's boundary quota front-first (that *is* the
+        order the lane consumed them in) and everything past the quota
+        re-hashes under the epoch's ``(num_shards, salt)``.  Per-lane
+        state exists only for lanes that pin or receive an element, so
+        the cost is O(n · epochs + Σ|consumed| + len(lanes)) whatever
+        shard count the epochs declare.  Building several lanes from
+        one call hashes each element once per epoch, not once per lane
+        (see :func:`partition_lane_sources`).
         """
-        lanes = self.lane_count()
         order = list(order)
         first = self._epochs[0]
         lane = [
@@ -368,45 +372,47 @@ class PartitionMap:
             for e in order
         ]
         pinned = [False] * len(order)
-        pinned_by_lane: List[List[int]] = [[] for _ in range(lanes)]
+        pinned_by_lane: Dict[int, List[int]] = {}
         for k, epoch in enumerate(self._epochs[1:], start=1):
-            boundary = list(epoch["consumed"])  # type: ignore[arg-type]
-            quota = []
-            for a in range(lanes):
-                have = len(pinned_by_lane[a])
-                # Lanes beyond the boundary list held no manifest entry
-                # at this epoch; their cursor is whatever was pinned.
-                want = int(boundary[a]) if a < len(boundary) else have
+            # Lanes beyond the boundary list held no manifest entry at
+            # this epoch; their cursor is whatever was pinned (no quota).
+            quota: Dict[int, int] = {}
+            for a, want in enumerate(epoch["consumed"]):  # type: ignore[arg-type]
+                have = len(pinned_by_lane.get(a, ()))
                 if want < have:
                     raise InvalidInstanceError(
                         f"partition epoch {k}: lane {a} boundary {want} "
                         f"below its already-pinned prefix ({have})"
                     )
-                quota.append(want - have)
+                if want > have:
+                    quota[a] = want - have
             num_shards = int(epoch["num_shards"])  # type: ignore[arg-type]
             salt = int(epoch["salt"])  # type: ignore[arg-type]
             for p, e in enumerate(order):
                 if pinned[p]:
                     continue
                 a = lane[p]
-                if quota[a] > 0:
+                left = quota.get(a)
+                if left:
                     pinned[p] = True
-                    pinned_by_lane[a].append(p)
-                    quota[a] -= 1
+                    pinned_by_lane.setdefault(a, []).append(p)
+                    quota[a] = left - 1
                 else:
                     lane[p] = shard_of(e, num_shards, salt)
-            leftover = [(a, q) for a, q in enumerate(quota) if q]
+            leftover = [(a, q) for a, q in quota.items() if q]
             if leftover:
                 raise InvalidInstanceError(
                     f"partition epoch {k}: consumed boundary exceeds the "
                     f"stream (lanes with unmet quota: {leftover})"
                 )
-        suffix_by_lane: List[List[int]] = [[] for _ in range(lanes)]
+        suffix_by_lane: Dict[int, List[int]] = {}
         for p in range(len(order)):
             if not pinned[p]:
-                suffix_by_lane[lane[p]].append(p)
+                suffix_by_lane.setdefault(lane[p], []).append(p)
+        if lanes is None:
+            lanes = range(self.lane_count())
         return [
-            (pinned_by_lane[a], suffix_by_lane[a]) for a in range(lanes)
+            (pinned_by_lane.get(a, []), suffix_by_lane.get(a, [])) for a in lanes
         ]
 
 
@@ -431,7 +437,8 @@ class PartitionLaneSource(ArrivalSource):
     """
 
     def __init__(self, parent: ArrivalSource, index: int,
-                 partition: PartitionMap) -> None:
+                 partition: PartitionMap, *,
+                 streams: Optional[Tuple[List[int], List[int]]] = None) -> None:
         lanes = partition.lane_count()
         if not (0 <= int(index) < lanes):
             raise InvalidInstanceError(
@@ -441,7 +448,11 @@ class PartitionLaneSource(ArrivalSource):
         self.index = int(index)
         self.partition = partition
         schedule = parent.materialize()
-        pinned, suffix = partition.lane_streams(schedule.order)[self.index]
+        # *streams*: this lane's pair from a replay its builder already
+        # ran over the same parent order (partition_lane_sources).
+        if streams is None:
+            streams = partition.lane_streams(schedule.order, [self.index])[0]
+        pinned, suffix = streams
         positions = list(pinned) + list(suffix)
         order = [schedule.order[p] for p in positions]
         ts = schedule.timestamps
@@ -522,7 +533,8 @@ class ShardSource(PartitionLaneSource):
     ``(num_shards, salt)``, hashing each element with :func:`shard_of`."""
 
     def __init__(self, parent: ArrivalSource, index: int, num_shards: int,
-                 *, salt: int = 0) -> None:
+                 *, salt: int = 0,
+                 streams: Optional[Tuple[List[int], List[int]]] = None) -> None:
         if num_shards <= 0:
             raise InvalidInstanceError(
                 f"num_shards must be positive, got {num_shards}"
@@ -531,26 +543,53 @@ class ShardSource(PartitionLaneSource):
             raise InvalidInstanceError(
                 f"shard index {index} outside [0, {num_shards})"
             )
-        super().__init__(parent, index, PartitionMap.base(num_shards, salt))
+        super().__init__(parent, index, PartitionMap.base(num_shards, salt),
+                         streams=streams)
 
 
 def partition_lane_source(
-    parent: ArrivalSource, index: int, partition: PartitionMap
+    parent: ArrivalSource, index: int, partition: PartitionMap, *,
+    streams: Optional[Tuple[List[int], List[int]]] = None,
 ) -> ArrivalSource:
     """Lane *index* of *parent* under *partition*.
 
     A one-shard base map is the identity (the parent itself, so S=1
     stays bit-identical to the unsharded run); any other base map gives
     a :class:`ShardSource`, and a resharded map a
-    :class:`PartitionLaneSource`.
+    :class:`PartitionLaneSource`.  *streams*, when given, is the lane's
+    pair from :meth:`PartitionMap.lane_streams` over the parent's order.
     """
     if partition.single_epoch:
         if partition.num_shards == 1:
             return parent
         return ShardSource(
-            parent, index, partition.num_shards, salt=partition.salt
+            parent, index, partition.num_shards, salt=partition.salt,
+            streams=streams,
         )
-    return PartitionLaneSource(parent, index, partition)
+    return PartitionLaneSource(parent, index, partition, streams=streams)
+
+
+def partition_lane_sources(
+    source_factory: Callable[[], ArrivalSource], partition: PartitionMap,
+    count: int,
+) -> List[ArrivalSource]:
+    """Lanes ``0 .. count - 1`` under *partition*, from one replay.
+
+    Each lane wraps its own fresh parent from *source_factory* (a lane
+    never advances its parent), exactly as :func:`partition_lane_source`
+    would build it, but the epoch history is replayed once over the
+    parent order for all of them: each element is hashed once per
+    epoch, not once per epoch per lane.
+    """
+    parents = [source_factory() for _ in range(count)]
+    if partition.single_epoch and partition.num_shards == 1:
+        return parents  # the identity partition needs no replay
+    order = parents[0].materialize().order
+    streams = partition.lane_streams(order, range(count))
+    return [
+        partition_lane_source(parent, i, partition, streams=pair)
+        for i, (parent, pair) in enumerate(zip(parents, streams))
+    ]
 
 
 class ShardView(SetFunction):
@@ -759,8 +798,9 @@ class ShardedRun:
         """Source-backed construction: one :class:`ShardSource` per shard.
 
         *source_factory* builds a fresh parent source per shard (each
-        lane computes its positions from its own stream clone, which it
-        never advances).  ``num_shards == 1`` feeds the parent
+        lane wraps its own stream clone, which it never advances); the
+        lanes' positions come from one partition replay over the parent
+        order (:func:`partition_lane_sources`).  ``num_shards == 1`` feeds the parent
         source to the single replica directly — the identity partition
         the S=1 bit-identity pin relies on.  *policy_factory* gets
         ``(shard_index, shard_source)``; the source exposes ``n`` like a
@@ -768,8 +808,8 @@ class ShardedRun:
         """
         partition = PartitionMap.base(num_shards, salt)
         runs = []
-        for i in range(num_shards):
-            src = partition_lane_source(source_factory(), i, partition)
+        lanes = partition_lane_sources(source_factory, partition, num_shards)
+        for i, src in enumerate(lanes):
             view = ShardView(utility, src.order or ())
             oracle = view if oracle_factory is None else oracle_factory(i, view)
             runs.append(OnlineRun(oracle, src, policy_factory(i, src)))
@@ -1039,11 +1079,11 @@ def reshard_manifest(
         if c > 0:
             keep = max(keep, i + 1)
     new_entries: List[Dict[str, object]] = []
-    for i in range(keep):
-        lane_src = partition_lane_source(
-            source_from_spec(copy.deepcopy(parent_spec), utility),
-            i, new_partition,
-        )
+    lanes = partition_lane_sources(
+        lambda: source_from_spec(copy.deepcopy(parent_spec), utility),
+        new_partition, keep,
+    )
+    for i, lane_src in enumerate(lanes):
         if i < len(entries):
             entry = copy.deepcopy(dict(entries[i]))
             state = entry["source"]["state"]

@@ -113,8 +113,9 @@ def enumerate_candidate_intervals(
 
     Intervals whose cost is infinite (processor unavailable) are dropped
     immediately — the greedy could never pick them.  (The incremental
-    solver never calls this: it enumerates the same event-point pool
-    directly at index level, see ``solver._build_pool_event_points``.)
+    solver never calls this: it builds the same event-point pool, in
+    the same order, as arrays of slot windows, see
+    ``solver._build_pool_event_points``.)
     """
     candidates: List[AwakeInterval] = []
     inf = float("inf")

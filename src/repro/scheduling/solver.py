@@ -19,13 +19,17 @@ Three interchangeable engines:
                  the committed matching from each interval's new slots —
                  the fastest, and the default.
 
-The incremental engine works on *rows*: the candidate intervals sharing
-a processor and a start time, nested by end time.  Its lazy heap holds
-one stale bound per row, and a stale row is re-scored whole — every
-live candidate in one augmentation sweep along the row (row-batched
-re-scoring) — so a slot is tried once per row re-score instead of once
-per candidate containing it.  Its picks are exactly those of a greedy
-that re-probes every candidate every round.
+The incremental engine scores its whole pool first with one *window
+pass* per processor: every candidate is a window of the processor's
+job-usable slots, and one matching sweep over those slots (Edmonds'
+greedy basis of the transversal matroid) gives the gain of every
+window at once.  After that it works on *rows*: the candidate intervals
+sharing a processor and a start time, nested by end time.  Its lazy
+heap holds one stale bound per row, and a stale row is re-scored whole
+— every live candidate in one augmentation sweep along the row
+(row-batched re-scoring) — so a slot is tried once per row re-score
+instead of once per candidate containing it.  Its picks are exactly
+those of a greedy that re-probes every candidate every round.
 
 All three realise the same approximation guarantee; E12 measures their
 oracle-work difference.
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -119,83 +124,107 @@ def _extract_schedule(graph, chosen: List[AwakeInterval], selection) -> Schedule
 class _CandidatePool:
     """Index-level candidate pool for the incremental engine.
 
-    Everything is parallel flat lists keyed by a dense candidate index —
-    no :class:`AwakeInterval` objects (they are materialised only for
-    the handful of *picked* intervals), no dict-of-frozenset churn, no
-    per-probe interval hashing.  Candidates sharing a processor and a
-    start time form a *row*: ``row_pid[r]`` holds the row's job-usable
-    slot ids in time order, and candidate ``c`` of that row owns the
-    prefix ``row_pid[cand_row[c]][:cand_hi[c]]`` — the nesting the
-    chain-probe scoring exploits.
+    Every candidate is a *window* of one processor's job-usable slot
+    list: ``procs[p]`` is ``(processor, times, slot ids)``, time-sorted,
+    and a candidate owns ``slots[lo:hi]`` of it.  Candidates sharing a
+    processor and a start form a *row* — ``rows[r]`` is a ``range`` of
+    candidate indices, nested by end — so a row re-score is one chain
+    of slices of one list.  ``windows[p]`` repeats processor ``p``'s
+    candidates as arrays ``(candidate indices, lo, hi - 1)`` for the
+    initial window pass.  Everything else is parallel flat lists keyed
+    by a dense candidate index; no :class:`AwakeInterval` exists until
+    a candidate is picked (:meth:`interval`).
     """
 
-    __slots__ = ("metas", "costs", "row_pid", "cand_row", "cand_hi", "rows")
+    __slots__ = (
+        "procs", "windows", "rows", "row_proc", "row_lo",
+        "costs", "cand_row", "cand_hi", "given",
+    )
 
     def __init__(self):
-        self.metas: List[tuple] = []      # candidate -> (processor, start, end)
-        self.costs: List[float] = []      # candidate -> price
-        self.row_pid: List[List[int]] = []  # row -> slot ids, time order
-        self.cand_row: List[int] = []     # candidate -> row
-        self.cand_hi: List[int] = []      # candidate -> prefix length in its row
-        self.rows: List[List[int]] = []   # row -> candidate indices (nested order)
+        self.procs: List[tuple] = []            # p -> (processor, times, slot ids)
+        self.windows: List[tuple] = []          # p -> (candidates, lo, hi - 1) arrays
+        self.rows: List[range] = []             # row -> candidate indices
+        self.row_proc: List[int] = []           # row -> p
+        self.row_lo: List[int] = []             # row -> first slot position
+        self.costs: List[float] = []            # candidate -> price
+        self.cand_row: List[int] = []           # candidate -> row
+        self.cand_hi: List[int] = []            # candidate -> slot position past its end
+        self.given: Optional[List[AwakeInterval]] = None  # explicit pools: row -> interval
 
-    def slots_of(self, c: int) -> List[int]:
-        return self.row_pid[self.cand_row[c]][: self.cand_hi[c]]
+    def interval(self, c: int) -> AwakeInterval:
+        """Candidate *c* as the interval it prices."""
+        r = self.cand_row[c]
+        if self.given is not None:
+            return self.given[r]
+        proc, times, _ = self.procs[self.row_proc[r]]
+        return AwakeInterval(proc, times[self.row_lo[r]], times[self.cand_hi[c] - 1])
 
 
 def _proc_time_ids(view) -> Dict:
-    """Per processor: job-usable (time, left-index) pairs, time-sorted."""
+    """Processor -> ``(processor, job-usable times, their left indices)``."""
     per_proc: Dict = {}
     for (proc, t), idx in view.left_index.items():
         per_proc.setdefault(proc, []).append((t, idx))
-    for entries in per_proc.values():
+    out: Dict = {}
+    for proc, entries in per_proc.items():
         entries.sort()
-    return per_proc
+        out[proc] = (proc, [t for t, _ in entries], [idx for _, idx in entries])
+    return out
 
 
 def _build_pool_event_points(instance: ScheduleInstance, view) -> _CandidatePool:
-    """Event-point candidate pool, enumerated directly at index level.
+    """Event-point candidate pool, priced and enumerated as arrays.
 
     Mirrors :func:`~repro.scheduling.intervals.enumerate_candidate_intervals`
     (same processor-major, start-major, end-minor order, same event-time
     endpoints, same infinite-cost filtering) without constructing any
-    interval objects: a processor with ``k`` event times contributes
-    ``k`` rows of nested candidates, priced through the cost model's
-    vectorized length table when it has one.
+    interval objects.  Per processor with ``k`` event times, the ``k × k``
+    span matrix indexes the cost model's length table (a model without
+    one is priced through ``float(cost_of(...))`` on the upper
+    triangle, as the interval enumeration would); the non-infinite upper
+    triangle, in row-major order, is the processor's candidates, and each
+    start with any candidate is a row.
     """
     pool = _CandidatePool()
     per_proc = _proc_time_ids(view)
     horizon = instance.horizon
     for proc in instance.processors:
-        entries = per_proc.get(proc)
-        if not entries:
+        entry = per_proc.get(proc)
+        if entry is None:
             continue
-        times = [t for t, _ in entries]
-        pid = [idx for _, idx in entries]
+        _, times, slots = entry
         k = len(times)
+        at = np.array(times)
+        span = at[None, :] - at[:, None]
+        upper = span >= 0
         table = instance.cost_model.length_cost_table(proc, horizon)
-        times_arr = np.array(times)
-        for i in range(k):
-            row_no = len(pool.row_pid)
-            pool.row_pid.append(pid[i:])
-            row_cands: List[int] = []
-            if table is not None:
-                row_costs = table[times_arr[i:] - times[i]]
-            else:
-                row_costs = [
-                    instance.cost_of(AwakeInterval(proc, times[i], times[j]))
-                    for j in range(i, k)
-                ]
-            for rel in range(k - i):
-                cost = float(row_costs[rel])
-                if math.isinf(cost):
-                    continue
-                row_cands.append(len(pool.metas))
-                pool.metas.append((proc, times[i], times[i + rel]))
-                pool.costs.append(cost)
-                pool.cand_row.append(row_no)
-                pool.cand_hi.append(rel + 1)
-            pool.rows.append(row_cands)
+        if table is not None:
+            prices = np.asarray(table, dtype=float)[span]
+        else:
+            prices = np.full((k, k), math.inf)
+            for i in range(k):
+                for j in range(i, k):
+                    prices[i, j] = float(
+                        instance.cost_of(AwakeInterval(proc, times[i], times[j]))
+                    )
+        lo, end = np.nonzero(upper & ~np.isinf(prices))
+        if not len(lo):
+            continue
+        p = len(pool.procs)
+        pool.procs.append(entry)
+        first = len(pool.costs)
+        pool.windows.append((slice(first, first + len(lo)), lo, end))
+        pool.costs.extend(prices[lo, end].tolist())
+        pool.cand_hi.extend((end + 1).tolist())
+        per_start = np.bincount(lo, minlength=k)
+        starts = np.flatnonzero(per_start)
+        bounds = (first + np.concatenate(([0], np.cumsum(per_start[starts])))).tolist()
+        for a, b in zip(bounds, bounds[1:]):
+            pool.cand_row.extend([len(pool.rows)] * (b - a))  # one shared int per row
+            pool.rows.append(range(a, b))
+        pool.row_proc.extend([p] * len(starts))
+        pool.row_lo.extend(starts.tolist())
     return pool
 
 
@@ -204,34 +233,44 @@ def _build_pool_explicit(
 ) -> _CandidatePool:
     """Pool for an explicitly given interval list (pool order preserved).
 
-    Each candidate becomes its own single-candidate row — explicit pools
-    are small and need no nesting structure to score quickly.
+    Each interval becomes the window of its processor's job-usable
+    slots between its endpoints (found by bisection) and its own
+    single-candidate row; intervals covering no usable slot, or priced
+    infinite, are dropped.  Prices are kept exactly as ``cost_of``
+    returns them.
     """
     pool = _CandidatePool()
-    by_proc: Dict = {}
-    for (proc, t), idx in view.left_index.items():
-        arr = by_proc.get(proc)
-        if arr is None:
-            arr = by_proc[proc] = np.full(instance.horizon, -1, dtype=np.int64)
-        arr[t] = idx
+    pool.given = []
+    per_proc = _proc_time_ids(view)
+    proc_no: Dict = {}
+    picks: List[List[tuple]] = []  # p -> (candidate, lo, hi - 1)
     for iv in candidates:
-        arr = by_proc.get(iv.processor)
-        if arr is None:
+        entry = per_proc.get(iv.processor)
+        if entry is None:
             continue
-        ids = arr[iv.start : iv.end + 1]
-        ids = ids[ids >= 0]
-        if not len(ids):
+        _, times, _ = entry
+        lo = bisect_left(times, iv.start)
+        hi = bisect_right(times, iv.end)
+        if lo == hi:
             continue
         cost = instance.cost_of(iv)
         if math.isinf(cost):
             continue
-        row_no = len(pool.row_pid)
-        pool.row_pid.append(ids.tolist())
-        pool.rows.append([len(pool.metas)])
-        pool.metas.append((iv.processor, iv.start, iv.end))
+        p = proc_no.get(iv.processor)
+        if p is None:
+            p = proc_no[iv.processor] = len(pool.procs)
+            pool.procs.append(entry)
+            picks.append([])
+        c = len(pool.costs)
+        picks[p].append((c, lo, hi - 1))
+        pool.rows.append(range(c, c + 1))
+        pool.row_proc.append(p)
+        pool.row_lo.append(lo)
+        pool.given.append(iv)
         pool.costs.append(cost)
-        pool.cand_row.append(row_no)
-        pool.cand_hi.append(len(ids))
+        pool.cand_row.append(c)
+        pool.cand_hi.append(hi)
+    pool.windows = [tuple(np.array(col) for col in zip(*found)) for found in picks]
     return pool
 
 
@@ -256,15 +295,16 @@ def _prepare_indexed(
         pool = _build_pool_explicit(instance, view, explicit)
     else:
         pool = _build_pool_event_points(instance, view)
-    if not pool.metas:
+    if not pool.costs:
         raise InfeasibleError("no candidate interval covers any job-usable slot")
 
     useful_mask = bytearray(view.n_left)
-    for row_cands in pool.rows:
-        if row_cands:
-            row = pool.row_pid[pool.cand_row[row_cands[0]]]
-            for i in row[: pool.cand_hi[row_cands[-1]]]:
-                useful_mask[i] = 1
+    for (_, _, slots), (_, lo, end) in zip(pool.procs, pool.windows):
+        k = len(slots)
+        # Windows open at lo and close after end: covered where depth > 0.
+        depth = np.bincount(lo, minlength=k + 1) - np.bincount(end + 1, minlength=k + 1)
+        for at in np.flatnonzero(np.cumsum(depth)[:k]).tolist():
+            useful_mask[slots[at]] = 1
     n = instance.n_jobs
     _, _, reachable = hk_solve(view, useful_mask)
     if reachable < n:
@@ -278,27 +318,35 @@ def _prepare_indexed(
 def _incremental_greedy(instance, graph, pool: _CandidatePool) -> tuple[GreedyResult, int, "IncrementalMatchingOracle"]:
     """The specialised greedy: marginal gains via matching augmentation.
 
-    Candidate scoring is *lazy* (Minoux/CELF) and *row-batched*.  Because
-    ``F`` is submodular, a gain scored at an earlier commit version is an
-    upper bound on the current gain.  The max-heap holds one entry per
-    row: the stale ``(ratio, gain)`` bound of its best live candidate.
-    Only the top row is re-scored, all its live candidates at once, with
-    one :meth:`~repro.matching.incremental.IncrementalMatchingOracle.extension_gains`
-    chain — one augmentation attempt per slot of the row instead of one
-    per slot per candidate.  A row with a single live candidate takes a
-    plain :meth:`~repro.matching.incremental.IncrementalMatchingOracle.gain_indices`
+    The initial pass is one *window pass* per processor: a single
+    :meth:`~repro.matching.incremental.IncrementalMatchingOracle.window_gains`
+    matching sweep over the processor's usable slots yields the gain of
+    every window of them (Edmonds' greedy basis of the transversal
+    matroid), so every candidate is scored with one augmentation attempt
+    per slot per *processor* instead of per row.
+
+    After that, scoring is *lazy* (Minoux/CELF) and *row-batched*.
+    Because ``F`` is submodular, a gain scored at an earlier commit
+    version is an upper bound on the current gain.  The max-heap holds
+    one entry per row: the stale ``(ratio, gain)`` bound of its best live
+    candidate.  Only the top row is re-scored, all its live candidates at
+    once, with one
+    :meth:`~repro.matching.incremental.IncrementalMatchingOracle.extension_gains`
+    chain of slices of the row's slot list — one augmentation attempt per
+    fresh slot of the row instead of one per slot per candidate.  A row
+    with a single live candidate takes a plain
+    :meth:`~repro.matching.incremental.IncrementalMatchingOracle.gain_indices`
     probe instead.  Either way, a score that gains nothing marks the
     region it explored dead until the next commit (the oracle's
-    dead-region memo).  The initial pass scores every row the same way.
+    dead-region memo).
 
-    Chain gains equal per-candidate probes exactly (matroid-rank
-    augmentation is order independent), so a row that reaches the heap
-    top freshly scored holds the exhaustive re-scan's pick: its key is
-    exact and every other key bounds its row's best from above.  The
-    heap's ``(-ratio, -gain, candidate index)`` ordering reproduces the
-    scan's first-strictly-better tie-breaking (lowest pool index wins),
-    so the pick sequence, gains and committed matching are those of the
-    scan.
+    Window, chain and per-candidate gains are all matroid ranks, equal
+    whatever computes them, so a row that reaches the heap top freshly
+    scored holds the exhaustive re-scan's pick: its key is exact and
+    every other key bounds its row's best from above.  The heap's
+    ``(-ratio, -gain, candidate index)`` ordering reproduces the scan's
+    first-strictly-better tie-breaking (lowest pool index wins), so the
+    pick sequence, gains and committed matching are those of the scan.
     """
     n = instance.n_jobs
     oracle = IncrementalMatchingOracle(graph)
@@ -307,10 +355,15 @@ def _incremental_greedy(instance, graph, pool: _CandidatePool) -> tuple[GreedyRe
     steps: List[GreedyStep] = []
     total_cost = 0.0
     costs, rows, cand_hi = pool.costs, pool.rows, pool.cand_hi
+    proc_slots = [slots for _, _, slots in pool.procs]
+    row_proc, row_lo = pool.row_proc, pool.row_lo
 
     # Candidate -> gain at its row's last scoring; 0 marks it dead (by
     # submodularity a zero gain never turns positive again).
-    gains: List[int] = [0] * len(costs)
+    initial = np.zeros(len(costs), dtype=np.int64)
+    for slots, (cands, lo, end) in zip(proc_slots, pool.windows):
+        initial[cands] = oracle.window_gains(slots)[lo, end]
+    gains: List[int] = initial.tolist()
     # Heap entries: (-ratio, -gain, candidate index, version), at most one
     # per row: its best live candidate as scored at commit ``version``.
     # The candidate index doubles as the insertion-order tie-breaker
@@ -334,26 +387,27 @@ def _incremental_greedy(instance, graph, pool: _CandidatePool) -> tuple[GreedyRe
             heapq.heappush(heap, (-ratio, -float(gain), c, version))
 
     def score_row(r: int, live: List[int]) -> None:
-        """Score row *r*'s nested *live* candidates now; push its best."""
-        row = pool.row_pid[r]
+        """Re-score row *r*'s nested *live* candidates now; push its best."""
+        slots = proc_slots[row_proc[r]]
+        lo = row_lo[r]
         if len(live) == 1:
-            extra = [i for i in row[: cand_hi[live[0]]] if not mask[i]]
-            fresh = [oracle.gain_indices(extra) if extra else 0]
+            window = slots[lo : cand_hi[live[0]]]
+            # A window committed whole gains nothing; skip the probe.
+            committed = all(map(mask.__getitem__, window))
+            fresh = [0 if committed else oracle.gain_indices(window)]
         else:
             chain: List[List[int]] = []
-            lo = 0
             for c in live:
                 hi = cand_hi[c]
-                chain.append([i for i in row[lo:hi] if not mask[i]])
+                chain.append(slots[lo:hi])
                 lo = hi
             fresh = oracle.extension_gains(chain)
         for c, gain in zip(live, fresh):
             gains[c] = gain
         push_best(r, oracle.commit_version)
 
-    for r, row_cands in enumerate(rows):
-        if row_cands:
-            score_row(r, row_cands)
+    for r in range(len(rows)):
+        push_best(r, oracle.commit_version)
 
     while oracle.matching_size < n:
         if not heap:
@@ -365,14 +419,12 @@ def _incremental_greedy(instance, graph, pool: _CandidatePool) -> tuple[GreedyRe
         if version != oracle.commit_version:
             score_row(r, [c for c in rows[r] if gains[c] > 0])
             continue
-        extra = [i for i in pool.slots_of(best_c) if not mask[i]]
-        oracle.commit_indices(extra, already_masked=False)
+        oracle.commit_indices(proc_slots[row_proc[r]][row_lo[r] : cand_hi[best_c]])
         gains[best_c] = 0
         push_best(r, version)  # the row's runners-up, stale from now on
         utility = float(oracle.matching_size)
         total_cost += costs[best_c]
-        proc, start, end = pool.metas[best_c]
-        chosen.append(AwakeInterval(proc, start, end))
+        chosen.append(pool.interval(best_c))
         steps.append(
             GreedyStep(
                 index=chosen[-1],
