@@ -67,7 +67,7 @@ from repro.online.checkpoint import (
     tenant_checkpoint_path,
     write_tenant_checkpoint,
 )
-from repro.online.driver import OnlineRun, drive_stream, run_online
+from repro.online.driver import ArrivalOracle, OnlineRun, run_online
 from repro.online.serving import (
     ServingLoop,
     TenantSpec,
@@ -120,6 +120,7 @@ __all__ = [
     "ARRIVAL_PROCESSES",
     "ARRIVAL_SOURCES",
     "ArrivalFingerprint",
+    "ArrivalOracle",
     "ArrivalSchedule",
     "ArrivalSource",
     "BestSingletonPolicy",
@@ -155,7 +156,6 @@ __all__ = [
     "as_arrival_source",
     "build_arrival_schedule",
     "build_arrival_source",
-    "drive_stream",
     "list_tenant_checkpoints",
     "load_tenant_specs",
     "make_checkpoint",

@@ -1,4 +1,4 @@
-"""Drivers: feed an arrival source (or legacy stream) to a policy.
+"""The driver: feed an arrival source to a policy.
 
 :class:`OnlineRun` owns one online execution — utility, arrival
 source, arrival-restricted oracle, policy, cursor — and supports
@@ -20,32 +20,164 @@ Minibatch schedules are revealed a whole batch at a time (the
 Section 3.2.1 no-peeking contract holds *per batch*: everything in a
 burst has been interviewed before any of it is queried) and handed to
 ``policy.observe_batch`` — one kernel call per batch for the vectorized
-policies.  Single-arrival batches take the exact legacy per-arrival
-path, so default uniform runs are bit-identical to the pre-runtime
-loops.
+policies.  Single-arrival batches take the per-arrival path: reveal,
+observe, stop once the policy is done.
 
-:func:`drive_stream` is the thin adapter the legacy wrappers use: it
-walks a :class:`~repro.secretary.stream.SecretaryStream` (which reveals
-on iteration) and stops as soon as the policy is done, exactly like the
-loops it replaced broke out of their streams.
+The contract itself is :class:`ArrivalOracle`: the run's only view of
+the utility, which answers a query only about revealed elements.  This
+is the one arrival loop in the library: the engine, the sessions, the
+serve and the paper-facing :mod:`repro.secretary` functions (which pass
+a :class:`~repro.secretary.stream.SecretaryStream`, itself a
+:class:`~repro.online.arrivals.ScheduleSource`) all run through it.
 """
 
 from __future__ import annotations
 
 import json
 
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence
 
+import numpy as np
+
+from repro.core.kernels import IncrementalEvaluator
 from repro.core.submodular import SetFunction
-from repro.errors import InvalidInstanceError
+from repro.errors import InvalidInstanceError, OracleError
 from repro.online.arrivals import ArrivalSchedule, ArrivalSource, _require, as_arrival_source
 from repro.online.policies import OnlinePolicy
-from repro.secretary.stream import ArrivalOracle
 
-__all__ = ["OnlineRun", "drive_stream", "run_online"]
+__all__ = ["ArrivalOracle", "OnlineRun", "run_online"]
 
 #: What a checkpoint's ``frontier`` and decision log may hold per element.
 _SCALARS = (str, int, float, type(None))
+
+
+class _ArrivalEvaluator(IncrementalEvaluator):
+    """Kernel evaluator view that enforces the no-peeking contract.
+
+    Every batched query is checked against the owning oracle's arrived
+    set before it reaches the kernel, so online algorithms written
+    against the incremental API keep the Section 3.2.1 guarantee: a
+    query about a not-yet-interviewed secretary raises
+    :class:`~repro.errors.OracleError` exactly as a ``value`` call
+    would.
+    """
+
+    fast = True
+
+    def __init__(self, inner: IncrementalEvaluator, owner: "ArrivalOracle"):
+        self._inner = inner
+        self._owner = owner
+        self.fn = owner
+        self.modular = inner.modular
+
+    def _check(self, elements: Iterable[Hashable]) -> None:
+        hidden = [e for e in elements if e not in self._owner._arrived]
+        if hidden:
+            raise OracleError(
+                f"oracle queried about elements that have not arrived: "
+                f"{sorted(map(repr, hidden))[:5]}"
+            )
+
+    @property
+    def selection(self) -> FrozenSet[Hashable]:
+        return self._inner.selection
+
+    @property
+    def current_value(self) -> float:
+        return self._inner.current_value
+
+    def reset(self, selection: Iterable[Hashable] = ()) -> None:
+        selection = list(selection)
+        self._check(selection)
+        self._inner.reset(selection)
+
+    def add(self, element: Hashable) -> float:
+        self._check([element])
+        return self._inner.add(element)
+
+    def add_set(self, items: Iterable[Hashable]) -> float:
+        items = list(items)
+        self._check(items)
+        return self._inner.add_set(items)
+
+    def advance(self, element: Hashable, new_value: float) -> None:
+        self._check([element])
+        self._inner.advance(element, new_value)
+
+    def gains(self, candidates: Sequence[Hashable]) -> np.ndarray:
+        self._check(candidates)
+        return self._inner.gains(candidates)
+
+    def gain1(self, element: Hashable) -> float:
+        self._check([element])
+        return self._inner.gain1(element)
+
+    def union_value1(self, element: Hashable) -> float:
+        self._check([element])
+        return self._inner.union_value1(element)
+
+    def union_values(self, candidates: Sequence[Hashable]) -> np.ndarray:
+        self._check(candidates)
+        return self._inner.union_values(candidates)
+
+    def set_gains(self, candidate_sets) -> np.ndarray:
+        for a in candidate_sets:
+            self._check(a)
+        return self._inner.set_gains(candidate_sets)
+
+
+class ArrivalOracle(SetFunction):
+    """Value oracle restricted to already-arrived elements.
+
+    Section 3.2.1: "the oracle answers the query regarding the
+    efficiency of a set S' only if all the secretaries in S' have
+    already arrived and been interviewed."  Querying an unrevealed
+    element raises :class:`~repro.errors.OracleError`, so a policy
+    driven through this oracle provably never peeks at the future.
+    """
+
+    def __init__(self, base: SetFunction):
+        self.base = base
+        self._arrived: set = set()
+
+    @property
+    def ground_set(self) -> FrozenSet[Hashable]:
+        """The base utility's ground set (public knowledge)."""
+        return self.base.ground_set
+
+    @property
+    def arrived(self) -> FrozenSet[Hashable]:
+        """Elements revealed so far."""
+        return frozenset(self._arrived)
+
+    def reveal(self, element: Hashable) -> None:
+        """Mark *element* as interviewed (called by the driver only)."""
+        self._arrived.add(element)
+
+    def value(self, subset: FrozenSet[Hashable]) -> float:
+        """The base value of *subset*, which must have arrived entirely."""
+        subset = frozenset(subset)
+        hidden = subset - self._arrived
+        if hidden:
+            raise OracleError(
+                f"oracle queried about elements that have not arrived: "
+                f"{sorted(map(repr, hidden))[:5]}"
+            )
+        return self.base.value(subset)
+
+    def fast_evaluator(self, backend=None):
+        """The base kernel behind an arrival check, or ``None``.
+
+        Without a kernel below, ``None`` sends the generic fallback
+        through :meth:`value`, which enforces the arrival restriction
+        (and any wrapped counting) per query.  *backend* passes through
+        to the base.
+        """
+        backend = self.resolve_backend_arg(backend)
+        inner = getattr(self.base, "fast_evaluator", lambda backend=None: None)(backend)
+        if inner is not None:
+            return _ArrivalEvaluator(inner, self)
+        return None
 
 
 class OnlineRun:
@@ -205,7 +337,10 @@ class OnlineRun:
         ``frontier`` must list JSON scalars and ``decisions`` ``[position,
         element]`` pairs with an integer position in ``[0, cursor)``; both
         are checked before anything is applied, else
-        :class:`~repro.errors.InvalidInstanceError` names the field.
+        :class:`~repro.errors.InvalidInstanceError` names the field.  So
+        does a ``policy.state`` the policy cannot load, or one whose hires
+        differ from the decision log or that names an element the
+        frontier does not re-reveal.
         """
         cursor = int(checkpoint["cursor"])  # type: ignore[arg-type]
         n = self.source.n
@@ -238,8 +373,27 @@ class OnlineRun:
         for element in frontier:
             self.oracle.reveal(element)
         self.decisions = [list(d) for d in decisions]
-        self.policy.load_state(checkpoint["policy"]["state"])  # type: ignore[index]
-        self._hired_logged = frozenset(self.policy.hired_set())
+        try:
+            self.policy.load_state(checkpoint["policy"]["state"])  # type: ignore[index]
+            hired = frozenset(self.policy.hired_set())
+            pending = frozenset(self.policy.frontier())
+        except (KeyError, TypeError, ValueError, OracleError) as exc:
+            raise InvalidInstanceError(
+                f"checkpoint field 'policy.state' does not restore policy "
+                f"{self.policy.name!r}: {exc!r:.120}"
+            ) from exc
+        if hired != frozenset(d[1] for d in decisions):
+            raise InvalidInstanceError(
+                "checkpoint field 'policy.state' hires "
+                f"{sorted(map(repr, hired))[:5]}, but the decision log "
+                f"records {sorted(repr(d[1]) for d in decisions)[:5]}"
+            )
+        if not pending <= frozenset(frontier):
+            raise InvalidInstanceError(
+                "checkpoint field 'policy.state' names elements the frontier "
+                f"does not re-reveal: {sorted(map(repr, pending - set(frontier)))[:5]}"
+            )
+        self._hired_logged = hired
         self._result = None
 
     def result(self):
@@ -249,24 +403,9 @@ class OnlineRun:
         return self._result
 
 
-def drive_stream(stream, policy: OnlinePolicy, *, finish: bool = True):
-    """Drive *policy* over a legacy :class:`SecretaryStream`, one arrival
-    at a time, stopping as soon as the policy is done.
-
-    Returns the policy's finished result (or the policy itself with
-    ``finish=False``, for wrappers that post-process).
-    """
-    policy.bind(stream.oracle, stream.n)
-    for pos, element in enumerate(stream):
-        policy.observe(pos, element)
-        if policy.done:
-            break
-    return policy.finish() if finish else policy
-
-
 def run_online(
     utility: SetFunction,
-    schedule: ArrivalSchedule,
+    schedule: ArrivalSchedule | ArrivalSource,
     policy: OnlinePolicy,
 ):
     """One-shot convenience: run *policy* over *schedule* to completion."""

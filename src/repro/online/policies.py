@@ -70,7 +70,6 @@ from repro.online.runtime import (
     observation_lengths,
     offline_knapsack_estimate,
     segment_bounds,
-    subsample_keep,
 )
 from repro.secretary.classical import dynkin_threshold
 
@@ -182,7 +181,10 @@ class OnlinePolicy(abc.ABC):
         A policy with a :attr:`workload_map` requires that map in *deps*
         (``from_config(config, values=...)`` or ``weights=...``); a copy
         an older checkpoint still embeds in *config* is ignored, since
-        the workload recipe rebuilds the same map.
+        the workload recipe rebuilds the same map.  A config the
+        constructor refuses (an unknown or missing key, a value of the
+        wrong type) raises :class:`~repro.errors.InvalidInstanceError`
+        naming ``policy.config``.
         """
         config = dict(config)
         if cls.workload_map is not None:
@@ -194,7 +196,13 @@ class OnlinePolicy(abc.ABC):
                     f"{cls.workload_map}=...) with the map the workload "
                     "recipe rebuilds (checkpoints never carry it)"
                 )
-        return cls(**config, **deps)  # type: ignore[call-arg]
+        try:
+            return cls(**config, **deps)  # type: ignore[call-arg]
+        except (TypeError, ValueError) as exc:
+            raise InvalidInstanceError(
+                f"checkpoint field 'policy.config' does not build policy "
+                f"{cls.name!r}: {exc}"
+            ) from exc
 
 
 # -- Algorithm 1: the segmented submodular secretary ------------------------
@@ -209,17 +217,6 @@ class SegmentedSubmodularPolicy(OnlinePolicy):
     stream positions.  Per-arrival queries go through an incremental
     evaluator pinned at the hired set, enforcing the Section 3.2.1
     no-peeking contract whenever the oracle does.
-
-    ``subsample`` is the sieve-style **opt-in**: when set to a rate in
-    ``(0, 1]``, only a deterministic-hash-selected fraction of
-    *observation-window* arrivals is scored when building each segment
-    threshold (decision-phase arrivals are always scored — they decide
-    hires).  The coin (:func:`repro.online.runtime.subsample_keep`)
-    depends only on ``(subsample_seed, global position)``, so batched
-    and sequential driving, and checkpoint/resume at any arrival, all
-    drop exactly the same queries.  Default ``None`` — exact, and every
-    construction site in the library leaves it that way; the bench
-    harness measures the resulting utility drift whenever it is on.
     """
 
     name = "segmented"
@@ -234,16 +231,10 @@ class SegmentedSubmodularPolicy(OnlinePolicy):
         position_offset: Optional[int] = None,
         strategy: str = "segments",
         can_take: Optional[CanTake] = None,
-        subsample: Optional[float] = None,
-        subsample_seed: int = 0,
     ) -> None:
         super().__init__()
         if k <= 0:
             raise BudgetError(f"k must be positive, got {k}")
-        if subsample is not None and not 0.0 < float(subsample) <= 1.0:
-            raise InvalidInstanceError(
-                f"subsample must be a rate in (0, 1], got {subsample}"
-            )
         self.k = int(k)
         self.monotone_clamp = bool(monotone_clamp)
         self.skip = int(skip)
@@ -253,8 +244,6 @@ class SegmentedSubmodularPolicy(OnlinePolicy):
         )
         self.strategy = strategy
         self.can_take = can_take
-        self.subsample = None if subsample is None else float(subsample)
-        self.subsample_seed = int(subsample_seed)
 
     def _setup(self) -> None:
         n = self.window_n if self.window_n is not None else self._n - self.skip
@@ -320,12 +309,6 @@ class SegmentedSubmodularPolicy(OnlinePolicy):
         start, _end = self._bounds[self._seg]
         in_window = ipos - start < self._observe_len[self._seg]
         if in_window:
-            if (
-                self.subsample is not None
-                and scored is None
-                and not subsample_keep(self.subsample_seed, pos, self.subsample)
-            ):
-                return  # coin-dropped window arrival: never queried
             uv = scored if scored is not None else self._evaluator.union_value1(a)
             self._threshold = max(self._threshold, uv)
             return
@@ -369,18 +352,7 @@ class SegmentedSubmodularPolicy(OnlinePolicy):
                 mask.append(False)
                 continue
             in_window = ipos - self._bounds[seg][0] < self._observe_len[seg]
-            if in_window:
-                # Window arrivals query unless the subsample coin drops
-                # them — keyed on the global position, so this mirror
-                # agrees with the sequential coin in ``_step`` exactly.
-                mask.append(
-                    self.subsample is None
-                    or subsample_keep(
-                        self.subsample_seed, ipos + self.skip, self.subsample
-                    )
-                )
-            else:
-                mask.append(not picked)
+            mask.append(in_window or not picked)
         return mask
 
     def observe_batch(self, pos0: int, elements: Sequence[Hashable]) -> None:
@@ -444,13 +416,8 @@ class SegmentedSubmodularPolicy(OnlinePolicy):
     # -- checkpoint codec ----------------------------------------------
 
     def config_dict(self) -> Dict[str, object]:
-        """JSON-able constructor config; inverse of :meth:`from_config`.
-
-        The subsample keys are emitted only when the opt-in is active,
-        so exact-mode checkpoints stay byte-identical to pre-subsample
-        builds (and old checkpoints load via constructor defaults).
-        """
-        cfg = {
+        """JSON-able constructor config; inverse of :meth:`from_config`."""
+        return {
             "k": self.k,
             "monotone_clamp": self.monotone_clamp,
             "skip": self.skip,
@@ -458,10 +425,6 @@ class SegmentedSubmodularPolicy(OnlinePolicy):
             "position_offset": self.position_offset,
             "strategy": self.strategy,
         }
-        if self.subsample is not None:
-            cfg["subsample"] = self.subsample
-            cfg["subsample_seed"] = self.subsample_seed
-        return cfg
 
     def state_dict(self) -> Dict[str, object]:
         """JSON-able mutable state; inverse of :meth:`load_state`."""
@@ -695,6 +658,11 @@ class RobustTopKPolicy(OnlinePolicy):
         self._seg = int(state["seg"])  # type: ignore[arg-type]
         self._best = decode_float(state["best"])  # type: ignore[arg-type]
         self._per_segment = list(state["per_segment"])  # type: ignore[arg-type]
+        if len(self._per_segment) != self.k:
+            raise ValueError(
+                f"per_segment lists {len(self._per_segment)} segments, "
+                f"not k = {self.k}"
+            )
         self._selected = {e for e in self._per_segment if e is not None}
         self._done = bool(state["done"])
 
@@ -922,6 +890,8 @@ class KnapsackSecretaryPolicy(OnlinePolicy):
             self._singleton.load_state(state["singleton"])  # type: ignore[arg-type]
             return
         self._phase = str(state["phase"])
+        if self._phase not in ("collect", "filter"):
+            raise ValueError(f"unknown knapsack phase {self._phase!r}")
         self._first_half = (
             list(state["first_half"]) if self._phase == "collect" else []  # type: ignore[arg-type]
         )

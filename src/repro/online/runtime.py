@@ -23,29 +23,7 @@ __all__ = [
     "encode_float",
     "decode_float",
     "offline_knapsack_estimate",
-    "subsample_keep",
 ]
-
-_MASK64 = (1 << 64) - 1
-
-
-def subsample_keep(seed: int, pos: int, rate: float) -> bool:
-    """Deterministic per-position coin for opt-in candidate subsampling.
-
-    A splitmix64-style hash of ``(seed, pos)`` mapped to ``[0, 1)`` and
-    compared against *rate* — the same arrival gets the same verdict
-    whether it is scored sequentially, inside a batch, or after a
-    checkpoint/resume, because the coin depends only on the global
-    stream position, never on traversal order or process state.
-    ``rate >= 1`` keeps everything (the exact path).
-    """
-    if rate >= 1.0:
-        return True
-    x = (int(seed) * 0x9E3779B97F4A7C15 + int(pos) + 1) & _MASK64
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
-    x ^= x >> 31
-    return (x >> 11) * (1.0 / (1 << 53)) < rate
 
 
 def segment_bounds(n: int, k: int) -> List[Tuple[int, int]]:

@@ -969,7 +969,10 @@ def _checked_manifest(
     :meth:`ShardedRun.from_schedule` writes) may omit it.  The
     top-level ``num_shards``, ``salt`` and ``limit`` must be JSON
     integers (``limit`` may be null), and ``num_shards`` must count the
-    entries.  O(1) per entry; any failure raises
+    entries.  Every lane of the partition's newest epoch, which receives
+    the whole unconsumed stream, must have an entry; there may be more
+    entries, since a shrink keeps the retired lanes that hold state.
+    O(1) per entry; any failure raises
     :class:`~repro.errors.InvalidInstanceError` naming the field.
     """
     if manifest.get("format") != SHARDED_CHECKPOINT_FORMAT:
@@ -994,6 +997,12 @@ def _checked_manifest(
     if manifest.get("limit") is not None:
         _require(manifest["limit"], int, "limit", "an integer or null")
     partition = partition_from_manifest(manifest)
+    if partition.num_shards > len(entries):
+        raise InvalidInstanceError(
+            f"checkpoint field 'partition' spreads the unconsumed stream "
+            f"over {partition.num_shards} lanes, but the manifest carries "
+            f"{len(entries)} shard entries"
+        )
     # A one-shard base map's only lane is the parent stream itself.
     identity = partition.single_epoch and partition.num_shards == 1
     for i, entry in enumerate(entries):

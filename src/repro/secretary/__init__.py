@@ -14,12 +14,20 @@ random order and must be irrevocably accepted or rejected.  Implements
   (Theorem 3.5.1),
 * the bottleneck (min-value) rule of Section 3.6.
 
-All of them consume a :class:`repro.secretary.stream.SecretaryStream`,
-whose oracle refuses queries about not-yet-arrived elements — the
-paper's marriage of the value-oracle model with online arrival.
+All of them consume a :class:`repro.secretary.stream.SecretaryStream`
+(an arrival source over the paper's uniform order) and run their
+decision rule, a :mod:`repro.online.policies` state machine, through
+:func:`repro.online.driver.run_online` — the one driver the engine,
+sessions and serve use too.  Its :class:`ArrivalOracle` refuses queries
+about not-yet-arrived elements — the paper's marriage of the
+value-oracle model with online arrival.
 """
 
-from repro.secretary.stream import ArrivalOracle, SecretaryStream
+# stream imports repro.online, which reaches the algorithm modules below
+# through the engine's task adapters before SecretaryStream exists; they
+# import it for type checking only.
+from repro.secretary.stream import SecretaryStream
+from repro.online.driver import ArrivalOracle
 from repro.secretary.classical import classical_secretary, dynkin_threshold
 from repro.secretary.submodular_secretary import (
     monotone_submodular_secretary,

@@ -14,11 +14,15 @@ from below and give the E6 table its "who wins" comparison:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
 
 from repro.errors import BudgetError
+from repro.online.driver import ArrivalOracle
 from repro.rng import as_generator
-from repro.secretary.stream import SecretaryStream
 from repro.secretary.submodular_secretary import SecretaryResult
+
+if TYPE_CHECKING:
+    from repro.secretary.stream import SecretaryStream
 
 __all__ = [
     "first_k_baseline",
@@ -35,12 +39,9 @@ def _check_k(k: int) -> None:
 def first_k_baseline(stream: SecretaryStream, k: int) -> SecretaryResult:
     """Hire the first k arrivals unconditionally."""
     _check_k(k)
-    selected: set = set()
-    for pos, a in enumerate(stream):
-        if pos >= k:
-            break
-        selected.add(a)
-    return SecretaryResult(selected=frozenset(selected), traces=[], strategy="first-k")
+    return SecretaryResult(
+        selected=frozenset(stream.order[:k]), traces=[], strategy="first-k"
+    )
 
 
 def random_k_baseline(stream: SecretaryStream, k: int, rng=None) -> SecretaryResult:
@@ -54,23 +55,29 @@ def random_k_baseline(stream: SecretaryStream, k: int, rng=None) -> SecretaryRes
     _check_k(k)
     gen = as_generator(rng)
     n = stream.n
-    take = set(int(i) for i in gen.choice(n, size=min(k, n), replace=False))
-    selected: set = set()
-    for pos, a in enumerate(stream):
-        if pos in take:
-            selected.add(a)
-    return SecretaryResult(selected=frozenset(selected), traces=[], strategy="random-k")
+    take = gen.choice(n, size=min(k, n), replace=False)
+    return SecretaryResult(
+        selected=frozenset(stream.order[int(i)] for i in take),
+        traces=[], strategy="random-k",
+    )
 
 
 def greedy_no_observation_baseline(stream: SecretaryStream, k: int) -> SecretaryResult:
-    """Hire greedily on any positive marginal, no observation window."""
+    """Hire greedily on any positive marginal, no observation window.
+
+    Queries go through an :class:`~repro.online.driver.ArrivalOracle`
+    that learns each element as the walk reaches it, so the rule never
+    peeks at later arrivals.
+    """
     _check_k(k)
+    oracle = ArrivalOracle(stream.utility)
     selected: set = set()
-    value = stream.oracle.value(frozenset())
-    for a in stream:
+    value = oracle.value(frozenset())
+    for a in stream.order:
         if len(selected) >= k:
             break
-        candidate = stream.oracle.value(frozenset(selected | {a}))
+        oracle.reveal(a)
+        candidate = oracle.value(frozenset(selected | {a}))
         if candidate > value + 1e-12:
             selected.add(a)
             value = candidate

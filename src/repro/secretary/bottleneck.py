@@ -15,12 +15,14 @@ probability directly).
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping
+from typing import TYPE_CHECKING, Hashable, Mapping
 
-from repro.online.driver import drive_stream
+from repro.online.driver import run_online
 from repro.online.policies import BottleneckPolicy
 from repro.online.results import BottleneckResult
-from repro.secretary.stream import SecretaryStream
+
+if TYPE_CHECKING:
+    from repro.secretary.stream import SecretaryStream
 
 __all__ = ["BottleneckResult", "bottleneck_secretary"]
 
@@ -36,4 +38,4 @@ def bottleneck_secretary(
     utility is not consulted — the bottleneck objective is determined by
     individual efficiencies, and the rule itself only compares scalars).
     """
-    return drive_stream(stream, BottleneckPolicy(values, k))
+    return run_online(stream.utility, stream, BottleneckPolicy(values, k))

@@ -3,15 +3,18 @@
 Observe the first ``t - 1`` applicants without hiring, then hire the
 first whose quality beats everything seen so far.  With ``t ~ n/e`` the
 best applicant is hired with probability approaching ``1/e`` — the
-constant that powers every per-segment step of Algorithm 1.
+constant that powers every per-segment step of Algorithm 1.  Its
+streaming form, scoring each arrival with the value oracle as it
+arrives, is :class:`repro.online.policies.BestSingletonPolicy` with
+``strict=True``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Hashable, Iterable, Optional, Sequence, Tuple
+from typing import Hashable, Optional, Sequence, Tuple
 
-__all__ = ["dynkin_threshold", "classical_secretary", "best_among_stream"]
+__all__ = ["dynkin_threshold", "classical_secretary"]
 
 
 def dynkin_threshold(n: int) -> int:
@@ -53,29 +56,4 @@ def classical_secretary(
     for element, score in arrivals[window:]:
         if score > best_seen:
             return element
-    return None
-
-
-def best_among_stream(
-    elements: Iterable[Hashable],
-    score: Callable[[Hashable], float],
-    n_hint: Optional[int] = None,
-) -> Optional[Hashable]:
-    """Streaming form: consumes an iterable, scoring on arrival.
-
-    *n_hint* is the number of arrivals (the secretary model's known n);
-    when omitted the iterable is materialised first — only acceptable
-    for offline experimentation.
-    """
-    if n_hint is None:
-        pool = [(e, score(e)) for e in elements]
-        return classical_secretary(pool)
-    window = dynkin_threshold(n_hint)
-    best_seen = -math.inf
-    for i, e in enumerate(elements):
-        s = score(e)
-        if i < window:
-            best_seen = max(best_seen, s)
-        elif s > best_seen:
-            return e
     return None

@@ -16,22 +16,25 @@ Two pieces, mirroring the paper exactly:
   it (:func:`offline_knapsack_estimate`, re-exported from
   :mod:`repro.online.runtime`), then hire any second-half item whose
   marginal-value density beats ``OPT_hat / 6``.  This wrapper performs
-  the reduction, flips the coin, and drives the policy over the stream.
+  the reduction, flips the coin, and runs the policy over the stream
+  through :func:`~repro.online.driver.run_online`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Mapping, Sequence
+from typing import TYPE_CHECKING, Dict, Hashable, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import InvalidInstanceError
-from repro.online.driver import drive_stream
+from repro.online.driver import run_online
 from repro.online.policies import KnapsackSecretaryPolicy
 from repro.online.results import SecretaryResult
 from repro.online.runtime import offline_knapsack_estimate
 from repro.rng import as_generator
-from repro.secretary.stream import SecretaryStream
+
+if TYPE_CHECKING:
+    from repro.secretary.stream import SecretaryStream
 
 __all__ = ["reduce_knapsacks_to_one", "knapsack_submodular_secretary", "offline_knapsack_estimate"]
 
@@ -115,4 +118,4 @@ def knapsack_submodular_secretary(
     policy = KnapsackSecretaryPolicy(
         w1, heads=bool(gen.random() < 0.5), density_divisor=density_divisor
     )
-    return drive_stream(stream, policy)
+    return run_online(stream.utility, stream, policy)

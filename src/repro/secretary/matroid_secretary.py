@@ -19,21 +19,24 @@ Structure of the algorithm (Section 3.3):
 
 The guess dispatch and both branches live in
 :class:`repro.online.policies.MatroidSecretaryPolicy`; this wrapper
-draws the guess and drives the policy over the stream.
+draws the guess and runs the policy over the stream through
+:func:`~repro.online.driver.run_online`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.errors import BudgetError
 from repro.matroids.base import Matroid
-from repro.online.driver import drive_stream
+from repro.online.driver import run_online
 from repro.online.policies import MatroidSecretaryPolicy
 from repro.online.results import SecretaryResult
 from repro.rng import as_generator
-from repro.secretary.stream import SecretaryStream
+
+if TYPE_CHECKING:
+    from repro.secretary.stream import SecretaryStream
 
 __all__ = ["matroid_submodular_secretary"]
 
@@ -70,4 +73,4 @@ def matroid_submodular_secretary(
         pool: List[int] = [2**i for i in range(log_r + 1)]
         k = int(pool[int(gen.integers(len(pool)))])
 
-    return drive_stream(stream, MatroidSecretaryPolicy(matroids, k))
+    return run_online(stream.utility, stream, MatroidSecretaryPolicy(matroids, k))

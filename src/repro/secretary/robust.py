@@ -23,13 +23,15 @@ mixture of prefix sums).
 
 from __future__ import annotations
 
-from typing import FrozenSet, Hashable, Mapping, Sequence
+from typing import TYPE_CHECKING, FrozenSet, Hashable, Mapping, Sequence
 
 from repro.errors import BudgetError
-from repro.online.driver import drive_stream
+from repro.online.driver import run_online
 from repro.online.policies import RobustTopKPolicy
 from repro.online.results import RobustResult
-from repro.secretary.stream import SecretaryStream
+
+if TYPE_CHECKING:
+    from repro.secretary.stream import SecretaryStream
 
 __all__ = ["RobustResult", "robust_topk_secretary", "gamma_objective"]
 
@@ -63,4 +65,4 @@ def robust_topk_secretary(
     One classical-secretary subroutine per segment, thresholding on the
     candidate's raw value within the segment.
     """
-    return drive_stream(stream, RobustTopKPolicy(values, k))
+    return run_online(stream.utility, stream, RobustTopKPolicy(values, k))

@@ -24,15 +24,17 @@ Two halves of Theorem 3.1.4:
 from __future__ import annotations
 
 import math
-from typing import FrozenSet, Hashable, Iterable
+from typing import TYPE_CHECKING, FrozenSet, Hashable, Iterable
 
 from repro.core.submodular import SetFunction
 from repro.errors import BudgetError
-from repro.online.driver import drive_stream
+from repro.online.driver import run_online
 from repro.online.policies import BestSingletonPolicy, SubadditiveSegmentPolicy
 from repro.online.results import SecretaryResult
 from repro.rng import as_generator
-from repro.secretary.stream import SecretaryStream
+
+if TYPE_CHECKING:
+    from repro.secretary.stream import SecretaryStream
 
 __all__ = ["HiddenSetFunction", "subadditive_secretary"]
 
@@ -113,9 +115,9 @@ def subadditive_secretary(
 
     if gen.random() < 0.5:
         # Strategy A: single best item via the classical rule.
-        return drive_stream(stream, BestSingletonPolicy())
+        return run_online(stream.utility, stream, BestSingletonPolicy())
 
     # Strategy B: hire one uniformly random size-<=k segment wholesale.
     n_segments = max(1, math.ceil(n / k))
     target = int(gen.integers(n_segments))
-    return drive_stream(stream, SubadditiveSegmentPolicy(k, target))
+    return run_online(stream.utility, stream, SubadditiveSegmentPolicy(k, target))

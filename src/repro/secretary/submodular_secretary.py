@@ -11,9 +11,9 @@ The decision logic lives in
 :class:`repro.online.policies.SegmentedSubmodularPolicy` — an explicit
 state machine the unified runtime can drive over any arrival process,
 suspend, and resume.  These wrappers keep the paper-facing API: they
-configure the policy (including Algorithm 2's coin) and drive it over a
-:class:`~repro.secretary.stream.SecretaryStream` one arrival at a time,
-which preserves the historical oracle-query pattern bit-for-bit.
+configure the policy (including Algorithm 2's coin) and return
+:func:`~repro.online.driver.run_online` over the
+:class:`~repro.secretary.stream.SecretaryStream`, one arrival per batch.
 Both algorithms accept an optional feasibility predicate ``can_take(T,
 a)`` so the matroid and knapsack variants (Algorithm 3 / Section 3.4)
 can reuse the machinery.
@@ -21,9 +21,9 @@ can reuse the machinery.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.online.driver import drive_stream
+from repro.online.driver import run_online
 from repro.online.policies import (
     CanTake,
     SegmentedSubmodularPolicy,
@@ -31,64 +31,16 @@ from repro.online.policies import (
 )
 from repro.online.results import SecretaryResult, SegmentTrace
 from repro.rng import as_generator
-from repro.secretary.stream import SecretaryStream
+
+if TYPE_CHECKING:
+    from repro.secretary.stream import SecretaryStream
 
 __all__ = [
     "SecretaryResult",
     "SegmentTrace",
-    "segmented_submodular_pick",
     "monotone_submodular_secretary",
     "nonmonotone_submodular_secretary",
 ]
-
-
-def segmented_submodular_pick(
-    arrivals: Iterable[Hashable],
-    n: int,
-    oracle,
-    k: int,
-    *,
-    can_take: Optional[CanTake] = None,
-    monotone_clamp: bool = True,
-    position_offset: int = 0,
-) -> SecretaryResult:
-    """Core of Algorithm 1, one strict pass over *arrivals*.
-
-    Parameters
-    ----------
-    arrivals:
-        The arrival iterator (elements are interviewed as they are
-        consumed; with an :class:`ArrivalOracle`-backed stream, queries
-        about later arrivals would raise).
-    n:
-        Number of arrivals the segment layout is computed for (the
-        secretary model's publicly known n).
-    oracle:
-        Value oracle; only queried on sets of already-consumed elements.
-    k:
-        Maximum number of hires (= number of segments).
-    can_take:
-        Optional feasibility predicate (matroid/knapsack hooks).
-    monotone_clamp:
-        Implements ``if a_i < f(T_{i-1}): a_i := f(T_{i-1})``, which for
-        non-monotone ``f`` keeps the running value non-decreasing.
-    position_offset:
-        Where this window starts inside a larger stream (trace labels
-        only).
-    """
-    policy = SegmentedSubmodularPolicy(
-        k,
-        monotone_clamp=monotone_clamp,
-        window_n=n,
-        position_offset=position_offset,
-        can_take=can_take,
-    )
-    policy.bind(oracle, n)
-    for pos, a in enumerate(arrivals):
-        policy.observe(pos, a)
-        if policy.done:
-            break
-    return policy.finish()
 
 
 def monotone_submodular_secretary(
@@ -98,8 +50,9 @@ def monotone_submodular_secretary(
     can_take: Optional[CanTake] = None,
 ) -> SecretaryResult:
     """Algorithm 1: hire at most k, 1/(7e)-competitive for monotone f."""
-    return drive_stream(
-        stream, SegmentedSubmodularPolicy(k, window_n=stream.n, can_take=can_take)
+    return run_online(
+        stream.utility, stream,
+        SegmentedSubmodularPolicy(k, window_n=stream.n, can_take=can_take),
     )
 
 
@@ -117,4 +70,4 @@ def nonmonotone_submodular_secretary(
     gen = as_generator(rng)
     use_first_half = bool(gen.random() < 0.5)
     policy = nonmonotone_half_policy(stream.n, k, use_first_half)
-    return drive_stream(stream, policy)
+    return run_online(stream.utility, stream, policy)

@@ -11,12 +11,11 @@ experiment needs) over a fresh ground set of ``n`` elements:
 * :func:`cut_utility` — weighted cut functions on G(n, p) graphs, the
   canonical non-monotone family for Algorithm 2.
 
-:func:`arrival_stream` bridges these utilities to the online runtime's
-arrival-process registry: it returns a legacy
-:class:`~repro.secretary.stream.SecretaryStream` whose order is drawn
-by any registered process, so stream-based consumers (the E6–E11
-benchmarks, examples) can replay adversarial/bursty/nearly-sorted
-orders without switching to the driver API.
+The arrival order is not built here: a
+:class:`~repro.secretary.stream.SecretaryStream` draws the paper's
+uniform order, and ``SecretaryStream(fn, order=build_arrival_schedule(
+process, fn, seed).order)`` replays any registered arrival process
+through the same paper-facing functions.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from repro.core.functions import (
     FacilityLocationFunction,
     WeightedCoverageFunction,
 )
-from repro.core.submodular import SetFunction
 from repro.errors import InvalidInstanceError
 from repro.rng import as_generator
 
@@ -43,7 +41,6 @@ __all__ = [
     "facility_utility",
     "cut_utility",
     "knapsack_weights",
-    "arrival_stream",
     "stream_utility",
     "sparse_coverage_utility",
     "sparse_cut_utility",
@@ -148,23 +145,6 @@ def knapsack_weights(
     # One draw, row-major: the same doubles, in the same order, as a
     # ``gen.random()`` per element and knapsack.
     return dict(zip(order, (low + span * gen.random((len(order), n_knapsacks))).tolist()))
-
-
-def arrival_stream(utility: SetFunction, process: str = "uniform", seed=None, **params):
-    """A :class:`SecretaryStream` ordered by a registered arrival process.
-
-    ``arrival_stream(fn, "uniform", seed)`` is interchangeable with
-    ``SecretaryStream(fn, rng=seed)`` (same permutation for the same
-    seed); other processes reuse the stream API with their own orders.
-    Minibatch structure is a driver concern — a legacy stream reveals
-    one element at a time regardless of the process's batching.
-    """
-    # Imported here: repro.secretary imports this module's generators.
-    from repro.online.arrivals import build_arrival_schedule
-    from repro.secretary.stream import SecretaryStream
-
-    schedule = build_arrival_schedule(process, utility, seed, **params)
-    return SecretaryStream(utility, order=schedule.order)
 
 
 def coverage_utility(

@@ -53,7 +53,6 @@ from repro.core.kernels import (
 )
 from repro.core.oracle import CachedOracle, CountingOracle
 from repro.core.submodular import SubsampledMarginals
-from repro.errors import InvalidInstanceError
 
 TOL = 1e-12
 
@@ -398,15 +397,15 @@ class TestWrapperPassthrough:
         assert isinstance(ev._inner._inner, SparseCoverageEvaluator)
 
     def test_arrival_oracle_and_shard_view_forward_backend(self):
+        from repro.online.driver import ArrivalOracle
         from repro.online.sharding import ShardView
-        from repro.secretary.stream import SecretaryStream
 
         covers, _, _ = _coverage_pair(8)
         fn = CoverageFunction(covers)
-        stream = SecretaryStream(fn, rng=0)
+        oracle = ArrivalOracle(fn)
         for e in fn.ground_set:
-            stream.oracle.reveal(e)
-        ev = stream.oracle.fast_evaluator(backend="sparse")
+            oracle.reveal(e)
+        ev = oracle.fast_evaluator(backend="sparse")
         assert isinstance(ev._inner, SparseCoverageEvaluator)
         view = ShardView(fn, sorted(fn.ground_set)[:5])
         assert isinstance(
@@ -476,69 +475,3 @@ class TestSubsampling:
         fn = AdditiveFunction({1: 1.0})
         with pytest.raises(ValueError, match="subsample"):
             fn.batch_marginals([], [1], subsample=0)
-
-
-class TestPolicySubsampling:
-    def _run(self, n, seed, batched, **policy_kw):
-        from repro.core.functions import AdditiveFunction
-        from repro.online.policies import SegmentedSubmodularPolicy
-
-        rng = np.random.default_rng(seed)
-        fn = AdditiveFunction({f"s{i}": float(rng.random()) for i in range(n)})
-        oracle = CountingOracle(fn)
-        order = sorted(fn.ground_set)
-        list(np.random.default_rng(seed).permuted(np.arange(n)))
-        policy = SegmentedSubmodularPolicy(4, **policy_kw)
-        policy.bind(oracle, n)
-        if batched:
-            for start in range(0, n, 7):
-                policy.observe_batch(start, order[start:start + 7])
-        else:
-            for pos, e in enumerate(order):
-                policy.observe(pos, e)
-        return policy.finish(), oracle.calls
-
-    def test_policy_subsample_off_by_default(self):
-        from repro.online.policies import SegmentedSubmodularPolicy
-
-        assert SegmentedSubmodularPolicy(2).subsample is None
-        assert "subsample" not in SegmentedSubmodularPolicy(2).config_dict()
-
-    def test_batched_equals_sequential_with_subsample(self):
-        for seed in (0, 1):
-            seq, seq_calls = self._run(
-                60, seed, batched=False, subsample=0.5, subsample_seed=seed
-            )
-            bat, bat_calls = self._run(
-                60, seed, batched=True, subsample=0.5, subsample_seed=seed
-            )
-            assert seq.selected == bat.selected
-            # A mid-batch hire discards the speculative tail scores, so
-            # the batched path may bill up to one partial batch more per
-            # hire — but never fewer (it drops the same coin).
-            assert seq_calls <= bat_calls <= seq_calls + 7 * len(bat.selected)
-
-    def test_subsample_reduces_queries_and_stays_valid(self):
-        exact, exact_calls = self._run(120, 3, batched=False)
-        sub, sub_calls = self._run(
-            120, 3, batched=False, subsample=0.25, subsample_seed=1
-        )
-        assert sub_calls < exact_calls
-        assert len(sub.selected) <= 4
-
-    def test_subsample_config_round_trips(self):
-        from repro.online.policies import SegmentedSubmodularPolicy
-
-        p = SegmentedSubmodularPolicy(3, subsample=0.5, subsample_seed=9)
-        cfg = p.config_dict()
-        assert cfg["subsample"] == 0.5 and cfg["subsample_seed"] == 9
-        q = SegmentedSubmodularPolicy.from_config(cfg)
-        assert q.subsample == 0.5 and q.subsample_seed == 9
-
-    def test_invalid_subsample_rate_rejected(self):
-        from repro.online.policies import SegmentedSubmodularPolicy
-
-        with pytest.raises(InvalidInstanceError, match="subsample"):
-            SegmentedSubmodularPolicy(2, subsample=0.0)
-        with pytest.raises(InvalidInstanceError, match="subsample"):
-            SegmentedSubmodularPolicy(2, subsample=1.5)

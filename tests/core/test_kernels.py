@@ -34,6 +34,7 @@ from repro.core.lazy import lazy_budgeted_greedy
 from repro.core.oracle import CachedOracle, CountingOracle
 from repro.core.submodular import LambdaSetFunction, TruncatedFunction
 from repro.errors import OracleError
+from repro.online.driver import ArrivalOracle
 from repro.secretary.knapsack_secretary import offline_knapsack_estimate
 from repro.secretary.stream import SecretaryStream
 from repro.secretary.submodular_secretary import monotone_submodular_secretary
@@ -238,13 +239,13 @@ def test_secretary_selection_and_counts_match_kernels_on_vs_off(seed):
 def test_arrival_evaluator_enforces_no_peeking():
     fn = AdditiveFunction({f"e{i}": float(i + 1) for i in range(8)})
     order = sorted(fn.ground_set, key=repr)
-    stream = SecretaryStream(fn, order=order)
-    ev = stream.oracle.incremental_evaluator()
+    oracle = ArrivalOracle(fn)
+    ev = oracle.incremental_evaluator()
     assert ev.fast
     with pytest.raises(OracleError):
         ev.gains([order[0]])  # nothing has arrived yet
-    it = iter(stream)
-    first = next(it)
+    first = order[0]
+    oracle.reveal(first)
     assert ev.gain1(first) == pytest.approx(fn.value(frozenset({first})))
     with pytest.raises(OracleError):
         ev.union_value1(order[3] if order[3] != first else order[4])

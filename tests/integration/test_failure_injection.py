@@ -14,6 +14,7 @@ from repro.core.functions import CoverageFunction
 from repro.core.lazy import lazy_budgeted_greedy
 from repro.core.submodular import LambdaSetFunction
 from repro.errors import InfeasibleError, InvalidInstanceError, OracleError
+from repro.online.driver import ArrivalOracle
 from repro.scheduling.instance import Job, ScheduleInstance
 from repro.scheduling.intervals import AwakeInterval
 from repro.scheduling.power import AffineCost, CostModel, TableCost
@@ -67,9 +68,8 @@ class TestOracleFailures:
         # An "algorithm" that queries the whole ground set up front is
         # rejected by the ArrivalOracle before it can cheat.
         fn = CoverageFunction({f"s{i}": {i} for i in range(5)})
-        stream = SecretaryStream(fn, rng=0)
         with pytest.raises(OracleError):
-            stream.oracle.value(fn.ground_set)
+            ArrivalOracle(fn).value(fn.ground_set)
 
 
 class TestPoisonedCosts:

@@ -21,10 +21,11 @@ from repro.core.oracle import CountingOracle
 from repro.engine.runner import run_one
 from repro.engine.spec import RunSpec
 from repro.matroids.uniform import UniformMatroid
+from repro.online.driver import run_online
+from repro.online.policies import BestSingletonPolicy
 from repro.scheduling.instance import Job
 from repro.scheduling.intervals import AwakeInterval
 from repro.secretary.bottleneck import bottleneck_secretary
-from repro.secretary.classical import best_among_stream
 from repro.secretary.knapsack_secretary import knapsack_submodular_secretary
 from repro.secretary.matroid_secretary import matroid_submodular_secretary
 from repro.secretary.online_scheduling import (
@@ -146,11 +147,9 @@ def direct_cases() -> dict:
     fn, values = additive_values(12, rng=np.random.default_rng(24))
     counting = CountingOracle(fn)
     stream = SecretaryStream(counting, rng=np.random.default_rng(25))
-    hired = best_among_stream(
-        iter(stream), lambda e: stream.oracle.value(frozenset({e})), n_hint=stream.n
-    )
+    res = run_online(counting, stream, BestSingletonPolicy(strict=True))
     out["classical/additive"] = {
-        "selected": [] if hired is None else [str(hired)],
+        "selected": _sel(res.selected),
         "calls": counting.calls,
     }
 

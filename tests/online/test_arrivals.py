@@ -247,28 +247,22 @@ class TestReplay:
             )
 
 
-class TestArrivalStreamBridge:
-    """workloads.arrival_stream: legacy streams over any process."""
+class TestPaperApiOverAnyProcess:
+    """A process's order, passed to SecretaryStream, runs the paper API."""
 
-    def test_uniform_matches_plain_stream(self, fn):
-        from repro.workloads.secretary_streams import arrival_stream
-
-        stream = arrival_stream(fn, "uniform", seed=17)
-        plain = SecretaryStream(fn, rng=np.random.default_rng(17))
-        assert stream.order == plain.order
-
-    def test_nonuniform_order_through_legacy_api(self):
+    def test_sorted_desc_order_through_the_paper_api(self):
         from repro.secretary.submodular_secretary import (
             monotone_submodular_secretary,
         )
-        from repro.workloads.secretary_streams import arrival_stream
 
         fn, values = additive_values(20, rng=np.random.default_rng(4))
-        stream = arrival_stream(fn, "sorted_desc", seed=0)
+        schedule = build_arrival_schedule("sorted_desc", fn, 0)
+        stream = SecretaryStream(fn, order=schedule.order)
         vals = [values[e] for e in stream.order]
         assert vals == sorted(vals, reverse=True)
         result = monotone_submodular_secretary(stream, 3)
         assert len(result.selected) <= 3
+        assert stream.cursor == stream.n
 
 
 class TestPayloadRoundTrip:

@@ -146,15 +146,14 @@ class TestBatchSequentialEquivalence:
         )
 
 
-class TestLegacyStreamDriving:
-    def test_drive_stream_stops_at_done(self):
-        from repro.online.driver import drive_stream
+class TestSecretaryStreamDriving:
+    def test_run_online_stops_at_done(self):
         from repro.secretary.stream import SecretaryStream
 
         fn, _ = additive_values(25, rng=np.random.default_rng(3))
         stream = SecretaryStream(fn, rng=np.random.default_rng(6))
         policy = BestSingletonPolicy()
-        result = drive_stream(stream, policy)
+        result = run_online(fn, stream, policy)
         assert policy.done
-        assert stream.peek_remaining_count() > 0  # stopped mid-stream
+        assert stream.cursor < stream.n  # stopped mid-stream
         assert len(result.selected) <= 1

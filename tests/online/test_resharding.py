@@ -270,6 +270,36 @@ class TestReshardSession:
         with pytest.raises(InvalidInstanceError, match="sharded"):
             reshard_session(_rt(plain.checkpoint()), 2)
 
+    def _hopped(self, hops, between):
+        session = start_sharded_session(
+            policy="monotone", family="additive", n=64, k=4, seed=3,
+            process="bursty", shards=2,
+        ).advance(20)
+        ck = _rt(session.checkpoint())
+        for shards in hops:
+            ck = reshard_session(ck, shards)
+            ck = _rt(resume_any_session(ck).advance(between).checkpoint())
+        return ck
+
+    def test_partition_wider_than_its_entries_is_refused(self):
+        ck = self._hopped([3], 0)
+        summary = resume_any_session(_rt(ck)).advance().summary()
+        assert (summary["n"], summary["selected"]) == (64, ["s21", "s24", "s33", "s38"])
+        # Spread the unconsumed stream over lanes no entry holds: a
+        # resume would silently drop every arrival hashed to them.
+        ck["partition"]["epochs"][-1]["num_shards"] = 10**6
+        for entry in ck["shards"]:
+            entry["source"]["shard"]["partition"]["epochs"][-1]["num_shards"] = 10**6
+        with pytest.raises(InvalidInstanceError, match="'partition'"):
+            resume_any_session(ck)
+
+    def test_a_shrink_keeps_retired_lanes_that_hold_state(self):
+        ck = self._hopped([3, 1], 20)
+        pm = partition_from_manifest(ck)
+        assert pm.num_shards == 1 < len(ck["shards"]) <= pm.lane_count()
+        summary = resume_any_session(ck).advance().summary()
+        assert summary["finished"] and summary["cursor"] == 64
+
     def test_partition_lane_source_spec_round_trip(self):
         from repro.online.session import build_workload
 

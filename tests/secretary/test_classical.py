@@ -4,12 +4,12 @@ import math
 
 import pytest
 
+from repro.core.functions import AdditiveFunction
+from repro.online.driver import run_online
+from repro.online.policies import BestSingletonPolicy
 from repro.rng import as_generator, random_permutation
-from repro.secretary.classical import (
-    best_among_stream,
-    classical_secretary,
-    dynkin_threshold,
-)
+from repro.secretary.classical import classical_secretary, dynkin_threshold
+from repro.secretary.stream import SecretaryStream
 
 
 class TestThreshold:
@@ -58,19 +58,18 @@ class TestClassicalSecretary:
         assert abs(rate - 1 / math.e) < 0.05
 
 
-class TestBestAmongStream:
-    def test_offline_materialisation(self):
-        picked = best_among_stream(["a", "b", "c", "d"], {"a": 1, "b": 3, "c": 9, "d": 2}.get)
-        assert picked in {"b", "c", "d"}
+class TestStreamingRule:
+    """The rule scored on arrival: ``BestSingletonPolicy(strict=True)``."""
 
-    def test_streaming_with_hint(self):
-        items = ["a", "b", "c", "d"]
-        score = {"a": 1.0, "b": 2.0, "c": 9.0, "d": 3.0}.get
+    def _hire(self, scores):
+        fn = AdditiveFunction(scores)
+        stream = SecretaryStream(fn, order=list(scores))
+        return run_online(fn, stream, BestSingletonPolicy(strict=True)).selected
+
+    def test_first_record_after_the_window(self):
         # Window = floor(4/e) = 1: observes only "a" (1.0); "b" (2.0)
         # is the first record after the window.
-        assert best_among_stream(iter(items), score, n_hint=4) == "b"
+        assert self._hire({"a": 1.0, "b": 2.0, "c": 9.0, "d": 3.0}) == {"b"}
 
-    def test_streaming_no_pick(self):
-        items = ["best", "a", "b"]
-        score = {"best": 9.0, "a": 1.0, "b": 2.0}.get
-        assert best_among_stream(iter(items), score, n_hint=3) is None
+    def test_no_pick_when_the_window_holds_the_best(self):
+        assert self._hire({"best": 9.0, "a": 1.0, "b": 2.0}) == frozenset()

@@ -5,7 +5,10 @@ import pytest
 
 from repro.core.functions import AdditiveFunction
 from repro.errors import OracleError
-from repro.secretary.stream import ArrivalOracle, SecretaryStream
+from repro.online.arrivals import build_arrival_schedule
+from repro.online.driver import OnlineRun
+from repro.online.policies import BestSingletonPolicy
+from repro.secretary import ArrivalOracle, SecretaryStream
 
 
 def utility():
@@ -42,24 +45,25 @@ class TestArrivalOracle:
 class TestSecretaryStream:
     def test_stream_covers_ground_set(self):
         stream = SecretaryStream(utility(), rng=0)
-        seen = list(stream)
+        seen = stream.order
         assert frozenset(seen) == utility().ground_set
         assert len(seen) == 6
 
     def test_oracle_reveals_in_order(self):
         stream = SecretaryStream(utility(), rng=1)
-        it = iter(stream)
-        first = next(it)
-        assert stream.oracle({first}) >= 0.0  # allowed
+        run = OnlineRun(stream.utility, stream, BestSingletonPolicy()).run(1)
+        first = stream.order[0]
+        assert run.oracle({first}) >= 0.0  # allowed
         # Second element has not arrived yet.
-        remaining = [e for e in stream.order if e != first]
         with pytest.raises(OracleError):
-            stream.oracle({remaining[0]})
+            run.oracle({stream.order[1]})
 
     def test_explicit_order(self):
         order = [f"s{i}" for i in range(6)]
         stream = SecretaryStream(utility(), order=order)
-        assert list(stream) == order
+        assert stream.order == order
+        assert stream.process == "explicit"
+        assert stream.materialize().batch_sizes == [1] * 6
 
     def test_explicit_order_must_match_ground(self):
         with pytest.raises(OracleError):
@@ -85,12 +89,18 @@ class TestSecretaryStream:
         for c in counts.values():
             assert abs(c - expected) < 5 * np.sqrt(expected)
 
-    def test_peek_remaining_count(self):
+    def test_length_and_cursor(self):
         stream = SecretaryStream(utility(), rng=3)
-        assert stream.peek_remaining_count() == 6
-        it = iter(stream)
-        next(it)
-        assert stream.peek_remaining_count() == 5
+        assert (stream.n, stream.cursor) == (6, 0)
+        OnlineRun(stream.utility, stream, BestSingletonPolicy(window=6)).run(1)
+        assert (stream.n, stream.cursor) == (6, 1)
 
-    def test_len(self):
-        assert len(SecretaryStream(utility(), rng=0)) == 6
+    def test_drained_fingerprint_is_the_uniform_schedules(self):
+        fn = utility()
+        for seed in (0, 5, 91):
+            stream = SecretaryStream(fn, rng=seed)
+            OnlineRun(fn, stream, BestSingletonPolicy(window=6)).run()
+            assert stream.exhausted
+            assert stream.fingerprint() == build_arrival_schedule(
+                "uniform", fn, seed
+            ).fingerprint()

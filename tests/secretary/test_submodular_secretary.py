@@ -13,7 +13,6 @@ from repro.secretary.stream import SecretaryStream
 from repro.secretary.submodular_secretary import (
     monotone_submodular_secretary,
     nonmonotone_submodular_secretary,
-    segmented_submodular_pick,
 )
 from repro.workloads.secretary_streams import (
     additive_values,
@@ -162,14 +161,13 @@ class TestSegmentEngine:
         fn = AdditiveFunction({f"s{i}": float(i) for i in range(20)})
         stream = SecretaryStream(fn, rng=0)
         forbidden = set(list(fn.ground_set)[:10])
-        result = segmented_submodular_pick(
-            iter(stream), stream.n, stream.oracle, 5,
-            can_take=lambda T, a: a not in forbidden,
+        result = monotone_submodular_secretary(
+            stream, 5, can_take=lambda T, a: a not in forbidden,
         )
         assert not (set(result.selected) & forbidden)
 
     def test_zero_length_stream(self):
-        fn = AdditiveFunction({"s0": 1.0})
-        stream = SecretaryStream(fn, rng=0)
-        result = segmented_submodular_pick(iter([]), 0, stream.oracle, 3)
+        stream = SecretaryStream(AdditiveFunction({}), rng=0)
+        result = monotone_submodular_secretary(stream, 3)
         assert result.selected == frozenset()
+        assert len(result.traces) == 3
