@@ -283,7 +283,6 @@ class CoverageFunction(SetFunction):
             resolve_backend,
         )
 
-        backend = self.resolve_backend_arg(backend)
         if backend == "naive":
             return None
         kernel = self._coverage_kernel()
@@ -377,7 +376,6 @@ class WeightedCoverageFunction(CoverageFunction):
         """
         from repro.core.kernels import WeightedCoverageEvaluator
 
-        backend = self.resolve_backend_arg(backend)
         if backend == "naive":
             return None
         return WeightedCoverageEvaluator(self, self._coverage_kernel())
@@ -452,7 +450,6 @@ class AdditiveFunction(SetFunction):
         """
         from repro.core.kernels import AdditiveEvaluator
 
-        backend = self.resolve_backend_arg(backend)
         if backend == "naive":
             return None
         elements, values, index = self._additive_kernel()
@@ -500,7 +497,6 @@ class BudgetAdditiveFunction(AdditiveFunction):
         """Additive kernel truncated at ``cap`` (still one fancy-index)."""
         from repro.core.kernels import AdditiveEvaluator
 
-        backend = self.resolve_backend_arg(backend)
         if backend == "naive":
             return None
         elements, values, index = self._additive_kernel()
@@ -607,7 +603,6 @@ class CutFunction(SetFunction):
         """
         from repro.core.kernels import CutEvaluator, SparseCutEvaluator, resolve_backend
 
-        backend = self.resolve_backend_arg(backend)
         if backend == "naive":
             return None
         kernel = self._cut_kernel()
@@ -699,7 +694,6 @@ class FacilityLocationFunction(SetFunction):
         """
         from repro.core.kernels import FacilityLocationEvaluator
 
-        backend = self.resolve_backend_arg(backend)
         if backend == "naive":
             return None
         return FacilityLocationEvaluator(

@@ -55,6 +55,7 @@ the property suite pins agreement to 1e-12.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -62,6 +63,7 @@ import numpy as np
 from repro.core.submodular import Element, SetFunction, _as_frozen
 
 __all__ = [
+    "EvaluatorView",
     "IncrementalEvaluator",
     "PreparedBatch",
     "evaluator_for",
@@ -203,16 +205,15 @@ def _canonical_csr(indptr: np.ndarray, indices: np.ndarray):
     return new_indptr, indices.astype(np.intp, copy=False)
 
 
-def evaluator_for(fn: SetFunction, backend: Optional[str] = None) -> "IncrementalEvaluator":
+def evaluator_for(fn: SetFunction) -> "IncrementalEvaluator":
     """The best incremental evaluator *fn* offers (naive fallback).
 
-    *backend* forwards to ``fn.incremental_evaluator`` for functions
-    exposing the kernel hook; functions without it (arbitrary oracles)
-    always get the naive evaluator.
+    Functions exposing the kernel hook pick their own evaluator;
+    functions without it (arbitrary oracles) get the naive one.
     """
     maker = getattr(fn, "incremental_evaluator", None)
     if maker is not None:
-        return maker(backend=backend)
+        return maker()
     return IncrementalEvaluator(fn)
 
 
@@ -345,6 +346,96 @@ class IncrementalEvaluator:
     def prepare(self, candidate_sets: Sequence[Iterable[Element]]) -> PreparedBatch:
         """Digest a fixed candidate pool for repeated round scoring."""
         return PreparedBatch(self, candidate_sets)
+
+
+class EvaluatorView(IncrementalEvaluator):
+    """An oracle wrapper's view of the kernel evaluator below it.
+
+    Every method forwards to the inner evaluator after one of two
+    hooks, which is where a wrapper puts its rule: :meth:`_touch`
+    before a state update (``reset``, ``add``, ``add_set``,
+    ``advance``), and :meth:`_query` before a counted query (``gains``,
+    ``gain1``, ``union_value1``, ``union_values``, ``set_gains``, a
+    prepared batch's ``gains``), with the number of values the query
+    asks for.  Both default to doing nothing; ``fn`` is the owning
+    wrapper, ``_inner`` the evaluator below.
+    """
+
+    fast = True
+
+    def __init__(self, inner: IncrementalEvaluator, owner: SetFunction):
+        self._inner = inner
+        self._owner = owner
+        self.fn = owner
+        self.modular = inner.modular
+
+    def _touch(self, elements: Iterable[Element]) -> None:
+        """Hook run before a state update naming *elements*."""
+
+    def _query(self, elements: Iterable[Element], count: int) -> None:
+        """Hook run before a query for *count* values over *elements*."""
+
+    @property
+    def selection(self) -> FrozenSet[Element]:
+        return self._inner.selection
+
+    @property
+    def current_value(self) -> float:
+        return self._inner.current_value
+
+    def reset(self, selection: Iterable[Element] = ()) -> None:
+        selection = list(selection)
+        self._touch(selection)
+        self._inner.reset(selection)
+
+    def add(self, element: Element) -> float:
+        self._touch((element,))
+        return self._inner.add(element)
+
+    def add_set(self, items: Iterable[Element]) -> float:
+        items = list(items)
+        self._touch(items)
+        return self._inner.add_set(items)
+
+    def advance(self, element: Element, new_value: float) -> None:
+        self._touch((element,))
+        self._inner.advance(element, new_value)
+
+    def gains(self, candidates: Sequence[Element]) -> np.ndarray:
+        self._query(candidates, len(candidates))
+        return self._inner.gains(candidates)
+
+    def gain1(self, element: Element) -> float:
+        self._query((element,), 1)
+        return self._inner.gain1(element)
+
+    def union_value1(self, element: Element) -> float:
+        self._query((element,), 1)
+        return self._inner.union_value1(element)
+
+    def union_values(self, candidates: Sequence[Element]) -> np.ndarray:
+        self._query(candidates, len(candidates))
+        return self._inner.union_values(candidates)
+
+    def set_gains(self, candidate_sets: Sequence[Iterable[Element]]) -> np.ndarray:
+        self._query(chain.from_iterable(candidate_sets), len(candidate_sets))
+        return self._inner.set_gains(candidate_sets)
+
+    def prepare(self, candidate_sets: Sequence[Iterable[Element]]) -> PreparedBatch:
+        return _ViewBatch(self, candidate_sets)
+
+
+class _ViewBatch(PreparedBatch):
+    """The inner evaluator's prepared batch behind a view's query hook."""
+
+    def __init__(self, view: EvaluatorView, candidate_sets: Sequence[Iterable[Element]]):
+        super().__init__(view, candidate_sets)
+        self._inner = view._inner.prepare(candidate_sets)
+
+    def gains(self, indices: Sequence[int]) -> np.ndarray:
+        idx = list(indices)
+        self.ev._query(chain.from_iterable(self.sets[i] for i in idx), len(idx))
+        return self._inner.gains(idx)
 
 
 # ---------------------------------------------------------------------------

@@ -7,115 +7,88 @@ query count).  :class:`CountingOracle` makes that cost observable;
 the budgeted greedy re-evaluates the same unions across iterations.
 Both wrappers compose, and both are transparent ``SetFunction``s.
 
-Both also forward the incremental-evaluator API (see
-:mod:`repro.core.kernels`): when the wrapped function exposes a
-vectorized kernel, the wrapper returns a counting/pass-through view of
-it so batched consumers keep the per-candidate query accounting that
-makes reported ``oracle_work`` comparable to the naive scans.
+Every wrapper in the library — these two, the online runtime's
+arrival check, fault sites and shard views — is an
+:class:`OracleWrapper`, which also forwards the incremental-evaluator
+API (see :mod:`repro.core.kernels`): when the wrapped function exposes
+a vectorized kernel, the wrapper returns it behind its ``view`` class,
+an :class:`~repro.core.kernels.EvaluatorView` carrying the wrapper's
+rule, so batched consumers keep the per-candidate query accounting
+that makes reported ``oracle_work`` comparable to the naive scans.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import FrozenSet, Iterable, Sequence
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple, Type
 
-import numpy as np
-
-from repro.core.kernels import IncrementalEvaluator, PreparedBatch
+from repro.core.kernels import EvaluatorView
 from repro.core.submodular import Element, SetFunction
 
-__all__ = ["CountingOracle", "CachedOracle"]
+__all__ = ["OracleWrapper", "CountingOracle", "CachedOracle"]
 
 
-class _CountingEvaluator(IncrementalEvaluator):
-    """Kernel evaluator view that bills one query per scored candidate.
+class OracleWrapper(SetFunction):
+    """A transparent ``SetFunction`` over *base*.
 
-    Wraps a ``fast`` inner evaluator and increments the owning
-    :class:`CountingOracle`'s ``calls`` by the batch size on every
-    gains/union query — one ``value`` call per candidate, the same
-    price the naive scan pays.  Per-arrival consumers (the secretary
-    scans) report bit-identical counts; batch consumers may differ by
-    the few candidates a naive scan would have skipped without querying
-    (e.g. subsets already inside the selection), which stays well
-    inside the bench gate's oracle-work tolerance.
+    The ground set comes from *base*; each subclass implements
+    :meth:`value` with its rule and carries the same rule to the kernel
+    evaluator below through its :attr:`view` class.
     """
 
-    fast = True
+    #: The :class:`EvaluatorView` subclass wrapped around a kernel from
+    #: below, or ``None`` to hand the kernel out unwrapped.
+    view: Optional[Type[EvaluatorView]] = None
 
-    def __init__(self, inner: IncrementalEvaluator, owner: "CountingOracle"):
-        self._inner = inner
-        self._owner = owner
-        self.fn = owner
-        self.modular = inner.modular
+    def __init__(self, base: SetFunction):
+        self.base = base
+
+    @property
+    def ground_set(self) -> FrozenSet[Element]:
+        return self.base.ground_set
+
+    def fast_evaluator(self, backend=None):
+        # With no kernel below, ``None`` makes the generic fallback run
+        # on *this* wrapper, so each value query meets its rule exactly
+        # as before the kernel layer.  ``backend`` passes through
+        # untouched: selection is the base function's concern.
+        inner = getattr(self.base, "fast_evaluator", lambda backend=None: None)(backend)
+        if inner is None or self.view is None:
+            return inner
+        return self.view(inner, self)
+
+
+class _CountingView(EvaluatorView):
+    """Bills one query per scored candidate (or candidate set).
+
+    That is one ``value`` call per candidate, the price the naive scan
+    pays.  Per-arrival consumers (the secretary scans) report
+    bit-identical counts; batch consumers may differ by the few
+    candidates a naive scan would have skipped without querying (e.g.
+    subsets already inside the selection), which stays well inside the
+    bench gate's oracle-work tolerance.  State updates are unbilled:
+    every consumer that grows a counting-stack selection pairs the
+    growth with a counted authoritative ``value()`` call (the greedys)
+    or with ``advance()`` on a value it already paid for (the streaming
+    scans), so billing them would double-charge.
+    """
+
+    def __init__(self, inner, owner: "CountingOracle"):
+        super().__init__(inner, owner)
         # The evaluator starts knowing F(empty) — the one query the
         # naive path's construction makes (and is billed for).
         owner.calls += 1
 
-    # state delegation -------------------------------------------------
-
-    @property
-    def selection(self) -> FrozenSet[Element]:
-        return self._inner.selection
-
-    @property
-    def current_value(self) -> float:
-        return self._inner.current_value
+    def _query(self, elements, count: int) -> None:
+        self._owner.calls += count
 
     def reset(self, selection: Iterable[Element] = ()) -> None:
         # The naive fallback evaluates F(selection) on reset — bill the
         # same one query so batch_marginals reports alike on both paths.
         self._owner.calls += 1
-        self._inner.reset(selection)
-
-    def add(self, element: Element) -> float:
-        # Unbilled: every consumer that grows a counting-stack selection
-        # pairs the growth with a counted authoritative value() call
-        # (the greedys) or with advance() on a value it already paid
-        # for (the streaming scans); billing here would double-charge.
-        return self._inner.add(element)
-
-    def add_set(self, items: Iterable[Element]) -> float:
-        return self._inner.add_set(items)
-
-    def advance(self, element: Element, new_value: float) -> None:
-        self._inner.advance(element, new_value)
-
-    # counted queries --------------------------------------------------
-
-    def gains(self, candidates: Sequence[Element]) -> np.ndarray:
-        self._owner.calls += len(candidates)
-        return self._inner.gains(candidates)
-
-    def gain1(self, element: Element) -> float:
-        self._owner.calls += 1
-        return self._inner.gain1(element)
-
-    def union_value1(self, element: Element) -> float:
-        self._owner.calls += 1
-        return self._inner.union_value1(element)
-
-    def union_values(self, candidates: Sequence[Element]) -> np.ndarray:
-        self._owner.calls += len(candidates)
-        return self._inner.union_values(candidates)
-
-    def set_gains(self, candidate_sets) -> np.ndarray:
-        self._owner.calls += len(candidate_sets)
-        return self._inner.set_gains(candidate_sets)
-
-    def prepare(self, candidate_sets) -> PreparedBatch:
-        inner_batch = self._inner.prepare(candidate_sets)
-        batch = PreparedBatch(self, candidate_sets)
-
-        def gains(indices, owner=self._owner, inner_batch=inner_batch):
-            idx = list(indices)
-            owner.calls += len(idx)
-            return inner_batch.gains(idx)
-
-        batch.gains = gains  # type: ignore[method-assign]
-        return batch
+        super().reset(selection)
 
 
-class CountingOracle(SetFunction):
+class CountingOracle(OracleWrapper):
     """Pass-through oracle that counts :meth:`value` invocations.
 
     The E12 ablation benchmark compares plain vs. lazy greedy by wrapping
@@ -125,13 +98,11 @@ class CountingOracle(SetFunction):
     queried, and a batch of ``m`` marginals is ``m`` set queries).
     """
 
-    def __init__(self, base: SetFunction):
-        self.base = base
-        self.calls = 0
+    view = _CountingView
 
-    @property
-    def ground_set(self) -> FrozenSet[Element]:
-        return self.base.ground_set
+    def __init__(self, base: SetFunction):
+        super().__init__(base)
+        self.calls = 0
 
     def value(self, subset: FrozenSet[Element]) -> float:
         self.calls += 1
@@ -140,60 +111,34 @@ class CountingOracle(SetFunction):
     def reset(self) -> None:
         self.calls = 0
 
-    def fast_evaluator(self, backend=None):
-        # A kernel below gets the counting view; otherwise ``None`` so
-        # the generic fallback is built on *this* oracle and every
-        # evaluation is counted exactly as before the kernel layer.
-        # ``backend`` passes through untouched — selection is the base
-        # function's concern, billing is this wrapper's.
-        backend = self.resolve_backend_arg(backend)
-        inner = getattr(self.base, "fast_evaluator", lambda backend=None: None)(backend)
-        if inner is not None:
-            return _CountingEvaluator(inner, self)
-        return None
 
-
-class CachedOracle(SetFunction):
-    """Memoising oracle keyed on the frozen subset, with LRU eviction.
+class CachedOracle(OracleWrapper):
+    """Memoising oracle keyed on the frozen subset.
 
     Safe because all library utilities are pure functions of the subset.
     ``hits``/``misses`` counters let benchmarks report cache efficiency.
-    When *max_entries* is set, both the value cache and the marginal
-    cache evict their least-recently-used entry instead of refusing new
-    inserts — a full cache used to freeze its contents forever, so a
-    long greedy run would degrade to 0% hit rate on post-fill queries.
+    A kernel below is handed out unwrapped: kernel state already
+    subsumes the memoisation (it never recomputes covered work), and
+    with no kernel the generic fallback runs on this oracle, so its
+    queries keep hitting the memo.
     """
 
-    def __init__(self, base: SetFunction, max_entries: int | None = None):
-        self.base = base
-        self._cache: "OrderedDict[FrozenSet[Element], float]" = OrderedDict()
-        self._marginal_cache: "OrderedDict[tuple, float]" = OrderedDict()
-        self.max_entries = max_entries
+    def __init__(self, base: SetFunction):
+        super().__init__(base)
+        self._cache: Dict[FrozenSet[Element], float] = {}
+        self._marginal_cache: Dict[Tuple[FrozenSet[Element], FrozenSet[Element]], float] = {}
         self.hits = 0
         self.misses = 0
-
-    @property
-    def ground_set(self) -> FrozenSet[Element]:
-        return self.base.ground_set
-
-    def _insert(self, cache: OrderedDict, key, result) -> None:
-        if self.max_entries is not None:
-            if self.max_entries <= 0:
-                return  # cache nothing, as before the LRU change
-            if len(cache) >= self.max_entries:
-                cache.popitem(last=False)
-        cache[key] = result
 
     def value(self, subset: FrozenSet[Element]) -> float:
         key = subset if isinstance(subset, frozenset) else frozenset(subset)
         cached = self._cache.get(key)
         if cached is not None:
             self.hits += 1
-            self._cache.move_to_end(key)
             return cached
         self.misses += 1
         result = self.base.value(key)
-        self._insert(self._cache, key, result)
+        self._cache[key] = result
         return result
 
     def marginal_gain(
@@ -215,19 +160,10 @@ class CachedOracle(SetFunction):
         cached = self._marginal_cache.get(key)
         if cached is not None:
             self.hits += 1
-            self._marginal_cache.move_to_end(key)
             return cached
         gain = self.value(selection | items) - self.value(selection)
-        self._insert(self._marginal_cache, key, gain)
+        self._marginal_cache[key] = gain
         return gain
-
-    def fast_evaluator(self, backend=None):
-        # Kernel state already subsumes the memoisation (it never
-        # recomputes covered work); bypass the dict caches entirely.
-        # With no kernel below, ``None`` makes the generic fallback run
-        # on this oracle, so queries keep hitting the dict caches.
-        backend = self.resolve_backend_arg(backend)
-        return getattr(self.base, "fast_evaluator", lambda backend=None: None)(backend)
 
     def clear(self) -> None:
         self._cache.clear()

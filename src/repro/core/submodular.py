@@ -107,28 +107,6 @@ class SetFunction(ABC):
         """
         return None
 
-    def resolve_backend_arg(self, backend: Optional[str]) -> Optional[str]:
-        """Apply the instance default when no explicit *backend* is given."""
-        if backend is None:
-            return getattr(self, "_default_backend", None)
-        return backend
-
-    def set_default_backend(self, backend: Optional[str]) -> None:
-        """Pin this instance's kernel backend for calls that pass none.
-
-        Workload builders use this to thread a sweep-level ``backend``
-        parameter through to consumers that construct evaluators
-        without one (engine adapters, the serving layer).  ``None``
-        restores automatic selection.
-        """
-        from repro.core.kernels import KERNEL_BACKENDS
-
-        if backend is not None and backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"unknown kernel backend {backend!r}; expected one of {KERNEL_BACKENDS}"
-            )
-        self._default_backend = backend
-
     def incremental_evaluator(self, backend: Optional[str] = None) -> "IncrementalEvaluator":
         """A stateful incremental view of this function (see kernels).
 
@@ -141,7 +119,6 @@ class SetFunction(ABC):
         """
         from repro.core.kernels import IncrementalEvaluator
 
-        backend = self.resolve_backend_arg(backend)
         fast = None if backend == "naive" else self.fast_evaluator(backend)
         return fast if fast is not None else IncrementalEvaluator(self)
 

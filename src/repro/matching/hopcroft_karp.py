@@ -17,7 +17,7 @@ boundary only.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Optional, Set
+from typing import FrozenSet, Iterable, Optional
 
 from repro.matching.fastgraph import hk_solve, indexed_view, kuhn_augment
 from repro.matching.graph import BipartiteGraph, Matching, Vertex

@@ -93,6 +93,28 @@ def _require(value, kind, field: str, what: str):
     return value
 
 
+def _require_param(value, name: str, what: str, ok: Callable[[float], bool],
+                   kind=(int, float)):
+    """*value* if it is a *kind* of JSON number (not a bool) passing
+    *ok*, else an error naming process parameter *name*."""
+    try:
+        valid = (isinstance(value, kind) and not isinstance(value, bool)
+                 and ok(float(value)))
+    except OverflowError:  # an int too large for a float
+        valid = False
+    if not valid:
+        raise InvalidInstanceError(
+            f"arrival process parameter {name!r} must be {what}, got {value!r:.60}"
+        )
+    return value
+
+
+def _check_mean_batch(mean_batch) -> None:
+    """The bursty processes' one ``mean_batch`` check."""
+    _require_param(mean_batch, "mean_batch", "a finite number >= 1",
+                   lambda v: math.isfinite(v) and v >= 1.0)
+
+
 def _state_position(state: Mapping[str, object], name: str,
                     n: Optional[int]) -> int:
     """``state[name]`` as a stream position in ``[0, n]``, or an error
@@ -260,20 +282,32 @@ class ArrivalSchedule:
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "ArrivalSchedule":
         """Rebuild from a checkpoint-embedded JSON payload."""
+        _require(payload, Mapping, "schedule", "an object")
         if payload.get("format") != SCHEDULE_FORMAT:
             raise InvalidInstanceError(
                 f"not a {SCHEDULE_FORMAT} payload: {payload.get('format')!r}"
             )
+        null = type(None)
+        order = _require(payload.get("order"), list, "schedule.order", "a list")
+        for e in order:
+            _require(e, (str, int), "schedule.order", "a list of strings and integers")
+        sizes = _require(payload.get("batch_sizes"), list, "schedule.batch_sizes", "a list")
+        for b in sizes:
+            _require(b, int, "schedule.batch_sizes", "a list of integers")
+        times = _require(payload.get("timestamps"), (list, null), "schedule.timestamps",
+                         "a list or null")
+        for t in times or ():
+            _require(t, (int, float), "schedule.timestamps", "a list of numbers")
+        params = _require(payload.get("params"), (Mapping, null), "schedule.params",
+                          "an object or null")
         return cls(
-            process=str(payload["process"]),
-            seed=payload["seed"],  # type: ignore[arg-type]
-            order=list(payload["order"]),  # type: ignore[arg-type]
-            batch_sizes=[int(b) for b in payload["batch_sizes"]],  # type: ignore[union-attr]
-            timestamps=(
-                None if payload.get("timestamps") is None
-                else [float(t) for t in payload["timestamps"]]  # type: ignore[union-attr]
-            ),
-            params=dict(payload.get("params") or {}),
+            process=_require(payload.get("process"), str, "schedule.process", "a string"),
+            seed=_require(payload.get("seed"), (int, null), "schedule.seed",
+                          "an integer or null"),
+            order=list(order),
+            batch_sizes=list(sizes),
+            timestamps=None if times is None else [float(t) for t in times],
+            params=dict(params or {}),
         )
 
     def fingerprint(self) -> str:
@@ -409,8 +443,7 @@ def bursty_process(
     same seed (only the batching differs), so switching a cell from
     ``uniform`` to ``bursty`` isolates the effect of burst delivery.
     """
-    if mean_batch < 1.0:
-        raise InvalidInstanceError(f"mean_batch must be >= 1, got {mean_batch}")
+    _check_mean_batch(mean_batch)
     order = _uniform_order(utility, seed)
     return _bursty_schedule(order, seed, mean_batch)
 
@@ -442,12 +475,16 @@ def poisson_process(
     share an integer tick are delivered as one minibatch (the service
     pattern of draining a queue once per unit of time).
     """
-    if rate <= 0:
-        raise InvalidInstanceError(f"rate must be positive, got {rate}")
+    _require_param(rate, "rate", "a finite number > 0",
+                   lambda v: math.isfinite(v) and v > 0.0)
     order = _uniform_order(utility, seed)
     gen = _child_gen(seed, "poisson-times")
     gaps = gen.exponential(scale=1.0 / rate, size=len(order))
     times = [float(t) for t in gaps.cumsum()]
+    if times and not math.isfinite(times[-1]):
+        raise InvalidInstanceError(
+            f"arrival process parameter 'rate' {rate!r} gives non-finite timestamps"
+        )
     # Group consecutive arrivals by tick.
     sizes: List[int] = []
     current_tick: Optional[int] = None
@@ -474,8 +511,7 @@ def sliding_window_process(
     standard model of a nearly-sorted trace (each element arrives at
     most ``window - 1`` positions before its sorted position).
     """
-    if window < 1:
-        raise InvalidInstanceError(f"window must be >= 1, got {window}")
+    _require_param(window, "window", "an integer >= 1", lambda v: v >= 1.0, kind=int)
     source = _by_singleton_value(utility, descending=True)
     gen = _child_gen(seed, "sliding-window")
     buffer: List[Hashable] = []
@@ -504,7 +540,7 @@ def replay_process(utility: SetFunction, seed, *, payload) -> ArrivalSchedule:
     other process (at the price of an O(n) recipe, which is inherent to
     a recorded trace).
     """
-    recorded = ArrivalSchedule.from_payload(dict(payload))
+    recorded = ArrivalSchedule.from_payload(payload)
     if frozenset(recorded.order) != utility.ground_set:
         raise InvalidInstanceError(
             "replay payload does not enumerate the utility's ground set exactly"
@@ -803,10 +839,7 @@ class BurstySource(ArrivalSource):
 
     def __init__(self, utility: SetFunction, seed, *,
                  mean_batch: float = 4.0) -> None:
-        if mean_batch < 1.0:
-            raise InvalidInstanceError(
-                f"mean_batch must be >= 1, got {mean_batch}"
-            )
+        _check_mean_batch(mean_batch)
         order = _uniform_order(utility, seed)
         super().__init__("bursty", _seed_field(seed),
                          {"mean_batch": mean_batch}, len(order))

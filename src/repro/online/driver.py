@@ -37,9 +37,8 @@ import json
 
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence
 
-import numpy as np
-
-from repro.core.kernels import IncrementalEvaluator
+from repro.core.kernels import EvaluatorView
+from repro.core.oracle import OracleWrapper
 from repro.core.submodular import SetFunction
 from repro.errors import InvalidInstanceError, OracleError
 from repro.online.arrivals import ArrivalSchedule, ArrivalSource, _require, as_arrival_source
@@ -51,82 +50,35 @@ __all__ = ["ArrivalOracle", "OnlineRun", "run_online"]
 _SCALARS = (str, int, float, type(None))
 
 
-class _ArrivalEvaluator(IncrementalEvaluator):
-    """Kernel evaluator view that enforces the no-peeking contract.
+def _not_arrived(hidden: Iterable[Hashable]) -> OracleError:
+    return OracleError(
+        f"oracle queried about elements that have not arrived: "
+        f"{sorted(map(repr, hidden))[:5]}"
+    )
 
-    Every batched query is checked against the owning oracle's arrived
-    set before it reaches the kernel, so online algorithms written
-    against the incremental API keep the Section 3.2.1 guarantee: a
-    query about a not-yet-interviewed secretary raises
-    :class:`~repro.errors.OracleError` exactly as a ``value`` call
-    would.
+
+class _ArrivalView(EvaluatorView):
+    """Checks every element a state update or query names against the
+    owning oracle's arrived set before it reaches the kernel.
+
+    Online algorithms written against the incremental API thereby keep
+    the Section 3.2.1 guarantee: a query about a not-yet-interviewed
+    secretary raises :class:`~repro.errors.OracleError` exactly as a
+    ``value`` call would.
     """
 
-    fast = True
+    def _query(self, elements: Iterable[Hashable], count: int) -> None:
+        arrived = self._owner._arrived
+        for e in elements:
+            if e not in arrived:
+                # *elements* may be an iterator: collect the rest from here.
+                raise _not_arrived({e, *(x for x in elements if x not in arrived)})
 
-    def __init__(self, inner: IncrementalEvaluator, owner: "ArrivalOracle"):
-        self._inner = inner
-        self._owner = owner
-        self.fn = owner
-        self.modular = inner.modular
-
-    def _check(self, elements: Iterable[Hashable]) -> None:
-        hidden = [e for e in elements if e not in self._owner._arrived]
-        if hidden:
-            raise OracleError(
-                f"oracle queried about elements that have not arrived: "
-                f"{sorted(map(repr, hidden))[:5]}"
-            )
-
-    @property
-    def selection(self) -> FrozenSet[Hashable]:
-        return self._inner.selection
-
-    @property
-    def current_value(self) -> float:
-        return self._inner.current_value
-
-    def reset(self, selection: Iterable[Hashable] = ()) -> None:
-        selection = list(selection)
-        self._check(selection)
-        self._inner.reset(selection)
-
-    def add(self, element: Hashable) -> float:
-        self._check([element])
-        return self._inner.add(element)
-
-    def add_set(self, items: Iterable[Hashable]) -> float:
-        items = list(items)
-        self._check(items)
-        return self._inner.add_set(items)
-
-    def advance(self, element: Hashable, new_value: float) -> None:
-        self._check([element])
-        self._inner.advance(element, new_value)
-
-    def gains(self, candidates: Sequence[Hashable]) -> np.ndarray:
-        self._check(candidates)
-        return self._inner.gains(candidates)
-
-    def gain1(self, element: Hashable) -> float:
-        self._check([element])
-        return self._inner.gain1(element)
-
-    def union_value1(self, element: Hashable) -> float:
-        self._check([element])
-        return self._inner.union_value1(element)
-
-    def union_values(self, candidates: Sequence[Hashable]) -> np.ndarray:
-        self._check(candidates)
-        return self._inner.union_values(candidates)
-
-    def set_gains(self, candidate_sets) -> np.ndarray:
-        for a in candidate_sets:
-            self._check(a)
-        return self._inner.set_gains(candidate_sets)
+    def _touch(self, elements: Iterable[Hashable]) -> None:
+        self._query(elements, 0)
 
 
-class ArrivalOracle(SetFunction):
+class ArrivalOracle(OracleWrapper):
     """Value oracle restricted to already-arrived elements.
 
     Section 3.2.1: "the oracle answers the query regarding the
@@ -134,16 +86,15 @@ class ArrivalOracle(SetFunction):
     already arrived and been interviewed."  Querying an unrevealed
     element raises :class:`~repro.errors.OracleError`, so a policy
     driven through this oracle provably never peeks at the future.
+    Without a kernel below, the generic fallback runs through
+    :meth:`value`, which enforces the restriction per query.
     """
 
-    def __init__(self, base: SetFunction):
-        self.base = base
-        self._arrived: set = set()
+    view = _ArrivalView
 
-    @property
-    def ground_set(self) -> FrozenSet[Hashable]:
-        """The base utility's ground set (public knowledge)."""
-        return self.base.ground_set
+    def __init__(self, base: SetFunction):
+        super().__init__(base)
+        self._arrived: set = set()
 
     @property
     def arrived(self) -> FrozenSet[Hashable]:
@@ -157,27 +108,9 @@ class ArrivalOracle(SetFunction):
     def value(self, subset: FrozenSet[Hashable]) -> float:
         """The base value of *subset*, which must have arrived entirely."""
         subset = frozenset(subset)
-        hidden = subset - self._arrived
-        if hidden:
-            raise OracleError(
-                f"oracle queried about elements that have not arrived: "
-                f"{sorted(map(repr, hidden))[:5]}"
-            )
+        if not subset <= self._arrived:
+            raise _not_arrived(subset - self._arrived)
         return self.base.value(subset)
-
-    def fast_evaluator(self, backend=None):
-        """The base kernel behind an arrival check, or ``None``.
-
-        Without a kernel below, ``None`` sends the generic fallback
-        through :meth:`value`, which enforces the arrival restriction
-        (and any wrapped counting) per query.  *backend* passes through
-        to the base.
-        """
-        backend = self.resolve_backend_arg(backend)
-        inner = getattr(self.base, "fast_evaluator", lambda backend=None: None)(backend)
-        if inner is not None:
-            return _ArrivalEvaluator(inner, self)
-        return None
 
 
 class OnlineRun:

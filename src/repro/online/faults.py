@@ -56,7 +56,8 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 import numpy as np
 
-from repro.core.kernels import IncrementalEvaluator, PreparedBatch
+from repro.core.kernels import EvaluatorView
+from repro.core.oracle import OracleWrapper
 from repro.core.submodular import Element, SetFunction
 from repro.engine.hashing import derive_seed
 from repro.errors import InvalidInstanceError
@@ -458,103 +459,40 @@ class FaultInjector:
         }
 
 
-class _FaultyEvaluator(IncrementalEvaluator):
-    """Kernel view that hits ``oracle.batch`` once per batched query.
+class _FaultyView(EvaluatorView):
+    """Hits ``oracle.batch`` once per counted query, never per update.
 
-    Sits between a policy's vectorized scans and the counting
-    evaluator: state-keeping methods pass straight through, every
-    *counted* batched query first registers one ``oracle.batch`` hit for
-    the owning scope.  An injected fault therefore fires *before* the
-    inner evaluator bills the batch, so a rolled-back feed re-bills the
-    retried batch exactly once.
+    Sits between a policy's vectorized scans and the counting view, so
+    an injected fault fires *before* the counting layer bills the
+    query, and a rolled-back feed re-bills the retried batch exactly
+    once.
     """
 
-    fast = True
-
-    def __init__(
-        self, inner: IncrementalEvaluator, owner: "FaultyOracle"
-    ) -> None:
-        self._inner = inner
-        self._owner = owner
-        self.fn = owner
-        self.modular = inner.modular
-
-    # state delegation -------------------------------------------------
-
-    @property
-    def selection(self) -> FrozenSet[Element]:
-        return self._inner.selection
-
-    @property
-    def current_value(self) -> float:
-        return self._inner.current_value
-
-    def reset(self, selection: Iterable[Element] = ()) -> None:
-        self._inner.reset(selection)
-
-    def add(self, element: Element) -> float:
-        return self._inner.add(element)
-
-    def add_set(self, items: Iterable[Element]) -> float:
-        return self._inner.add_set(items)
-
-    def advance(self, element: Element, new_value: float) -> None:
-        self._inner.advance(element, new_value)
-
-    # faulted queries --------------------------------------------------
-
-    def _hit(self) -> None:
+    def _query(self, elements: Iterable[Element], count: int) -> None:
         self._owner.hit("oracle.batch")
 
-    def gains(self, candidates: Sequence[Element]) -> np.ndarray:
-        self._hit()
-        return self._inner.gains(candidates)
 
-    def gain1(self, element: Element) -> float:
-        self._hit()
-        return self._inner.gain1(element)
-
-    def union_value1(self, element: Element) -> float:
-        self._hit()
-        return self._inner.union_value1(element)
-
-    def union_values(self, candidates: Sequence[Element]) -> np.ndarray:
-        self._hit()
-        return self._inner.union_values(candidates)
-
-    def set_gains(self, candidate_sets) -> np.ndarray:
-        self._hit()
-        return self._inner.set_gains(candidate_sets)
-
-    def prepare(self, candidate_sets) -> PreparedBatch:
-        inner_batch = self._inner.prepare(candidate_sets)
-        batch = PreparedBatch(self, candidate_sets)
-
-        def gains(indices, owner=self, inner_batch=inner_batch):
-            owner._hit()
-            return inner_batch.gains(list(indices))
-
-        batch.gains = gains  # type: ignore[method-assign]
-        return batch
-
-
-class FaultyOracle(SetFunction):
+class FaultyOracle(OracleWrapper):
     """Pass-through oracle whose queries run through fault sites.
 
     Wraps a tenant's :class:`~repro.core.oracle.CountingOracle`
-    *outermost*, so a fault raised at the ``oracle.value`` /
+    *outside* it, so a fault raised at the ``oracle.value`` /
     ``oracle.batch`` site aborts the query before the counting layer
     bills it — the serving loop's rollback + retry then re-bills the
     whole batch exactly once, keeping oracle-call accounting
     bit-identical to an unfaulted run.  Latency faults sleep inline,
-    the way a genuinely slow oracle would.
+    the way a genuinely slow oracle would.  A kernel below is handed
+    out behind the ``oracle.batch`` view, on the backend a clean run
+    would pick.
     """
+
+    view = _FaultyView
 
     def __init__(
         self, base: SetFunction, injector: FaultInjector, scope: str
     ) -> None:
         """Wrap *base*; every query reports under *scope* (tenant id)."""
-        self.base = base
+        super().__init__(base)
         self.injector = injector
         self.scope = str(scope)
 
@@ -564,27 +502,10 @@ class FaultyOracle(SetFunction):
         if delay > 0.0:
             time.sleep(delay)
 
-    @property
-    def ground_set(self) -> FrozenSet[Element]:
-        """The wrapped oracle's ground set."""
-        return self.base.ground_set
-
     def value(self, subset: FrozenSet[Element]) -> float:
         """Query the wrapped oracle through the ``oracle.value`` site."""
         self.hit("oracle.value")
         return self.base.value(subset)
-
-    def fast_evaluator(self, backend=None):
-        """Faulted view of the wrapped oracle's kernel evaluator (if any).
-
-        ``backend`` passes through to the base so a ``--fault-plan``
-        serve runs on the same kernels a clean run would pick.
-        """
-        backend = self.resolve_backend_arg(backend)
-        inner = getattr(self.base, "fast_evaluator", lambda backend=None: None)(backend)
-        if inner is not None:
-            return _FaultyEvaluator(inner, self)
-        return None
 
 
 # -- process-global dispatch -------------------------------------------------

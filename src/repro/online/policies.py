@@ -183,8 +183,11 @@ class OnlinePolicy(abc.ABC):
         an older checkpoint still embeds in *config* is ignored, since
         the workload recipe rebuilds the same map.  A config the
         constructor refuses (an unknown or missing key, a value of the
-        wrong type) raises :class:`~repro.errors.InvalidInstanceError`
-        naming ``policy.config``.
+        wrong type), or one the rebuilt policy's :meth:`config_dict`
+        does not reproduce (a dropped key the constructor would
+        default, a value it would coerce), raises
+        :class:`~repro.errors.InvalidInstanceError` naming
+        ``policy.config``.
         """
         config = dict(config)
         if cls.workload_map is not None:
@@ -197,12 +200,19 @@ class OnlinePolicy(abc.ABC):
                     "recipe rebuilds (checkpoints never carry it)"
                 )
         try:
-            return cls(**config, **deps)  # type: ignore[call-arg]
+            policy = cls(**config, **deps)  # type: ignore[call-arg]
         except (TypeError, ValueError) as exc:
             raise InvalidInstanceError(
                 f"checkpoint field 'policy.config' does not build policy "
                 f"{cls.name!r}: {exc}"
             ) from exc
+        rebuilt = policy.config_dict()
+        if rebuilt != config:
+            raise InvalidInstanceError(
+                f"checkpoint field 'policy.config' does not round-trip for "
+                f"policy {cls.name!r}: it rebuilds as {rebuilt}"
+            )
+        return policy
 
 
 # -- Algorithm 1: the segmented submodular secretary ------------------------

@@ -165,11 +165,10 @@ class WorkloadCache:
     changes where values come from, never how many queries are billed.
     """
 
-    def __init__(self, max_value_entries: Optional[int] = None) -> None:
-        """Create an empty cache (*max_value_entries* bounds each LRU)."""
+    def __init__(self) -> None:
+        """Create an empty cache."""
         self._entries: Dict[Tuple, Tuple[SetFunction, Dict, CachedOracle]] = {}
         self._singletons: Dict[Tuple, Dict] = {}
-        self.max_value_entries = max_value_entries
         self.hits = 0
         self.misses = 0
 
@@ -191,7 +190,7 @@ class WorkloadCache:
         if entry is None:
             self.misses += 1
             fn, weights = build_workload(recipe)
-            entry = (fn, weights, CachedOracle(fn, self.max_value_entries))
+            entry = (fn, weights, CachedOracle(fn))
             self._entries[key] = entry
         else:
             self.hits += 1

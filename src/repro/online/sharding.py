@@ -66,7 +66,7 @@ from typing import (
 )
 
 from repro.core.kernels import evaluator_for
-from repro.core.oracle import CountingOracle
+from repro.core.oracle import CountingOracle, OracleWrapper
 from repro.core.submodular import SetFunction
 from repro.errors import InvalidInstanceError
 from repro.online.arrivals import (
@@ -592,7 +592,7 @@ def partition_lane_sources(
     ]
 
 
-class ShardView(SetFunction):
+class ShardView(OracleWrapper):
     """The global utility with its ground set restricted to one shard.
 
     Pure delegation: values (and any kernel evaluator below) come from
@@ -603,7 +603,7 @@ class ShardView(SetFunction):
     """
 
     def __init__(self, base: SetFunction, elements: Iterable[Hashable]) -> None:
-        self.base = base
+        super().__init__(base)
         self._ground = frozenset(elements)
         extra = self._ground - base.ground_set
         if extra:
@@ -620,11 +620,6 @@ class ShardView(SetFunction):
     def value(self, subset: FrozenSet[Hashable]) -> float:
         """Delegate valuation to the shared base utility."""
         return self.base.value(frozenset(subset))
-
-    def fast_evaluator(self, backend=None):
-        """Pass through the base utility's vectorized kernel, if any."""
-        backend = self.resolve_backend_arg(backend)
-        return getattr(self.base, "fast_evaluator", lambda backend=None: None)(backend)
 
 
 def knapsack_constraint(

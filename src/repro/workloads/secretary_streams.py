@@ -61,15 +61,7 @@ def stream_utility(family: str, n: int, *, aux: int = 0, rng=None, **params):
     facility clients; 0 picks the default); *params* forwards the
     family's knobs (``distribution``, ``skills_per_secretary``,
     ``edge_probability``).
-
-    A ``backend`` param (``"dense"``/``"sparse"``/``"naive"``/
-    ``"auto"``) pins the returned utility's kernel backend via
-    :meth:`~repro.core.submodular.SetFunction.set_default_backend`, so
-    sweep specs can select it without any consumer-side plumbing — the
-    instance itself is identical either way (backends are
-    bit-identical; only wall time changes).
     """
-    backend = params.pop("backend", None)
     gen = as_generator(rng)
     fn = None
     if family == "additive":
@@ -94,8 +86,6 @@ def stream_utility(family: str, n: int, *, aux: int = 0, rng=None, **params):
         raise InvalidInstanceError(
             f"unknown stream-utility family {family!r}; known: {STREAM_FAMILIES}"
         )
-    if backend is not None:
-        fn.set_default_backend(str(backend))
     return fn
 
 

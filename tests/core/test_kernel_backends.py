@@ -22,8 +22,7 @@ The contracts under test, in the order the backend layer promises them:
 
 * *wrapper passthrough* — ``backend=`` threads through
   ``CountingOracle`` / ``CachedOracle`` / ``FaultyOracle`` /
-  ``ArrivalOracle`` / ``ShardView`` down to the family, and
-  ``set_default_backend`` pins it from workload builders.
+  ``ArrivalOracle`` / ``ShardView`` down to the family.
 
 * *subsampling is explicit* — ``batch_marginals(subsample=...)``
   returns a distinct ``SubsampledMarginals`` type, is deterministic per
@@ -284,8 +283,6 @@ class TestSelectionRule:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
             resolve_backend("turbo", cells=4, nnz=4)
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            AdditiveFunction({1: 1.0}).set_default_backend("turbo")
 
     def test_auto_rule_uses_the_pinned_constants(self):
         # Above the hard cell limit: always sparse.
@@ -411,30 +408,6 @@ class TestWrapperPassthrough:
         assert isinstance(
             view.fast_evaluator(backend="sparse"), SparseCoverageEvaluator
         )
-
-    def test_set_default_backend_pins_instances(self):
-        covers, _, _ = _coverage_pair(9)
-        fn = CoverageFunction(covers)
-        fn.set_default_backend("sparse")
-        assert isinstance(fn.fast_evaluator(), SparseCoverageEvaluator)
-        assert isinstance(
-            CountingOracle(fn).fast_evaluator()._inner, SparseCoverageEvaluator
-        )
-        fn.set_default_backend("naive")
-        assert not fn.incremental_evaluator().fast
-        fn.set_default_backend(None)
-        assert isinstance(fn.fast_evaluator(), CoverageEvaluator)
-        # Explicit argument beats the pinned default.
-        fn.set_default_backend("sparse")
-        assert isinstance(fn.fast_evaluator("dense"), CoverageEvaluator)
-
-    def test_stream_utility_threads_backend_param(self):
-        from repro.workloads.secretary_streams import stream_utility
-
-        fn = stream_utility("coverage", 20, rng=0, backend="sparse")
-        assert isinstance(fn.fast_evaluator(), SparseCoverageEvaluator)
-        same = stream_utility("coverage", 20, rng=0)
-        assert fn.canonical_payload() == same.canonical_payload()
 
 
 class TestSubsampling:

@@ -53,52 +53,6 @@ class TestCachedOracle:
         oracle(["b", "a"])
         assert oracle.hits == 1
 
-    def test_max_entries_lru_eviction(self):
-        oracle = CachedOracle(fn(), max_entries=1)
-        oracle({"a"})
-        oracle({"b"})  # evicts {"a"} (LRU), caches {"b"}
-        oracle({"b"})  # hit: a full cache keeps serving recent queries
-        assert oracle.misses == 2
-        assert oracle.hits == 1
-        oracle({"a"})  # evicted earlier -> miss again
-        assert oracle.misses == 3
-
-    def test_lru_recency_refresh_on_hit(self):
-        oracle = CachedOracle(fn(), max_entries=2)
-        oracle({"a"})
-        oracle({"b"})
-        oracle({"a"})  # hit refreshes {"a"}'s recency
-        oracle({"a", "b"})  # evicts {"b"}, the least recently used
-        assert oracle.value(frozenset({"a"})) == 2.0
-        assert oracle.hits == 2  # the refresh plus this re-read
-        oracle({"b"})
-        assert oracle.misses == 4  # {"b"} was the one evicted
-
-    def test_cache_never_freezes_at_cap(self):
-        # Regression: a full cache used to stop inserting, so every
-        # post-fill query missed forever.  LRU keeps the hit rate alive.
-        oracle = CachedOracle(fn(), max_entries=1)
-        for _ in range(3):
-            oracle({"a"})
-            oracle({"a"})
-        # After the first miss each repeat pair scores at least one hit.
-        assert oracle.hits >= 3
-
-    def test_max_entries_zero_means_cache_nothing(self):
-        oracle = CachedOracle(fn(), max_entries=0)
-        oracle({"a"})
-        oracle({"a"})
-        assert oracle.misses == 2 and oracle.hits == 0
-
-    def test_marginal_cache_lru_eviction(self):
-        oracle = CachedOracle(fn(), max_entries=1)
-        sel = frozenset()
-        oracle.marginal_gain(sel, frozenset({"a"}))
-        oracle.marginal_gain(sel, frozenset({"b"}))  # evicts the first pair
-        hits = oracle.hits
-        oracle.marginal_gain(sel, frozenset({"b"}))  # hit: most recent survives
-        assert oracle.hits == hits + 1
-
     def test_clear(self):
         oracle = CachedOracle(fn())
         oracle({"a"})

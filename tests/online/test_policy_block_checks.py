@@ -1,17 +1,21 @@
 """A checkpoint's ``policy.config`` and ``policy.state`` fail cleanly.
 
 ``policy.config`` rebuilds the policy and ``policy.state`` restores its
-state machine.  A config the constructor refuses, or a state the policy
-cannot load, raises :class:`~repro.errors.InvalidInstanceError` naming
-the block; so does a state whose hires differ from the decision log, or
-one that names an element the frontier does not re-reveal.  ``repro
-online resume`` then exits 2, and a serve quarantines only that tenant
-(exit 3).  A value that loads by coercion (``bool("no")``) is out of
-scope: it resumes.
+state machine.  A config the constructor refuses, or one the rebuilt
+policy's ``config_dict()`` does not reproduce (a dropped or added key,
+a value the constructor coerces), or a state the policy cannot load,
+raises :class:`~repro.errors.InvalidInstanceError` naming the block; so
+does a state whose hires differ from the decision log, or one that
+names an element the frontier does not re-reveal.  ``repro online
+resume`` then exits 2, and a serve quarantines only that tenant (exit
+3).  A replaced config value the constructor stores unchanged
+(``window_n: null``) resumes, and so does a state value that loads by
+coercion (``bool("no")``).
 """
 
 import copy
 import functools
+import inspect
 import json
 
 import pytest
@@ -20,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cli import main
 from repro.errors import InvalidInstanceError
 from repro.online.checkpoint import tenant_checkpoint_path
+from repro.online.policies import POLICIES
 from repro.online.session import SESSION_POLICIES, resume_session, start_session
 
 RUN = ["online", "run", "--policy", "monotone", "--family", "coverage",
@@ -76,13 +81,17 @@ def damaged(draw):
             del target[key]
         else:
             target[key] = copy.deepcopy(draw(st.sampled_from(VALUES)))
-    return block, ck
+    return block, mutation, ck
 
 
 @settings(max_examples=200, deadline=None)
 @given(damaged())
 def test_a_damaged_policy_block_resumes_or_is_refused_by_name(case):
-    block, ck = case
+    block, mutation, ck = case
+    if block == "config" and mutation != "replace":
+        with pytest.raises(InvalidInstanceError, match="'policy.config'"):
+            resume_session(ck)
+        return
     try:
         session = resume_session(ck)
     except InvalidInstanceError as exc:
@@ -95,6 +104,35 @@ def test_a_damaged_policy_block_resumes_or_is_refused_by_name(case):
     assert session.finished
     json.dumps(session.summary())
     json.dumps(session.checkpoint())
+
+
+def _defaulted_keys():
+    """(policy, seed, cut, key) for each session policy's config keys
+    that its constructor would fill in with a default (the last case
+    that has the key).  A required key (``k``) was refused before."""
+    cases = {}
+    for case in CASES:
+        spec = json.loads(_suspended(*case))["policy"]
+        params = inspect.signature(POLICIES[spec["name"]]).parameters
+        for key in spec["config"]:
+            if params[key].default is not inspect.Parameter.empty:
+                cases[case[0], key] = (*case, key)
+    return sorted(cases.values())
+
+
+@pytest.mark.parametrize("policy,seed,cut,key", _defaulted_keys())
+def test_a_dropped_config_key_is_refused_not_defaulted(policy, seed, cut, key):
+    ck = json.loads(_suspended(policy, seed, cut))
+    del ck["policy"]["config"][key]
+    with pytest.raises(InvalidInstanceError, match="'policy.config' does not round-trip"):
+        resume_session(ck)
+
+
+def test_a_config_value_the_constructor_stores_unchanged_still_resumes():
+    ck = json.loads(_suspended("nonmonotone", 3, 30))
+    assert ck["policy"]["config"]["window_n"] == 20
+    ck["policy"]["config"]["window_n"] = None
+    assert resume_session(ck).advance().finished
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +153,8 @@ def _set(block, key, value):
     pytest.param(_set("config", "skip", None), "'policy.config'", id="null-skip"),
     pytest.param(_set("config", "subsample", 0.5), "'policy.config'",
                  id="deleted-subsample-key"),
+    pytest.param(lambda ck: ck["policy"]["config"].pop("strategy"), "'policy.config'",
+                 id="no-strategy"),
     pytest.param(_set("state", "seg", "x"), "'policy.state'", id="str-seg"),
     pytest.param(lambda ck: ck["policy"]["state"].pop("threshold"), "'policy.state'",
                  id="no-threshold"),

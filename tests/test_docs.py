@@ -108,6 +108,82 @@ class TestOnlineDocstringCoverage:
         assert not missing, "missing docstrings:\n" + "\n".join(missing)
 
 
+class TestUnusedImports:
+    """Mirror of ruff's ``F401`` (unused import) over every ``src/`` module.
+
+    CI's lint job runs ``ruff check src``; this stdlib AST scan applies
+    the same rule to module-level imports, including those under ``if
+    TYPE_CHECKING:`` and ``try:``, so environments without ruff catch an
+    unused import too.  An import counts as used when its bound name
+    appears as a name (an attribute chain's root is one), inside a
+    string annotation, or as an ``__all__`` entry.
+    """
+
+    SRC = os.path.join(REPO_ROOT, "src")
+
+    @staticmethod
+    def _imports(body, found):
+        for node in body:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    found[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    if alias.name != "*":
+                        found[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.If):
+                TestUnusedImports._imports(node.body + node.orelse, found)
+            elif isinstance(node, ast.Try):
+                blocks = node.body + node.orelse + node.finalbody
+                for handler in node.handlers:
+                    blocks += handler.body
+                TestUnusedImports._imports(blocks, found)
+
+    @staticmethod
+    def _used(tree):
+        used = set()
+        annotations = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                annotations += [a.annotation for a in
+                                args.posonlyargs + args.args + args.kwonlyargs
+                                + [args.vararg, args.kwarg] if a is not None]
+                annotations.append(node.returns)
+            elif isinstance(node, ast.AnnAssign):
+                annotations.append(node.annotation)
+            elif (isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                  and isinstance(node.value, (ast.List, ast.Tuple))):
+                used.update(e.value for e in node.value.elts
+                            if isinstance(e, ast.Constant))
+        for annotation in filter(None, annotations):
+            for node in ast.walk(annotation):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    used |= TestUnusedImports._used(ast.parse(node.value, mode="eval"))
+        return used
+
+    def _unused(self, path):
+        with open(path, "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        found = {}
+        self._imports(tree.body, found)
+        used = self._used(tree)
+        rel = os.path.relpath(path, REPO_ROOT)
+        return [f"{rel}:{line} {name}" for name, line in sorted(found.items())
+                if name not in used]
+
+    def test_no_src_module_has_an_unused_import(self):
+        unused = []
+        for root, _, files in sorted(os.walk(self.SRC)):
+            for fname in sorted(files):
+                if fname.endswith(".py"):
+                    unused += self._unused(os.path.join(root, fname))
+        assert not unused, "unused imports (ruff F401):\n" + "\n".join(unused)
+
+
 class TestDocsTree:
     def test_architecture_doc_names_every_layer(self):
         with open(os.path.join(DOCS, "ARCHITECTURE.md"), encoding="utf-8") as fh:
