@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from itertools import chain, combinations
-from typing import Callable, FrozenSet, Hashable, Iterable, NamedTuple, Optional
+from typing import Callable, FrozenSet, Hashable, Iterable, Optional
 
 import numpy as np
 
@@ -30,26 +30,12 @@ __all__ = [
     "LambdaSetFunction",
     "TruncatedFunction",
     "RestrictedFunction",
-    "SubsampledMarginals",
     "check_monotone",
     "check_submodular",
     "powerset",
 ]
 
 Element = Hashable
-
-
-class SubsampledMarginals(NamedTuple):
-    """Result of an explicitly subsampled :meth:`SetFunction.batch_marginals`.
-
-    *indices* are positions into the caller's candidate sequence (sorted
-    ascending) that were actually scored; *gains* aligns with them.  The
-    distinct return type is deliberate: callers cannot mistake a
-    subsampled scan for an exact one.
-    """
-
-    indices: "np.ndarray"
-    gains: "np.ndarray"
 
 
 def _as_frozen(s: Iterable[Element]) -> FrozenSet[Element]:
@@ -128,38 +114,18 @@ class SetFunction(ABC):
         candidates,
         *,
         backend: Optional[str] = None,
-        subsample: Optional[int] = None,
-        seed: int = 0,
     ):
         """``F(subset + c) - F(subset)`` for every single-element candidate.
 
         One-shot form of the incremental API: builds an evaluator at
         *subset* and scores all *candidates* in one pass (vectorized for
-        the kernel-backed families, a python loop otherwise).  Greedy
-        loops that score the same pool repeatedly should hold on to an
-        evaluator instead of calling this per round.
-
-        *subsample* is the stochastic-greedy opt-in: when set to an
-        integer ``s``, only a seed-deterministic uniform sample of
-        ``min(s, len(candidates))`` candidates is scored and the result
-        is a :class:`SubsampledMarginals` (indices + gains) instead of
-        a plain array — subsampling is never silent, in the call or in
-        the return type.  Exact scoring (the default) is unchanged.
+        the kernel-backed families, a python loop otherwise) into a
+        plain array.  Greedy loops that score the same pool repeatedly
+        should hold on to an evaluator instead of calling this per round.
         """
         ev = self.incremental_evaluator(backend=backend)
         ev.reset(subset)
-        pool = list(candidates)
-        if subsample is None:
-            return ev.gains(pool)
-        s = int(subsample)
-        if s <= 0:
-            raise ValueError(f"subsample must be a positive sample size, got {subsample}")
-        if s >= len(pool):
-            idx = np.arange(len(pool), dtype=np.intp)
-        else:
-            gen = np.random.default_rng(seed)
-            idx = np.sort(gen.choice(len(pool), size=s, replace=False)).astype(np.intp)
-        return SubsampledMarginals(idx, ev.gains([pool[i] for i in idx]))
+        return ev.gains(list(candidates))
 
     def is_normalized(self, tol: float = 1e-12) -> bool:
         """True when ``F(empty) == 0`` (all paper utilities are)."""

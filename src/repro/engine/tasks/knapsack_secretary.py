@@ -14,7 +14,10 @@ runs one coin-flip replica per shard of a hash-partitioned stream and
 merges the per-shard hires under the reduced single-knapsack capacity
 (:mod:`repro.online.sharding`); ``additive#2>4`` adds a mid-stream
 re-partition from 2 to 4 lanes through the suspended-manifest reshard
-path.
+path.  Cells run through the secretary task's
+:func:`~repro.engine.tasks.secretary.run_cell`, with the rule built by
+:func:`~repro.online.policies.build_policy` and one coin per lane, so
+``additive#1`` and ``additive#1>1`` record what ``additive`` does.
 
 Metric mapping: ``utility`` is the hired set's value, ``cost`` the
 hindsight density-greedy estimate of the single-knapsack optimum on the
@@ -28,21 +31,18 @@ data point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Mapping, Optional
 
 import numpy as np
 
-from repro.core.oracle import CountingOracle
 from repro.core.submodular import SetFunction
 from repro.engine.hashing import derive_seed, spec_fingerprint
-from repro.engine.tasks.base import TaskAdapter, register_task
-from repro.engine.tasks.secretary import split_family, validate_qualified_families
+from repro.engine.tasks.base import register_task
+from repro.engine.tasks.secretary import OnlineTaskAdapter, split_family
 from repro.errors import InfeasibleError, InvalidInstanceError
-from repro.online.arrivals import arrival_process_names, build_arrival_source
-from repro.online.driver import OnlineRun
-from repro.online.policies import KnapsackSecretaryPolicy
+from repro.online.arrivals import build_arrival_source
 from repro.online.runtime import offline_knapsack_estimate
-from repro.online.sharding import ShardCounters, ShardedRun, knapsack_constraint
+from repro.online.sharding import knapsack_constraint
 from repro.secretary.knapsack_secretary import reduce_knapsacks_to_one
 from repro.workloads.secretary_streams import additive_values, knapsack_weights
 
@@ -73,24 +73,12 @@ class KnapsackSecretaryInstance:
         }
 
 
-class KnapsackSecretaryAdapter(TaskAdapter):
+class KnapsackSecretaryAdapter(OnlineTaskAdapter):
     """Knapsack-constrained submodular secretary (Theorem 3.1.3)."""
 
     name = "knapsack_secretary"
     methods = ("online",)
     base_families = ("additive",)
-
-    def families(self) -> Tuple[str, ...]:
-        extra = tuple(
-            p for p in arrival_process_names()
-            if p not in ("uniform", "replay")
-        )
-        return self.base_families + tuple(
-            f"{b}@{p}" for b in self.base_families for p in extra
-        )
-
-    def validate_families(self, sweep) -> None:
-        validate_qualified_families(self, sweep.families)
 
     def build(self, spec) -> KnapsackSecretaryInstance:
         params = dict(spec.params)
@@ -131,62 +119,17 @@ class KnapsackSecretaryAdapter(TaskAdapter):
         # processes query singleton values to rank arrivals, and that
         # ranking is instance data, not online oracle work.  (The live
         # Generator seed routes through the materializing fallback —
-        # bit-identical to the eager builder.)
-        def source_factory():
-            return build_arrival_source(
+        # bit-identical to the eager builder.)  Shards are merged under
+        # the reduced unit capacity, so the merged set inherits Lemma
+        # 3.4.1's feasibility; the knapsack rule reads no hire budget.
+        result, calls = self.run_policy(
+            instance, "knapsack", 0,
+            lambda: build_arrival_source(
                 instance.arrival, fn, np.random.default_rng(instance.stream_seed)
-            )
-
-        if instance.shards == 1 and instance.reshard_to is None:
-            counting = CountingOracle(fn)
-            heads = bool(np.random.default_rng(instance.algo_seed).random() < 0.5)
-            policy = KnapsackSecretaryPolicy(reduced, heads=heads)
-            result = OnlineRun(counting, source_factory(), policy).run().result()
-            calls = counting.calls
-        else:
-            # One coin-flip replica per shard; the merge re-ranks the
-            # union of shard hires under the reduced unit capacity, so
-            # the merged set inherits Lemma 3.4.1's feasibility.
-            counters = ShardCounters()
-
-            def policy_factory(index, shard):
-                coin = np.random.default_rng(
-                    derive_seed(instance.algo_seed, "shard", index)
-                ).random()
-                return KnapsackSecretaryPolicy(reduced, heads=bool(coin < 0.5))
-
-            run = ShardedRun.from_source(
-                fn, source_factory, instance.shards, policy_factory,
-                oracle_factory=counters,
-                can_take=knapsack_constraint(reduced, 1.0),
-            )
-            rebuild_calls = 0
-            if instance.reshard_to is not None:
-                # Half-stream S -> S' hop: suspend, re-partition, resume
-                # (the resumed run re-injects the reduced weights and the
-                # capacity constraint the manifest never carries).
-                from repro.online.sharding import (
-                    make_sharded_checkpoint,
-                    reshard_manifest,
-                    resume_sharded_run,
-                )
-
-                run.run(max(1, sum(r.n for r in run.runs) // 2))
-                resharded = reshard_manifest(
-                    make_sharded_checkpoint(run), instance.reshard_to, fn,
-                    policy_factory=policy_factory,
-                )
-                before = counters.calls
-                run = resume_sharded_run(
-                    resharded, fn, oracle_factory=counters,
-                    deps={"weights": reduced},
-                    can_take=knapsack_constraint(reduced, 1.0),
-                )
-                rebuild_calls = counters.calls - before
-            result = run.run().result()
-            # Resume-rebuild reveals netted out, matching the session
-            # layer's oracle accounting for suspended runs.
-            calls = counters.calls - rebuild_calls + run.merge_calls
+            ),
+            deps={"weights": reduced},
+            can_take=knapsack_constraint(reduced, 1.0),
+        )
         for i, cap in enumerate(caps):
             load = sum(weights[e][i] for e in result.selected)
             if load > cap + 1e-9:

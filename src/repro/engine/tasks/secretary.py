@@ -14,7 +14,11 @@ over a hash-partitioned stream through the sharded runtime
 hire budget.  A ``>``-suffixed shard qualifier (``coverage#2>4``) adds
 a mid-stream topology change: half the stream at 2 shards, a suspended
 re-partition to 4, and a resumed finish — the re-sharding path measured
-as an ordinary sweep cell.  Methods are the policies of :mod:`repro.online.policies`:
+as an ordinary sweep cell.  Every cell, plain or qualified, runs through
+one builder, :func:`run_cell`; a plain cell is its one-lane run, so
+``coverage#1`` and ``coverage#1>1`` record what ``coverage`` does.
+Methods are the policies :func:`repro.online.policies.build_policy`
+names:
 
 ``monotone``
     Algorithm 1, :class:`SegmentedSubmodularPolicy` (1/(7e)).
@@ -35,7 +39,9 @@ function); ``n_chosen`` is the number of hires.
 
 Stream order and coin flips draw from child seeds hash-derived from the
 cell seed, so build and solve are deterministic and independent: two
-methods on the same cell interview the same arrival order.  Under the
+methods on the same cell interview the same arrival order.  Lane *i* of
+an S-lane topology flips :func:`repro.online.sharding.lane_algo_seed`'s
+coin: the cell's own when S = 1, before a hop as after it.  Under the
 default uniform process the runtime drives arrivals one at a time and
 reproduces the legacy per-algorithm loops bit-identically (hired sets
 *and* oracle-call counts — the golden suite pins this).
@@ -44,33 +50,40 @@ reproduces the legacy per-algorithm loops bit-identically (hired sets
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.analysis.ratio import offline_greedy_cardinality
 from repro.core.functions import AdditiveFunction
-from repro.core.oracle import CountingOracle
 from repro.core.submodular import SetFunction
 from repro.engine.hashing import derive_seed, spec_fingerprint
 from repro.engine.tasks.base import TaskAdapter, register_task
 from repro.errors import InfeasibleError, InvalidInstanceError
-from repro.online.arrivals import arrival_process_names, build_arrival_source
-from repro.online.driver import OnlineRun
-from repro.online.sharding import ShardCounters, ShardedRun
-from repro.online.policies import (
-    BestSingletonPolicy,
-    RobustTopKPolicy,
-    SegmentedSubmodularPolicy,
-    nonmonotone_half_policy,
+from repro.online.arrivals import (
+    ArrivalSource,
+    arrival_process_names,
+    build_arrival_source,
+)
+from repro.online.policies import OnlinePolicy, build_policy
+from repro.online.results import SecretaryResult
+from repro.online.sharding import (
+    CanTake,
+    ShardCounters,
+    ShardedRun,
+    lane_algo_seed,
+    make_sharded_checkpoint,
+    reshard_manifest,
+    resume_sharded_run,
 )
 from repro.workloads.secretary_streams import STREAM_FAMILIES, stream_utility
 
 __all__ = [
+    "OnlineTaskAdapter",
     "SecretaryInstance",
     "SecretaryAdapter",
+    "run_cell",
     "split_family",
-    "validate_qualified_families",
 ]
 
 
@@ -112,37 +125,114 @@ def split_family(family: str) -> Tuple[str, str, int, Optional[int]]:
     return base, (process or "uniform"), shards, reshard_to
 
 
-def validate_qualified_families(adapter: TaskAdapter, families) -> None:
-    """Shared family validation for the ``base[@process][#shards]`` axis.
+def run_cell(
+    fn: SetFunction,
+    source_factory: Callable[[], ArrivalSource],
+    shards: int,
+    reshard_to: Optional[int],
+    make_policy: Callable[[int, ArrivalSource, int], OnlinePolicy],
+    *,
+    deps: Optional[Mapping[str, object]] = None,
+    can_take: Optional[CanTake] = None,
+    limit: Optional[int] = None,
+) -> Tuple[SecretaryResult, int]:
+    """Run one online cell: *shards* lanes, an optional hop, the merge.
 
-    The shard count is open-ended, so qualified names are validated by
-    parsing rather than by enumerating ``adapter.families()``.
+    Lane *i* of the stream *source_factory* builds runs
+    ``make_policy(i, lane, shards)`` under its own counting oracle; one
+    lane is the plain unsharded run.  With *reshard_to*, the first
+    ``n // 2`` arrivals run at *shards* lanes, the suspended manifest is
+    re-partitioned to *reshard_to* lanes (a lane it adds gets
+    ``make_policy(i, lane, reshard_to)``), and the resumed run finishes
+    the stream; *deps* re-injects the element map the manifest never
+    carries, so it must hold only what the policy reads.  Returns the
+    merged result and its oracle work: lane calls (less the resume's
+    frontier re-reveal, as the session layer nets it) plus the merge's.
     """
-    from repro.online.arrivals import arrival_process_names as _procs
+    counters = ShardCounters()
+    run = ShardedRun.from_source(
+        fn, source_factory, shards,
+        lambda i, lane: make_policy(i, lane, shards),
+        oracle_factory=counters, can_take=can_take, limit=limit,
+    )
+    rebuild_calls = 0
+    if reshard_to is not None:
+        run.run(max(1, run.n // 2))
+        manifest = reshard_manifest(
+            make_sharded_checkpoint(run), reshard_to, fn,
+            policy_factory=lambda i, lane: make_policy(i, lane, reshard_to),
+        )
+        before = counters.calls
+        run = resume_sharded_run(
+            manifest, fn, oracle_factory=counters, deps=deps, can_take=can_take
+        )
+        rebuild_calls = counters.calls - before
+    result = run.run().result()
+    return result, counters.calls - rebuild_calls + run.merge_calls
 
-    for family in families:
-        base, process, _shards, _reshard = split_family(family)
-        # "replay" needs a recorded schedule payload the sweep grid
-        # cannot supply, so it is not a valid family qualifier.
-        if (
-            base not in adapter.base_families
-            or process == "replay"
-            or process not in _procs()
-        ):
-            raise InvalidInstanceError(
-                f"unknown {adapter.name} workload family {family!r}; "
-                f"known: {sorted(adapter.families())} (optionally "
-                "'#<shards>'-qualified)"
-            )
+
+class OnlineTaskAdapter(TaskAdapter):
+    """An engine task over the online runtime.
+
+    Its families are :attr:`base_families` qualified as
+    ``base[@process][#shards[>reshard]]`` (see :func:`split_family`),
+    and every cell runs through :func:`run_cell` with lane policies
+    from :func:`~repro.online.policies.build_policy`.
+    """
+
+    base_families: Tuple[str, ...] = ()
+
+    def families(self) -> Tuple[str, ...]:
+        extra = tuple(
+            p for p in arrival_process_names()
+            if p not in ("uniform", "replay")
+        )
+        return self.base_families + tuple(
+            f"{b}@{p}" for b in self.base_families for p in extra
+        )
+
+    def validate_families(self, sweep) -> None:
+        """Parse each family: the shard count is open-ended, so qualified
+        names are not enumerated by :meth:`families`."""
+        for family in sweep.families:
+            base, process, _shards, _reshard = split_family(family)
+            # "replay" needs a recorded schedule payload the sweep grid
+            # cannot supply, so it is not a valid family qualifier.
+            if (
+                base not in self.base_families
+                or process == "replay"
+                or process not in arrival_process_names()
+            ):
+                raise InvalidInstanceError(
+                    f"unknown {self.name} workload family {family!r}; "
+                    f"known: {sorted(self.families())} (optionally "
+                    "'#<shards>'-qualified)"
+                )
+
+    @staticmethod
+    def run_policy(instance, name: str, k: int, source_factory, *,
+                   deps=None, can_take=None, limit=None):
+        """:func:`run_cell` over *instance* with policy *name* in every
+        lane, each flipping the coin :func:`~repro.online.sharding
+        .lane_algo_seed` derives from the instance's ``algo_seed``."""
+
+        def make_policy(index: int, lane, lanes: int) -> OnlinePolicy:
+            seed = lane_algo_seed(instance.algo_seed, index, lanes)
+            return build_policy(name, lane.n, k, seed, deps)
+
+        return run_cell(
+            instance.fn, source_factory, instance.shards, instance.reshard_to,
+            make_policy, deps=deps, can_take=can_take, limit=limit,
+        )
 
 
 @dataclass
 class SecretaryInstance:
     """A built secretary cell: the utility plus its provenance and seeds.
 
-    ``benchmarks`` maps hire budgets to the precomputed offline value —
-    filled at build time for both ``k`` and 1 (the ``classical`` method's
-    budget) so ``solve`` wall times measure only the online algorithm.
+    ``benchmarks`` maps the cell's hire budget (``k``, or 1 for the
+    ``classical`` method) to the precomputed offline value, filled at
+    build time so ``solve`` wall times measure only the online algorithm.
     ``family`` keeps the full (possibly process-qualified) spec family,
     so fingerprints distinguish ``coverage`` from ``coverage@bursty``;
     ``arrival`` is the parsed process name.
@@ -181,24 +271,12 @@ def _offline_benchmark(fn: SetFunction, k: int) -> float:
     return float(value)
 
 
-class SecretaryAdapter(TaskAdapter):
+class SecretaryAdapter(OnlineTaskAdapter):
     """Online secretary policies over the stream-utility families."""
 
     name = "secretary"
     methods = ("monotone", "nonmonotone", "classical", "robust")
     base_families = STREAM_FAMILIES
-
-    def families(self) -> Tuple[str, ...]:
-        extra = tuple(
-            p for p in arrival_process_names()
-            if p not in ("uniform", "replay")
-        )
-        return self.base_families + tuple(
-            f"{b}@{p}" for b in self.base_families for p in extra
-        )
-
-    def validate_families(self, sweep) -> None:
-        validate_qualified_families(self, sweep.families)
 
     def build(self, spec) -> SecretaryInstance:
         params = dict(spec.params)
@@ -238,105 +316,28 @@ class SecretaryAdapter(TaskAdapter):
     def fingerprint(self, instance: SecretaryInstance) -> str:
         return spec_fingerprint(instance.fingerprint_payload())
 
-    def _policy(
-        self, instance: SecretaryInstance, spec, n: int,
-        algo_seed: Optional[int] = None,
-    ):
-        k = instance.k
-        if algo_seed is None:
-            algo_seed = instance.algo_seed
-        if spec.method == "monotone":
-            return SegmentedSubmodularPolicy(k), k
-        if spec.method == "nonmonotone":
-            coin = bool(np.random.default_rng(algo_seed).random() < 0.5)
-            return nonmonotone_half_policy(n, k, coin), k
-        if spec.method == "classical":
-            return BestSingletonPolicy(strict=True), 1
-        if spec.method == "robust":
-            return RobustTopKPolicy(instance.singleton_values, k), k
-        raise InvalidInstanceError(
-            f"unknown secretary method {spec.method!r}; known: {self.methods}"
-        )
-
     def _budget(self, spec, k: int) -> int:
         return 1 if spec.method == "classical" else k
 
-    @staticmethod
-    def _reshard_midstream(instance, run, counters, policy_factory, deps):
-        """Half-stream S -> S' hop: suspend, re-partition, resume.
-
-        The cell measures the elastic-topology path end to end: the
-        first half of the stream runs at ``instance.shards`` lanes, the
-        suspended manifest is re-partitioned to ``instance.reshard_to``
-        lanes (consumed prefixes and hires pinned, suffix re-hashed
-        under a new epoch), and the returned run finishes the stream.
-        *deps* re-injects what the manifest never carries (the robust
-        rule's singleton values).  Returns ``(resumed_run,
-        rebuild_calls)`` — the oracle calls the resume's frontier
-        re-reveal billed, which the caller nets out.
-        """
-        from repro.online.sharding import (
-            make_sharded_checkpoint,
-            reshard_manifest,
-            resume_sharded_run,
-        )
-
-        run.run(max(1, sum(r.n for r in run.runs) // 2))
-        manifest = make_sharded_checkpoint(run)
-        resharded = reshard_manifest(
-            manifest, instance.reshard_to, instance.fn,
-            policy_factory=policy_factory,
-        )
-        before = counters.calls
-        resumed = resume_sharded_run(
-            resharded, instance.fn, oracle_factory=counters, deps=deps
-        )
-        return resumed, counters.calls - before
-
     def solve(self, instance: SecretaryInstance, spec) -> Dict[str, Any]:
-        def source_factory():
-            return build_arrival_source(
-                instance.arrival, instance.fn, instance.stream_seed
+        if spec.method not in self.methods:
+            raise InvalidInstanceError(
+                f"unknown secretary method {spec.method!r}; known: {self.methods}"
             )
-
         budget = self._budget(spec, instance.k)
-        if instance.shards == 1 and instance.reshard_to is None:
-            source = source_factory()
-            counting = CountingOracle(instance.fn)
-            policy, _ = self._policy(instance, spec, source.n)
-            result = OnlineRun(counting, source, policy).run().result()
-            calls = counting.calls
-        else:
-            # One replica per shard (each laid out over its own shard
-            # length, nonmonotone coins flipped per shard), merged under
-            # the hire budget; oracle work = shard queries + merge.
-            counters = ShardCounters()
-
-            def policy_factory(index, shard):
-                policy, _ = self._policy(
-                    instance, spec, shard.n,
-                    algo_seed=derive_seed(instance.algo_seed, "shard", index),
-                )
-                return policy
-
-            run = ShardedRun.from_source(
-                instance.fn, source_factory, instance.shards, policy_factory,
-                oracle_factory=counters, limit=budget,
-            )
-            rebuild_calls = 0
-            if instance.reshard_to is not None:
-                deps = (
-                    {"values": instance.singleton_values}
-                    if spec.method == "robust" else None
-                )
-                run, rebuild_calls = self._reshard_midstream(
-                    instance, run, counters, policy_factory, deps
-                )
-            result = run.run().result()
-            # Net out the resume-rebuild reveals (the same netting the
-            # session layer does), so a reshard hop's oracle_work is
-            # comparable to an uninterrupted sharded run's.
-            calls = counters.calls - rebuild_calls + run.merge_calls
+        result, calls = self.run_policy(
+            instance, spec.method, instance.k,
+            lambda: build_arrival_source(
+                instance.arrival, instance.fn, instance.stream_seed
+            ),
+            # Only the robust rule reads a map: from_config hands deps
+            # to the constructor, so any other rule's hop would refuse it.
+            deps=(
+                {"values": instance.singleton_values}
+                if spec.method == "robust" else None
+            ),
+            limit=budget,
+        )
         selected = result.selected
         if len(selected) > budget:
             raise InfeasibleError(

@@ -42,7 +42,7 @@ from repro.core.submodular import SetFunction
 from repro.errors import InvalidInstanceError
 from repro.online.arrivals import ArrivalSource, _require, source_from_spec
 from repro.online.driver import OnlineRun
-from repro.online.policies import OnlinePolicy, make_policy
+from repro.online.policies import make_policy
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -171,7 +171,6 @@ def resume_run(
     checkpoint: Mapping[str, object],
     utility: SetFunction,
     *,
-    policy: Optional[OnlinePolicy] = None,
     deps: Optional[Mapping[str, object]] = None,
     source: Optional[ArrivalSource] = None,
 ) -> OnlineRun:
@@ -183,12 +182,10 @@ def resume_run(
     construction never inflates oracle-call accounting), jumped to the
     saved cursor, and only the frontier is re-revealed.
 
-    The policy is rebuilt from the checkpoint's config unless an
-    explicit *policy* instance is given (required when it carries
-    non-serializable dependencies not coverable by *deps*).  *deps*
-    also carries the per-element workload maps checkpoints never hold
-    (``weights`` for the knapsack rule, ``values`` for the robust and
-    bottleneck rules).
+    The policy is rebuilt from the checkpoint's config; *deps* carries
+    what the config cannot: non-serializable dependencies, and the
+    per-element workload maps checkpoints never hold (``weights`` for
+    the knapsack rule, ``values`` for the robust and bottleneck rules).
 
     A ``policy`` block that is not ``{"name": str, "config": object,
     "state": object}``, or a ``cursor`` that is not a JSON integer,
@@ -204,8 +201,7 @@ def resume_run(
     config = _require(spec.get("config"), Mapping, "policy.config", "an object")
     _require(spec.get("state"), Mapping, "policy.state", "an object")
     _require(checkpoint.get("cursor"), int, "cursor", "an integer")
-    if policy is None:
-        policy = make_policy(name, config, **dict(deps or {}))
+    policy = make_policy(name, config, **dict(deps or {}))
     if source is None:
         source = source_from_spec(checkpoint.get("source"), utility)  # type: ignore[arg-type]
     run = OnlineRun(utility, source, policy)

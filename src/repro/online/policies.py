@@ -71,6 +71,7 @@ from repro.online.runtime import (
     offline_knapsack_estimate,
     segment_bounds,
 )
+from repro.rng import as_generator
 from repro.secretary.classical import dynkin_threshold
 
 __all__ = [
@@ -83,6 +84,8 @@ __all__ = [
     "SubadditiveSegmentPolicy",
     "MatroidSecretaryPolicy",
     "POLICIES",
+    "SESSION_POLICIES",
+    "build_policy",
     "register_policy",
     "make_policy",
     "policy_names",
@@ -1094,6 +1097,59 @@ def make_policy(name: str, config: Mapping[str, object], **deps) -> OnlinePolicy
             f"unknown policy {name!r}; known: {policy_names()}"
         )
     return cls.from_config(config, **deps)
+
+
+#: The policy names :func:`build_policy` knows.
+SESSION_POLICIES = ("monotone", "nonmonotone", "classical", "robust",
+                    "bottleneck", "knapsack", "subadditive")
+
+
+def build_policy(
+    name: str, n: int, k: int, rng=None,
+    deps: Optional[Mapping[str, object]] = None,
+) -> OnlinePolicy:
+    """Build policy *name* for an *n*-arrival stream and hire budget *k*.
+
+    The one table sessions, engine cells and the paper wrappers build
+    their policies from.  Every coin (Algorithm 2's half, the knapsack
+    rule's heads, the subadditive rule's strategy and segment) is drawn
+    from ``as_generator(rng)``; *deps* holds the element map the rule
+    reads: ``values`` for the robust and bottleneck rules, the reduced
+    ``weights`` for the knapsack rule.  A missing map or an unknown
+    *name* raises :class:`~repro.errors.InvalidInstanceError`.
+    """
+    gen = as_generator(rng)
+
+    def needs(key: str):
+        """The *key* map from *deps*, which the rule cannot run without."""
+        if (deps or {}).get(key) is None:
+            raise InvalidInstanceError(
+                f"policy {name!r} needs its {key!r} map in deps"
+            )
+        return deps[key]  # type: ignore[index]
+
+    if name == "monotone":
+        return SegmentedSubmodularPolicy(k)
+    if name == "nonmonotone":
+        return nonmonotone_half_policy(n, k, bool(gen.random() < 0.5))
+    if name == "classical":
+        return BestSingletonPolicy(strict=True)
+    if name == "robust":
+        return RobustTopKPolicy(needs("values"), k)
+    if name == "bottleneck":
+        return BottleneckPolicy(needs("values"), k)
+    if name == "knapsack":
+        return KnapsackSecretaryPolicy(
+            needs("weights"), heads=bool(gen.random() < 0.5)
+        )
+    if name == "subadditive":
+        if gen.random() < 0.5:
+            return BestSingletonPolicy()
+        n_segments = max(1, -(-n // k))  # ceil(n / k)
+        return SubadditiveSegmentPolicy(k, int(gen.integers(n_segments)))
+    raise InvalidInstanceError(
+        f"unknown online policy {name!r}; known: {SESSION_POLICIES}"
+    )
 
 
 for _cls in (

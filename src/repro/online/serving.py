@@ -706,9 +706,9 @@ class ServingLoop:
 
         Returns ``False`` — after quarantining the tenant — when its
         checkpoint is corrupt, records another workload than the spec,
-        or fails to resume with any library error (:class:`ReproError`);
-        the rest of the fleet is unaffected.  Programming errors such as
-        ``TypeError`` still propagate.
+        or fails to resume, or its spec fails to start, with any library
+        error (:class:`ReproError`); the rest of the fleet is unaffected.
+        Programming errors such as ``TypeError`` still propagate.
         """
         spec = tenant.spec
         if self.checkpoint_root is not None and (
@@ -744,13 +744,16 @@ class ServingLoop:
                 if tenant.parks > 0:
                     tenant.rehydrations += 1
                 return True
-        tenant.attach(
-            spec.start(
+        try:
+            session = spec.start(
                 self.workload_cache,
                 fault_injector=self.fault_injector,
                 fault_scope=spec.tenant_id,
             )
-        )
+        except ReproError as exc:
+            self._quarantine(tenant, f"session start failed: {exc}")
+            return False
+        tenant.attach(session)
         return True
 
     def _quarantine(self, tenant: _Tenant, error: str) -> None:

@@ -38,21 +38,13 @@ from repro.online.checkpoint import (
     resume_run,
 )
 from repro.online.driver import OnlineRun
-from repro.online.policies import (
-    BestSingletonPolicy,
-    BottleneckPolicy,
-    KnapsackSecretaryPolicy,
-    OnlinePolicy,
-    RobustTopKPolicy,
-    SegmentedSubmodularPolicy,
-    SubadditiveSegmentPolicy,
-    nonmonotone_half_policy,
-)
+from repro.online.policies import SESSION_POLICIES, OnlinePolicy, build_policy
 from repro.online.sharding import (
     SHARDED_CHECKPOINT_FORMAT,
     ShardCounters,
     ShardedRun,
     knapsack_constraint,
+    lane_algo_seed,
     make_sharded_checkpoint,
     reshard_manifest,
     resume_sharded_run,
@@ -87,15 +79,6 @@ __all__ = [
 #: :func:`repro.online.checkpoint.check_schema_version`).
 RECIPE_SCHEMA_VERSION = 1
 
-SESSION_POLICIES = (
-    "monotone",
-    "nonmonotone",
-    "classical",
-    "robust",
-    "bottleneck",
-    "knapsack",
-    "subadditive",
-)
 SESSION_FAMILIES = STREAM_FAMILIES
 
 
@@ -307,53 +290,6 @@ def _check_source_block(block, want: Mapping[str, object], where: str) -> None:
             )
 
 
-def _build_policy(
-    recipe: Mapping[str, object],
-    fn: SetFunction,
-    weights: Mapping,
-    *,
-    n: Optional[int] = None,
-    algo_seed: Optional[int] = None,
-    workload_cache: Optional[WorkloadCache] = None,
-) -> OnlinePolicy:
-    """Build the recipe's policy (optionally as one shard's replica).
-
-    *n* overrides the stream length the policy lays out against (a shard
-    replica sees its shard's length, not the logical stream's); *algo_seed*
-    overrides the coin-flip seed (shard replicas flip independent,
-    shard-derived coins).  The defaults reproduce the unsharded session.
-    """
-    name = str(recipe["policy"])
-    deps = _policy_deps(recipe, fn, weights, workload_cache)
-    n = int(recipe["n"]) if n is None else int(n)  # type: ignore[arg-type]
-    k = int(recipe["k"])  # type: ignore[arg-type]
-    if algo_seed is None:
-        algo_seed = derive_seed(int(recipe["seed"]), "online-algo")  # type: ignore[arg-type]
-    gen = np.random.default_rng(algo_seed)
-    if name == "monotone":
-        return SegmentedSubmodularPolicy(k)
-    if name == "nonmonotone":
-        return nonmonotone_half_policy(n, k, bool(gen.random() < 0.5))
-    if name == "classical":
-        return BestSingletonPolicy(strict=True)
-    if name == "robust":
-        return RobustTopKPolicy(deps["values"], k)
-    if name == "bottleneck":
-        return BottleneckPolicy(deps["values"], k)
-    if name == "knapsack":
-        return KnapsackSecretaryPolicy(
-            deps["weights"], heads=bool(gen.random() < 0.5)
-        )
-    if name == "subadditive":
-        if gen.random() < 0.5:
-            return BestSingletonPolicy()
-        n_segments = max(1, -(-n // k))  # ceil(n / k)
-        return SubadditiveSegmentPolicy(k, int(gen.integers(n_segments)))
-    raise InvalidInstanceError(
-        f"unknown online policy {name!r}; known: {SESSION_POLICIES}"
-    )
-
-
 class OnlineSession:
     """A resumable (workload, policy, arrival process) execution.
 
@@ -462,8 +398,9 @@ def start_session(
         "process_params": dict(process_params or {}),
     }
     fn, weights, shared = _workload(recipe, workload_cache)
-    policy_obj = _build_policy(
-        recipe, fn, weights, workload_cache=workload_cache
+    policy_obj = build_policy(
+        policy, int(n), int(k), derive_seed(int(seed), "online-algo"),
+        _policy_deps(recipe, fn, weights, workload_cache),
     )
     source = _recipe_source(recipe, fn)
     counting = CountingOracle(shared)
@@ -530,19 +467,6 @@ def resume_session(
 
 
 # -- sharded sessions --------------------------------------------------------
-
-
-def _shard_algo_seed(seed: int, shard_index: int, num_shards: int) -> int:
-    """Coin-flip seed for one shard's policy replica.
-
-    A single shard keeps the unsharded session's seed — that is what
-    pins ``--shards 1`` bit-identical to the plain runtime; multiple
-    shards flip independent, shard-derived coins.
-    """
-    base = derive_seed(int(seed), "online-algo")
-    if num_shards == 1:
-        return base
-    return derive_seed(base, "shard", int(shard_index))
 
 
 def _merge_rule(
@@ -693,14 +617,14 @@ def start_sharded_session(
 
     counters = ShardCounters()
     oracle_factory = _shard_oracle_factory(counters, fault_injector, fault_scope)
+    algo_seed = derive_seed(int(seed), "online-algo")
+    deps = _policy_deps(recipe, fn, weights, workload_cache)
 
     def policy_factory(index: int, shard) -> OnlinePolicy:
         """Build the policy replica for shard *index*."""
-        return _build_policy(
-            recipe, fn, weights,
-            n=shard.n,
-            algo_seed=_shard_algo_seed(int(seed), index, int(shards)),
-            workload_cache=workload_cache,
+        return build_policy(
+            policy, shard.n, int(k),
+            lane_algo_seed(algo_seed, index, int(shards)), deps,
         )
 
     can_take, limit = _merge_rule(recipe, weights)
@@ -803,14 +727,14 @@ def reshard_session(
         )
     recipe = _checked_recipe(checkpoint)
     fn, weights = build_workload(recipe)
-    seed = int(recipe["seed"])  # type: ignore[arg-type]
+    algo_seed = derive_seed(int(recipe["seed"]), "online-algo")  # type: ignore[arg-type]
 
     def policy_factory(index: int, lane) -> OnlinePolicy:
         """Seed the policy replica for a lane added by the grow."""
-        return _build_policy(
-            recipe, fn, weights,
-            n=lane.n,
-            algo_seed=_shard_algo_seed(seed, index, int(num_shards)),
+        return build_policy(
+            str(recipe["policy"]), lane.n, int(recipe["k"]),  # type: ignore[arg-type]
+            lane_algo_seed(algo_seed, index, int(num_shards)),
+            _policy_deps(recipe, fn, weights),
         )
 
     out = reshard_manifest(

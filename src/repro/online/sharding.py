@@ -101,6 +101,7 @@ __all__ = [
     "shard_schedule",
     "merge_hires",
     "knapsack_constraint",
+    "lane_algo_seed",
     "matroid_constraint",
     "make_sharded_checkpoint",
     "partition_from_manifest",
@@ -712,6 +713,20 @@ class ShardCounters:
         return sum(c.calls for c in self.countings)
 
 
+def lane_algo_seed(base: int, index: int, lanes: int) -> int:
+    """Coin-flip seed for lane *index* of a *lanes*-lane topology.
+
+    *lanes* counts the topology the lane is created under (a reshard's
+    new count for the lanes it adds).  A single lane keeps the
+    unsharded run's *base* seed, which makes S = 1 the plain run.
+    """
+    from repro.engine.hashing import derive_seed  # lazy: see shard_of
+
+    if lanes == 1:
+        return int(base)
+    return derive_seed(int(base), "shard", int(index))
+
+
 class ShardedRun:
     """S policy replicas over one hash-partitioned arrival schedule.
 
@@ -1126,7 +1141,6 @@ def resume_sharded_run(
     utility: SetFunction,
     *,
     oracle_factory: Optional[OracleFactory] = None,
-    policies: Optional[Sequence[OnlinePolicy]] = None,
     deps: Optional[Mapping[str, object]] = None,
     can_take: Optional[CanTake] = None,
 ) -> ShardedRun:
@@ -1136,9 +1150,8 @@ def resume_sharded_run(
     :func:`~repro.online.checkpoint.resume_run` path (O(selected)
     source rebuild + frontier reveal) against a fresh
     :class:`ShardView` of *utility* — optionally wrapped by
-    *oracle_factory* (counting).  *policies*/*deps* forward to the
-    per-shard resume for policies with non-serializable dependencies;
-    *can_take* re-injects the merge constraint.
+    *oracle_factory* (counting).  *deps* forwards to the per-shard
+    resume; *can_take* re-injects the merge constraint.
     """
     entries, partition = _checked_manifest(checkpoint)
     runs = []
@@ -1148,15 +1161,7 @@ def resume_sharded_run(
         source = source_from_spec(shard_ck["source"], utility)  # type: ignore[arg-type]
         view = ShardView(utility, source.order or ())
         oracle = view if oracle_factory is None else oracle_factory(i, view)
-        runs.append(
-            resume_run(
-                shard_ck,
-                oracle,
-                policy=None if policies is None else policies[i],
-                deps=deps,
-                source=source,
-            )
-        )
+        runs.append(resume_run(shard_ck, oracle, deps=deps, source=source))
     return ShardedRun(
         utility,
         runs,

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, FrozenSet, Hashable, Iterable
 from repro.core.submodular import SetFunction
 from repro.errors import BudgetError
 from repro.online.driver import run_online
-from repro.online.policies import BestSingletonPolicy, SubadditiveSegmentPolicy
+from repro.online.policies import build_policy
 from repro.online.results import SecretaryResult
 from repro.rng import as_generator
 
@@ -101,7 +101,9 @@ def subadditive_secretary(
 ) -> SecretaryResult:
     """The O(sqrt(n))-competitive algorithm for subadditive utilities.
 
-    Randomises between the two complementary strategies:
+    Randomises, with the coins of
+    :func:`~repro.online.policies.build_policy`, between the two
+    complementary strategies:
 
     * best-singleton (classical rule) — k-competitive,
     * random segment of size <= k hired wholesale — (n/k)-competitive.
@@ -110,14 +112,5 @@ def subadditive_secretary(
     """
     if k <= 0:
         raise BudgetError(f"k must be positive, got {k}")
-    gen = as_generator(rng)
-    n = stream.n
-
-    if gen.random() < 0.5:
-        # Strategy A: single best item via the classical rule.
-        return run_online(stream.utility, stream, BestSingletonPolicy())
-
-    # Strategy B: hire one uniformly random size-<=k segment wholesale.
-    n_segments = max(1, math.ceil(n / k))
-    target = int(gen.integers(n_segments))
-    return run_online(stream.utility, stream, SubadditiveSegmentPolicy(k, target))
+    policy = build_policy("subadditive", stream.n, k, rng)
+    return run_online(stream.utility, stream, policy)

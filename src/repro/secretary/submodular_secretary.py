@@ -11,7 +11,8 @@ The decision logic lives in
 :class:`repro.online.policies.SegmentedSubmodularPolicy` — an explicit
 state machine the unified runtime can drive over any arrival process,
 suspend, and resume.  These wrappers keep the paper-facing API: they
-configure the policy (including Algorithm 2's coin) and return
+configure the policy (Algorithm 2's coin is flipped by
+:func:`~repro.online.policies.build_policy`) and return
 :func:`~repro.online.driver.run_online` over the
 :class:`~repro.secretary.stream.SecretaryStream`, one arrival per batch.
 Both algorithms accept an optional feasibility predicate ``can_take(T,
@@ -24,13 +25,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.online.driver import run_online
-from repro.online.policies import (
-    CanTake,
-    SegmentedSubmodularPolicy,
-    nonmonotone_half_policy,
-)
+from repro.online.policies import CanTake, SegmentedSubmodularPolicy, build_policy
 from repro.online.results import SecretaryResult, SegmentTrace
-from repro.rng import as_generator
 
 if TYPE_CHECKING:
     from repro.secretary.stream import SecretaryStream
@@ -67,7 +63,5 @@ def nonmonotone_submodular_secretary(
     stream (ignoring the second entirely); otherwise skips the first
     half and runs on the second.
     """
-    gen = as_generator(rng)
-    use_first_half = bool(gen.random() < 0.5)
-    policy = nonmonotone_half_policy(stream.n, k, use_first_half)
+    policy = build_policy("nonmonotone", stream.n, k, rng)
     return run_online(stream.utility, stream, policy)

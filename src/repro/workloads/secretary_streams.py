@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 STREAM_FAMILIES = ("additive", "coverage", "facility", "cut")
+#: The params :func:`stream_utility` reads (each family reads its own).
+_STREAM_PARAMS = ("distribution", "skills_per_secretary", "edge_probability")
 
 
 def stream_utility(family: str, n: int, *, aux: int = 0, rng=None, **params):
@@ -60,8 +62,14 @@ def stream_utility(family: str, n: int, *, aux: int = 0, rng=None, **params):
     ``aux`` is the family-specific auxiliary size (coverage universe /
     facility clients; 0 picks the default); *params* forwards the
     family's knobs (``distribution``, ``skills_per_secretary``,
-    ``edge_probability``).
+    ``edge_probability``).  Any other param is refused, for every
+    family, rather than silently building the default instance.
     """
+    unknown = sorted(set(params) - set(_STREAM_PARAMS))
+    if unknown:
+        raise InvalidInstanceError(
+            f"unknown stream-utility params {unknown}; known: {_STREAM_PARAMS}"
+        )
     gen = as_generator(rng)
     fn = None
     if family == "additive":

@@ -23,10 +23,6 @@ The contracts under test, in the order the backend layer promises them:
 * *wrapper passthrough* — ``backend=`` threads through
   ``CountingOracle`` / ``CachedOracle`` / ``FaultyOracle`` /
   ``ArrivalOracle`` / ``ShardView`` down to the family.
-
-* *subsampling is explicit* — ``batch_marginals(subsample=...)``
-  returns a distinct ``SubsampledMarginals`` type, is deterministic per
-  seed, and is off by default everywhere.
 """
 
 import numpy as np
@@ -51,7 +47,6 @@ from repro.core.kernels import (
     resolve_backend,
 )
 from repro.core.oracle import CachedOracle, CountingOracle
-from repro.core.submodular import SubsampledMarginals
 
 TOL = 1e-12
 
@@ -410,41 +405,9 @@ class TestWrapperPassthrough:
         )
 
 
-class TestSubsampling:
-    def test_off_by_default_returns_plain_array(self):
+class TestBatchMarginals:
+    def test_returns_a_plain_array(self):
         covers, _, _ = _coverage_pair(10)
         fn = CoverageFunction(covers)
         out = fn.batch_marginals([0], list(range(24)))
         assert isinstance(out, np.ndarray)
-        assert not isinstance(out, SubsampledMarginals)
-
-    def test_subsample_returns_typed_indices_and_gains(self):
-        covers, _, _ = _coverage_pair(11)
-        fn = CoverageFunction(covers)
-        pool = list(range(24))
-        out = fn.batch_marginals([0], pool, subsample=8, seed=3)
-        assert isinstance(out, SubsampledMarginals)
-        assert len(out.indices) == 8 == len(out.gains)
-        assert np.array_equal(out.indices, np.sort(out.indices))
-        exact = fn.batch_marginals([0], pool)
-        assert np.allclose(out.gains, exact[out.indices], rtol=TOL, atol=TOL)
-
-    def test_subsample_is_seed_deterministic(self):
-        covers, _, _ = _coverage_pair(12)
-        fn = CoverageFunction(covers)
-        pool = list(range(24))
-        a = fn.batch_marginals([], pool, subsample=6, seed=7)
-        b = fn.batch_marginals([], pool, subsample=6, seed=7)
-        c = fn.batch_marginals([], pool, subsample=6, seed=8)
-        assert np.array_equal(a.indices, b.indices)
-        assert not np.array_equal(a.indices, c.indices)
-
-    def test_subsample_larger_than_pool_scores_everything(self):
-        fn = AdditiveFunction({i: float(i) for i in range(5)})
-        out = fn.batch_marginals([], list(range(5)), subsample=50)
-        assert np.array_equal(out.indices, np.arange(5))
-
-    def test_invalid_subsample_rejected(self):
-        fn = AdditiveFunction({1: 1.0})
-        with pytest.raises(ValueError, match="subsample"):
-            fn.batch_marginals([], [1], subsample=0)

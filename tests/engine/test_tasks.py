@@ -117,6 +117,61 @@ class TestReshardHopForMapCarryingMethods:
         assert got == want
 
 
+class TestReshardHopForMapFreeMethods:
+    """``#S>S'`` hops for the methods whose policy reads no element map.
+
+    Their hop resumes with no deps at all: a map handed to a rule that
+    does not read it reaches its constructor and fails the resume.
+    Records are pinned exactly.
+    """
+
+    CELLS = [
+        ("coverage#2>4", "monotone", (40, 4, 0), (12.0, 13.0, 84, 4)),
+        ("cut#4>2", "nonmonotone", (40, 4, 0),
+         (28.433988325664128, 32.67284692648706, 39, 4)),
+        ("additive#2>4", "classical", (30, 3, 0),
+         (0.6036453449804696, 0.9385009151941373, 29, 1)),
+    ]
+
+    @pytest.mark.parametrize("family,method,grid,want", CELLS)
+    def test_record_pinned(self, family, method, grid, want):
+        record = run_one(spec_for("secretary", family, method, *grid))
+        got = (record.utility, record.cost, record.oracle_work, record.n_chosen)
+        assert got == want
+
+
+def _record(task, family, method, grid, seed):
+    spec = RunSpec(family=family, n_jobs=grid[0], n_processors=grid[1],
+                   horizon=grid[2], method=method, trial=0, seed=seed,
+                   task=task)
+    record = run_one(spec)
+    return (record.utility, record.cost, record.oracle_work, record.n_chosen)
+
+
+class TestOneShardIsTheUnshardedCell:
+    """``base#1`` and the identity hop ``base#1>1`` record what ``base`` does.
+
+    One lane flips the unsharded cell's coin, before a hop and after it,
+    so S = 1 is the plain run for every method.  Uniform arrivals only:
+    a hop at ``n // 2`` can cut inside a bursty minibatch, where a
+    resume bills fewer calls than the straight run.
+    """
+
+    CELLS = [
+        ("secretary", family, method, (40, 4, 0))
+        for family in ("additive", "coverage", "facility", "cut")
+        for method in ("monotone", "nonmonotone", "classical", "robust")
+    ] + [("knapsack_secretary", "additive", "online", (40, 2, 0))]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("task,family,method,grid", CELLS)
+    def test_one_shard_and_identity_hop_match(self, task, family, method,
+                                              grid, seed):
+        want = _record(task, family, method, grid, seed)
+        assert _record(task, family + "#1", method, grid, seed) == want
+        assert _record(task, family + "#1>1", method, grid, seed) == want
+
+
 class TestAdapterParity:
     """Engine records must match direct solver calls on the same instance."""
 

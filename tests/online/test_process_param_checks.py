@@ -1,12 +1,13 @@
-"""Bad arrival-process parameters exit 2 naming the parameter.
+"""Bad arrival-process parameters are refused naming the parameter.
 
 Each parameter is checked where its process reads it: ``mean_batch`` a
 finite number >= 1 (not a bool), ``rate`` a finite number > 0 whose
 timestamps stay finite, ``window`` an integer >= 1, and every field of
 a ``replay`` payload (or of a schedule a checkpoint embeds) through
 the checkpoint field checks.  ``repro online run`` then exits 2 instead
-of 1 with a traceback, and so does ``repro online serve`` when one
-tenant's spec carries the bad value.
+of 1 with a traceback; ``repro online serve`` quarantines the one
+tenant whose spec carries the bad value, naming it in that tenant's
+``error``, serves the rest of the fleet, and exits 3.
 """
 
 import json
@@ -20,6 +21,7 @@ from repro.online.arrivals import build_arrival_schedule
 from repro.online.checkpoint import make_checkpoint, resume_run
 from repro.online.driver import OnlineRun
 from repro.online.policies import SegmentedSubmodularPolicy
+from repro.online.session import start_session
 from repro.workloads.secretary_streams import additive_values
 
 RUN = ["online", "run", "--policy", "monotone", "--family", "coverage",
@@ -55,11 +57,15 @@ def test_a_good_replay_payload_still_runs(capsys):
     assert main(RUN + ["--process", "replay", "--process-params", params]) == 0
 
 
+@pytest.mark.parametrize("budget", [[], ["--memory-budget", "1"]],
+                         ids=["static", "budgeted"])
 @pytest.mark.parametrize("process,params,field", [
     pytest.param("bursty", {"mean_batch": float("nan")}, "'mean_batch'", id="mean_batch-nan"),
     pytest.param("poisson", {"rate": 1e-320}, "'rate'", id="rate-denormal"),
 ])
-def test_serve_exits_2_naming_the_parameter(tmp_path, capsys, process, params, field):
+def test_serve_quarantines_the_tenant_naming_the_parameter(
+    tmp_path, capsys, process, params, field, budget
+):
     fleet = {
         "defaults": {"family": "coverage", "n": 40, "k": 3, "policy": "monotone"},
         "tenants": [{"id": "a", "seed": 1},
@@ -67,8 +73,15 @@ def test_serve_exits_2_naming_the_parameter(tmp_path, capsys, process, params, f
     }
     spec = tmp_path / "fleet.json"
     spec.write_text(json.dumps(fleet), encoding="utf-8")
-    assert main(["online", "serve", str(spec)]) == 2
-    assert field in capsys.readouterr().err
+    argv = ["online", "serve", str(spec), "--checkpoint-dir", str(tmp_path / "ck")]
+    assert main(argv + budget) == 3
+    tenants = json.loads(capsys.readouterr().out)["tenants"]
+    assert tenants["b"]["state"] == "quarantined"
+    assert tenants["b"]["error"].startswith("session start failed: ")
+    assert field in tenants["b"]["error"]
+    solo = start_session(policy="monotone", family="coverage", n=40, k=3, seed=1)
+    assert tenants["a"]["state"] == "finished"
+    assert tenants["a"]["selected"] == solo.advance().summary()["selected"]
 
 
 @pytest.mark.parametrize("damage,field", [

@@ -28,12 +28,11 @@ from repro.online.arrivals import (
 )
 from repro.online.checkpoint import make_checkpoint
 from repro.online.driver import OnlineRun
-from repro.online.policies import SegmentedSubmodularPolicy
+from repro.online.policies import SegmentedSubmodularPolicy, build_policy
 from repro.online.session import (
     SESSION_POLICIES,
-    _build_policy,
     _merge_rule,
-    _shard_algo_seed,
+    _policy_deps,
     build_workload,
     start_session,
     start_sharded_session,
@@ -42,6 +41,7 @@ from repro.online.sharding import (
     ShardCounters,
     ShardSource,
     ShardedRun,
+    lane_algo_seed,
     shard_schedule,
 )
 from repro.workloads.secretary_streams import coverage_utility
@@ -227,18 +227,18 @@ def _materialized_run(policy, process, shards, params):
     schedule = build_arrival_schedule(
         process, fn, derive_seed(SEED, "online-stream"), **params
     )
+    algo_seed = derive_seed(SEED, "online-algo")
+    deps = _policy_deps(recipe, fn, weights)
     if shards == 1:
         counting = CountingOracle(fn)
-        run = OnlineRun(counting, schedule, _build_policy(recipe, fn, weights))
+        run = OnlineRun(counting, schedule, build_policy(policy, N, K, algo_seed, deps))
         selected = run.run().result().selected
         return frozenset(selected), counting.calls
     counters = ShardCounters()
 
     def policy_factory(index, shard):
-        return _build_policy(
-            recipe, fn, weights, n=shard.n,
-            algo_seed=_shard_algo_seed(SEED, index, shards),
-        )
+        seed = lane_algo_seed(algo_seed, index, shards)
+        return build_policy(policy, shard.n, K, seed, deps)
 
     can_take, limit = _merge_rule(recipe, weights)
     run = ShardedRun.from_schedule(
@@ -247,6 +247,19 @@ def _materialized_run(policy, process, shards, params):
     )
     selected = run.run().result().selected
     return frozenset(selected), counters.calls + run.merge_calls
+
+
+class TestBuildPolicy:
+    @pytest.mark.parametrize("name,key", [
+        ("robust", "values"), ("bottleneck", "values"), ("knapsack", "weights"),
+    ])
+    def test_a_missing_map_is_refused_naming_it(self, name, key):
+        with pytest.raises(InvalidInstanceError, match=f"'{key}' map"):
+            build_policy(name, N, K, 0)
+
+    def test_an_unknown_name_is_refused(self):
+        with pytest.raises(InvalidInstanceError, match="unknown online policy"):
+            build_policy("nope", N, K, 0)
 
 
 class TestStreamingEqualsMaterialized:

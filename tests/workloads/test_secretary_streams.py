@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.submodular import check_monotone, check_submodular
+from repro.engine import SweepSpec, run_one
 from repro.errors import InvalidInstanceError
 from repro.workloads.secretary_streams import (
     additive_values,
@@ -11,6 +12,7 @@ from repro.workloads.secretary_streams import (
     cut_utility,
     facility_utility,
     knapsack_weights,
+    stream_utility,
 )
 
 
@@ -111,3 +113,27 @@ class TestKnapsackWeights:
             knapsack_weights({"a"}, 0)
         with pytest.raises(InvalidInstanceError):
             knapsack_weights({"a"}, 2, low=0.5, high=0.5)
+
+
+class TestStreamUtilityParams:
+    """``stream_utility`` refuses a param it does not read, for every family."""
+
+    def test_a_misspelt_param_is_refused(self):
+        with pytest.raises(InvalidInstanceError, match="skills_per_secretry"):
+            stream_utility("coverage", 20, rng=0, skills_per_secretry=9)
+
+    def test_the_removed_backend_param_is_refused(self):
+        with pytest.raises(InvalidInstanceError, match="backend"):
+            stream_utility("coverage", 20, rng=0, backend="sparse")
+
+    @pytest.mark.parametrize("family", ["additive", "coverage", "facility", "cut"])
+    def test_every_read_param_is_accepted_by_every_family(self, family):
+        stream_utility(family, 12, rng=0, distribution="uniform",
+                       skills_per_secretary=3, edge_probability=0.5)
+
+    def test_a_sweep_cell_with_a_misspelt_param_fails(self):
+        sweep = SweepSpec(task="secretary", families=("coverage",),
+                          grid=((20, 2, 0),), methods=("monotone",), trials=1,
+                          params=(("skills_per_secretry", 9),))
+        with pytest.raises(InvalidInstanceError, match="skills_per_secretry"):
+            run_one(sweep.expand()[0])
