@@ -54,6 +54,7 @@ from repro.errors import ReproError
 from repro.io import (
     instance_to_dict,
     load_instance,
+    read_json,
     schedule_to_dict,
 )
 from repro.scheduling.prize_collecting import (
@@ -536,22 +537,8 @@ def _finish_online(session, args) -> int:
 
 
 def _load_checkpoint_file(path: str) -> dict:
-    """Read a checkpoint file, turning corruption into a usage error.
-
-    A crashed writer (pre-atomic-write checkpoints), disk-full
-    truncation, or a hand-edit leaves invalid UTF-8 or JSON; surface
-    that as a clean exit-2 error naming the file instead of a raw
-    ``UnicodeDecodeError`` / ``json.JSONDecodeError`` traceback.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            what = "JSON" if isinstance(exc, json.JSONDecodeError) else "UTF-8"
-            raise ReproError(
-                f"checkpoint file {path} is corrupt or truncated "
-                f"(not valid {what}: {exc})"
-            ) from exc
+    """Read a checkpoint file; corruption is a usage error naming it."""
+    payload = read_json(path, "checkpoint file")
     if not isinstance(payload, dict):
         raise ReproError(f"checkpoint file {path} is not a JSON object")
     return payload
@@ -763,13 +750,7 @@ def _cmd_online_serve(args) -> int:
     from repro.online.faults import load_fault_plan
     from repro.online.serving import ServingLoop, load_tenant_specs
 
-    with open(args.spec_file, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ReproError(
-                f"spec file {args.spec_file} is not valid JSON: {exc}"
-            ) from exc
+    payload = read_json(args.spec_file, "spec file")
     try:
         specs = load_tenant_specs(payload)
     except ReproError as exc:

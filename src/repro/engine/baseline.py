@@ -31,6 +31,12 @@ baseline with per-metric tolerances:
   metrics above) while catching the 2x regressions the gate exists for
   on any cell whose baseline is at least the floor.
 
+Wall times are in *reference seconds*, as in ``perfbench``: each sweep
+sits between two samples of a fixed pure-Python loop, and its clock
+seconds are scaled by ``SPEED_REF_S`` over their mean.  A host that
+runs everything slower (a busy shared VM, a slower CI runner) then
+reads about the same; a slower program still reads slower.
+
 Baselines live in ``benchmarks/baselines/`` and are regenerated with
 ``repro bench --profile <p> --update-baseline`` (see README).
 """
@@ -39,7 +45,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Tuple
 
 from repro.analysis.tables import format_delta, format_table
@@ -47,6 +54,7 @@ from repro.engine.hashing import spec_fingerprint
 from repro.engine.runner import run_sweep
 from repro.engine.spec import SweepSpec
 from repro.errors import InvalidInstanceError
+from repro.io import read_json
 
 __all__ = [
     "BENCH_FORMAT",
@@ -62,6 +70,11 @@ __all__ = [
 ]
 
 BENCH_FORMAT = "repro-bench/1"
+
+#: The speed sample's loop length, and the seconds it takes on the
+#: reference host (the same loop and figure as ``perfbench``).
+SPEED_LOOPS = 60_000
+SPEED_REF_S = 0.005
 
 _PRIZE_PARAMS = (
     ("epsilon", 0.25),
@@ -217,6 +230,15 @@ def suite_for(profile: str) -> Tuple[SweepSpec, ...]:
     return suite
 
 
+def _speed_sample() -> float:
+    """Seconds a fixed pure-Python loop takes right now."""
+    t0 = time.perf_counter()
+    acc = 0
+    for i in range(SPEED_LOOPS):
+        acc += i * i % 7
+    return time.perf_counter() - t0
+
+
 def run_bench(profile: str, *, workers: int = 0, warmup: bool = True) -> Dict[str, Any]:
     """Run the profile's suite across all tasks; return the report dict.
 
@@ -239,8 +261,11 @@ def run_bench(profile: str, *, workers: int = 0, warmup: bool = True) -> Dict[st
                 run_sweep(sweep, workers=0)
     groups: Dict[str, List] = {}
     for sweep in suite:
+        before = _speed_sample()
         result = run_sweep(sweep, workers=workers)
+        scale = 2 * SPEED_REF_S / (before + _speed_sample())  # to reference s
         for record in result.records:
+            record = replace(record, wall_time=record.wall_time * scale)
             groups.setdefault(_cell_id(record), []).append(record)
     cells: Dict[str, Any] = {}
     for cid in sorted(groups):
@@ -382,11 +407,7 @@ def load_report(path: str) -> Dict[str, Any]:
     :class:`~repro.errors.ReproError`), so the CLI reports a clean usage
     error instead of a traceback-as-regression.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            report = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInstanceError(f"{path} is not valid JSON: {exc}") from exc
+    report = read_json(path, "bench report")
     if not isinstance(report, dict) or report.get("format") != BENCH_FORMAT:
         raise InvalidInstanceError(
             f"{path} is not a {BENCH_FORMAT} report"

@@ -22,7 +22,12 @@ Format (version 1)::
 Cost-model kinds: ``affine``, ``per_processor``, ``time_of_use``,
 ``superlinear``, ``table`` (plus ``unavailable`` wrapping any of them).
 Processor ids are strings in the interchange format (JSON keys must
-be); loading preserves them as given.
+be); loading preserves them as given.  Loading checks the type of every
+field it reads and names the field (``jobs[3].slots[0]``) when one is
+wrong.
+
+:func:`read_json` is the one reader for every JSON file the CLI takes:
+instances, checkpoints, tenant specs, fault plans and bench reports.
 """
 
 from __future__ import annotations
@@ -54,10 +59,51 @@ __all__ = [
     "dump_instance",
     "dump_json_atomic",
     "load_instance",
+    "read_json",
 ]
 
 _INSTANCE_FORMAT = "repro-instance/1"
 _SCHEDULE_FORMAT = "repro-schedule/1"
+
+_REQUIRED = object()
+_NUMBER = (int, float)
+_ID = (str, int)  # processor and job ids
+
+
+def _check(value, kind, what: str, field: str):
+    """*value* if it is a *kind* (and not a bool), else an error naming *field*."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise InvalidInstanceError(
+            f"instance field {field!r} must be {what}, got {value!r:.60}"
+        )
+    return value
+
+
+def _field(data: Dict[str, Any], name: str, kind, what: str, default=_REQUIRED,
+           where: str = ""):
+    """``data[name]`` checked by :func:`_check`; *where* prefixes the
+    field's path, and a missing field takes *default* or is an error."""
+    if name not in data:
+        if default is _REQUIRED:
+            raise InvalidInstanceError(f"instance field '{where}{name}' is missing")
+        return default
+    return _check(data[name], kind, what, where + name)
+
+
+def _rows(data: Dict[str, Any], name: str, kinds, what: str, where: str = "",
+          default=_REQUIRED) -> list:
+    """``data[name]``: a list of rows, each a list whose entry ``j`` is a
+    ``kinds[j]``; else an error naming the row."""
+    rows = _field(data, name, list, "a list", default, where)
+    for i, row in enumerate(rows):
+        field = f"{where}{name}[{i}]"
+        if not isinstance(row, list) or len(row) != len(kinds):
+            raise InvalidInstanceError(
+                f"instance field {field!r} must be {what}, got {row!r:.60}"
+            )
+        for value, kind in zip(row, kinds):
+            _check(value, kind, what, field)
+    return rows
 
 
 # -- cost models -------------------------------------------------------
@@ -107,35 +153,51 @@ def _cost_model_to_dict(model: CostModel) -> Dict[str, Any]:
     )
 
 
-def _cost_model_from_dict(data: Dict[str, Any]) -> CostModel:
+def _cost_model_from_dict(data: Dict[str, Any], where: str = "cost_model.") -> CostModel:
+    def num(name: str, default=_REQUIRED):
+        return _field(data, name, _NUMBER, "a number", default, where)
+
+    def numbers(value, field: str) -> list:
+        _check(value, list, "a list of numbers", field)
+        return [_check(v, _NUMBER, "a list of numbers", field) for v in value]
+
+    def number_map(name: str) -> dict:
+        values = _field(data, name, dict, "an object", where=where)
+        return {p: _check(v, _NUMBER, "a number", f"{where}{name}.{p}")
+                for p, v in values.items()}
+
     kind = data.get("kind")
     if kind == "affine":
-        return AffineCost(data["restart_cost"], data.get("rate", 1.0))
+        return AffineCost(num("restart_cost"), num("rate", 1.0))
     if kind == "per_processor":
-        return PerProcessorRateCost(data["rates"], data["restart_costs"])
+        return PerProcessorRateCost(number_map("rates"), number_map("restart_costs"))
     if kind == "time_of_use":
+        per_proc = _field(data, "per_processor_prices", (dict, type(None)),
+                          "an object", None, where)
         return TimeOfUseCost(
-            data["prices"],
-            data.get("restart_cost", 0.0),
-            data.get("per_processor_prices") or None,
+            numbers(_field(data, "prices", list, "a list", where=where), where + "prices"),
+            num("restart_cost", 0.0),
+            {p: numbers(a, f"{where}per_processor_prices.{p}")
+             for p, a in (per_proc or {}).items()} or None,
         )
     if kind == "superlinear":
-        return SuperlinearCost(data["restart_cost"], data["exponent"], data.get("scale", 1.0))
+        return SuperlinearCost(num("restart_cost"), num("exponent"), num("scale", 1.0))
     if kind == "table":
-        default = data.get("default")
+        default = _field(data, "default", (*_NUMBER, type(None)), "a number or null",
+                         None, where)
+        entries = _rows(data, "entries", (_ID, int, int, _NUMBER),
+                        "a [processor, start, end, cost] row", where, [])
         return TableCost(
-            {
-                AwakeInterval(p, s, e): float(c)
-                for p, s, e, c in data.get("entries", [])
-            },
+            {AwakeInterval(p, s, e): float(c) for p, s, e, c in entries},
             default=float("inf") if default is None else float(default),
         )
     if kind == "unavailable":
+        base = _field(data, "base", dict, "an object", where=where)
+        blocked = _rows(data, "blocked", (_ID, int), "a [processor, time] pair", where, [])
         return UnavailabilityCost(
-            _cost_model_from_dict(data["base"]),
-            [(p, int(t)) for p, t in data.get("blocked", [])],
+            _cost_model_from_dict(base, f"{where}base."), [(p, t) for p, t in blocked]
         )
-    raise InvalidInstanceError(f"unknown cost model kind {kind!r}")
+    raise InvalidInstanceError(f"instance field '{where}kind': unknown cost model kind {kind!r}")
 
 
 # -- instances ----------------------------------------------------------
@@ -165,26 +227,45 @@ def instance_to_dict(instance: ScheduleInstance) -> Dict[str, Any]:
 
 
 def instance_from_dict(data: Dict[str, Any]) -> ScheduleInstance:
+    """The instance an :func:`instance_to_dict` payload describes.
+
+    Every field is type-checked as it is read; a missing or mistyped one
+    raises :class:`InvalidInstanceError` naming it.
+    """
+    _check(data, dict, "an object", "<instance>")
     if data.get("format") != _INSTANCE_FORMAT:
         raise InvalidInstanceError(
             f"expected format {_INSTANCE_FORMAT!r}, got {data.get('format')!r}"
         )
-    jobs = [
-        Job(
-            id=j["id"],
-            slots=frozenset((p, int(t)) for p, t in j["slots"]),
-            value=float(j.get("value", 1.0)),
-        )
-        for j in data.get("jobs", [])
-    ]
+    processors = _field(data, "processors", list, "a list")
+    for i, p in enumerate(processors):
+        _check(p, _ID, "a string or integer", f"processors[{i}]")
+    horizon = _field(data, "horizon", int, "an integer")
+    jobs = []
+    for n, job in enumerate(_field(data, "jobs", list, "a list", [])):
+        where = f"jobs[{n}]."
+        _check(job, dict, "an object", f"jobs[{n}]")
+        slots = _rows(job, "slots", (_ID, int), "a [processor, time] pair", where)
+        jobs.append(Job(
+            id=_field(job, "id", _ID, "a string or integer", where=where),
+            slots=frozenset((p, t) for p, t in slots),
+            value=float(_field(job, "value", _NUMBER, "a number", 1.0, where)),
+        ))
     candidates = None
     if "candidate_intervals" in data:
-        candidates = [AwakeInterval(p, int(s), int(e)) for p, s, e in data["candidate_intervals"]]
+        candidates = [
+            AwakeInterval(p, s, e) for p, s, e in _rows(
+                data, "candidate_intervals", (_ID, int, int),
+                "a [processor, start, end] triple",
+            )
+        ]
     return ScheduleInstance(
-        processors=list(data["processors"]),
+        processors=processors,
         jobs=jobs,
-        horizon=int(data["horizon"]),
-        cost_model=_cost_model_from_dict(data["cost_model"]),
+        horizon=horizon,
+        cost_model=_cost_model_from_dict(
+            _field(data, "cost_model", dict, "an object")
+        ),
         candidate_intervals=candidates,
     )
 
@@ -224,8 +305,31 @@ def dump_instance(instance: ScheduleInstance, path: str) -> None:
 
 
 def load_instance(path: str) -> ScheduleInstance:
+    """The instance in the JSON file at *path*; errors name the file."""
+    data = read_json(path, "instance file")
+    try:
+        return instance_from_dict(data)
+    except InvalidInstanceError as exc:
+        raise InvalidInstanceError(f"instance file {path}: {exc}") from exc
+
+
+def read_json(path: str, what: str) -> Any:
+    """Parse the JSON file at *path*, which the caller calls *what*.
+
+    A truncated, hand-damaged or non-UTF-8 file raises
+    :class:`InvalidInstanceError` naming it, so the CLI exits 2 with one
+    line instead of a decoder traceback.  One ``open`` and one
+    ``json.load``: tenant checkpoints are read through here per
+    admission.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            kind = "JSON" if isinstance(exc, json.JSONDecodeError) else "UTF-8"
+            raise InvalidInstanceError(
+                f"{what} {path} is corrupt or truncated (not valid {kind}: {exc})"
+            ) from exc
 
 
 def dump_json_atomic(payload: Any, path: str, *, mid_write_hook=None) -> None:

@@ -228,8 +228,7 @@ def kuhn_search(
     visited: List[int],
     stamp: int,
     parent: List[int],
-    dead: Optional[List[int]] = None,
-    dead_version: int = -1,
+    alive: Optional[bytearray] = None,
     trail: Optional[List[int]] = None,
 ) -> int:
     """Find an augmenting path from free left vertex *start* (no mutation).
@@ -249,22 +248,20 @@ def kuhn_search(
     * probes only pay for matching copies when a search actually
       succeeds (copy-on-success), so gain-0 probes are allocation-free.
 
-    ``dead`` (stamped with ``dead_version``) extends the same argument
-    *across* probes: a right vertex inside a fully-failed exploration
-    cannot reach a free job until the committed matching changes, and
-    augmenting paths can never pass through such a region (it is closed
-    under the alternating step and free-job-free), so skipping it is
-    exact for every probe of the same commit version.  ``trail``, when
-    given, collects the vertices stamped by this search so the caller
-    can promote a failed exploration to the dead set in O(visited)
-    instead of rescanning the whole right side.
+    ``alive``, when given, marks the right vertices that have an
+    alternating path to a free one under a base matching, and the search
+    skips the others.  Those form a closed region without a free vertex,
+    which no augmenting path enters; while the caller's matching differs
+    from the base only by paths found this way, skipping the region
+    never changes the path a search finds.  ``trail``, when given,
+    collects the vertices stamped by this search.
     """
     adj = view.adj
     stack = [start]
     while stack:
         u = stack.pop()
         for v in adj[u]:
-            if visited[v] == stamp or (dead is not None and dead[v] == dead_version):
+            if visited[v] == stamp or (alive is not None and not alive[v]):
                 continue
             visited[v] = stamp
             if trail is not None:

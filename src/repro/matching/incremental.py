@@ -24,12 +24,16 @@ All state lives on the graph's int-indexed view
 (:mod:`repro.matching.fastgraph`): the matching is a pair of flat int
 arrays, the committed set a byte mask, and a probe costs two
 ``list.copy()`` calls plus one stamped DFS per new slot — no dict or
-frozenset churn on the hot path.
+frozenset churn on the hot path.  Each commit that gains also
+recomputes two exact reach sets of the committed matching (jobs with
+an alternating path to a free job, and slots next to one), so every
+probe skips a slot that cannot augment in O(1) and every search skips
+the jobs that cannot reach a free one.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Mapping, Optional
+from typing import FrozenSet, Iterable, List, Mapping
 
 import numpy as np
 
@@ -107,6 +111,15 @@ class IncrementalMatchingOracle(SetFunction):
     memoise gains (a gain probed at version ``k`` is stale the moment
     the version changes, and by submodularity only an *upper bound*
     afterwards).
+
+    Between commits the oracle keeps two reach sets of its committed
+    matching (see :meth:`_reach`): ``alive``, the jobs with an
+    alternating path to a free job, and ``live``, the slots with an
+    alive neighbour.  A fresh slot gains exactly when it is live, and
+    by submodularity a slot that is not gains nothing over any superset
+    either, so every probe skips it after billing its attempt; searches
+    skip the jobs that are not alive (see
+    :func:`~repro.matching.fastgraph.kuhn_search`).
     """
 
     def __init__(self, graph: BipartiteGraph, committed: Iterable[Vertex] = ()):  # noqa: D401
@@ -117,14 +130,16 @@ class IncrementalMatchingOracle(SetFunction):
         self._match_r: List[int] = [-1] * self._view.n_right
         self._size = 0
         # Right-side scratch buffers shared by every probe: stamped
-        # visited array + parent trail (see fastgraph.kuhn_augment),
-        # plus the per-commit-version dead-region memo (a job marked
-        # dead cannot reach a free job until the next commit — see
-        # kuhn_search).
+        # visited array + parent trail (see fastgraph.kuhn_augment).
         self._visited = [0] * self._view.n_right
         self._parent = [-1] * self._view.n_right
-        self._dead = [-1] * self._view.n_right
         self._stamp = 0
+        # Job -> slot adjacency for the reach pass.
+        self._slots_of: List[List[int]] = [[] for _ in range(self._view.n_right)]
+        for x, jobs in enumerate(self._view.adj):
+            for y in jobs:
+                self._slots_of[y].append(x)
+        self._reach()
         self.probe_augmentations = 0  # instrumentation for E12
         self.commit_version = 0
         if committed:
@@ -163,6 +178,29 @@ class IncrementalMatchingOracle(SetFunction):
         """``F(committed)`` without materialising the matching."""
         return self._size
 
+    def _reach(self) -> None:
+        """Recompute ``alive`` and ``live`` for the committed matching.
+
+        A job is alive when it is free or its slot has an alive
+        neighbour; a slot is live when it has an alive neighbour.  One
+        reverse alternating BFS from the free jobs, O(E + jobs): the
+        reachability half of the Dulmage–Mendelsohn decomposition.
+        """
+        match_l, slots_of = self._match_l, self._slots_of
+        alive = bytearray(self._view.n_right)
+        live = bytearray(self._view.n_left)
+        queue = [y for y, x in enumerate(self._match_r) if x < 0]
+        for y in queue:
+            alive[y] = 1
+        for y in queue:  # grows while it is walked
+            for x in slots_of[y]:
+                live[x] = 1
+                mate = match_l[x]
+                if mate >= 0 and not alive[mate]:
+                    alive[mate] = 1
+                    queue.append(mate)
+        self._alive, self._live = alive, live
+
     def _sweep(self, steps) -> List[int]:
         """Cumulative gains along a chain of slot lists (no commit).
 
@@ -170,8 +208,9 @@ class IncrementalMatchingOracle(SetFunction):
         ``steps[0]``, then ``steps[1]``, …, recording the running gain
         after each step.  Committed slots are skipped (they add nothing
         and are not counted as attempts), so callers may pass plain
-        slices of a slot list.  Three probe-level optimizations, all
-        result-preserving:
+        slices of a slot list.  A fresh slot that is not live counts as
+        an attempt and is then skipped without a search.  Three
+        probe-level optimizations, all result-preserving:
 
         * *copy-on-success* — the scratch matching copies are made only
           when the first augmentation succeeds, so gain-0 probes (the
@@ -185,20 +224,14 @@ class IncrementalMatchingOracle(SetFunction):
         * *free-job early exit* — the gain can never exceed the number
           of unmatched jobs, so the slot loop stops once they are all
           saturated (every later search is a guaranteed failure).
-
-        A sweep that gains nothing promotes its explored region to the
-        dead-region memo (see :func:`~repro.matching.fastgraph.kuhn_search`);
-        the failure trail is therefore kept only until the first success.
         """
         match_l = self._match_l
         match_r = self._match_r
-        mask = self._committed_mask
+        mask, live, alive = self._committed_mask, self._live, self._alive
         view = self._view
-        visited, parent, dead = self._visited, self._parent, self._dead
-        version = self.commit_version
+        visited, parent = self._visited, self._parent
         free_jobs = view.n_right - self._size
         gained = 0
-        trail: Optional[List[int]] = []
         out: List[int] = []
         self._stamp += 1
         for ids in steps:
@@ -208,27 +241,20 @@ class IncrementalMatchingOracle(SetFunction):
                 if mask[i]:
                     continue
                 self.probe_augmentations += 1
-                if match_l[i] >= 0:
+                if match_l[i] >= 0 or not live[i]:
                     continue
                 free_right = kuhn_search(
-                    view, match_r, i, visited, self._stamp, parent, dead, version, trail
+                    view, match_r, i, visited, self._stamp, parent, alive
                 )
                 if free_right < 0:
                     continue
-                if trail is not None:  # first success: copy, drop the trail
+                if match_l is self._match_l:  # first success: copy
                     match_l = match_l.copy()
                     match_r = match_r.copy()
-                    trail = None
                 apply_augmenting_path(match_l, match_r, free_right, parent)
                 gained += 1
                 self._stamp += 1
             out.append(gained)
-        if trail is not None:
-            # Every search failed against the *committed* matching, so
-            # the explored region is dead for the rest of this commit
-            # version — future probes skip it (O(visited) promotion).
-            for v in trail:
-                dead[v] = version
         return out
 
     def window_gains(self, slots: List[int]) -> np.ndarray:
@@ -253,17 +279,18 @@ class IncrementalMatchingOracle(SetFunction):
         restricted to ``slots[i..j]`` then spans that window, so
         ``G[i][j] = #{j' ∈ [i, j] : lo[j'] < i}``, one ``cumsum``.
         Stamps are shared across consecutive rejects (no free job, no
-        fresh slot, no change), and dead regions, which hold committed
-        slots only, are skipped.  One ``probe_augmentations`` per fresh
-        slot; the oracle's own matching is untouched.
+        fresh slot, no change).  A slot that is not live is rejected
+        without a search, and searches skip the jobs that are not alive:
+        those hold committed slots only, so they never change the
+        earliest fresh slot reached.  One ``probe_augmentations`` per
+        fresh slot; the oracle's own matching is untouched.
         """
         k = len(slots)
-        mask = self._committed_mask
+        mask, live, alive = self._committed_mask, self._live, self._alive
         match_l = self._match_l.copy()
         match_r = self._match_r.copy()
         view = self._view
-        visited, parent, dead = self._visited, self._parent, self._dead
-        version = self.commit_version
+        visited, parent = self._visited, self._parent
         position = {x: p for p, x in enumerate(slots) if not mask[x]}
         lo = list(range(k))  # committed and rejected slots: lo[j] = j
         trail: List[int] = []
@@ -272,9 +299,11 @@ class IncrementalMatchingOracle(SetFunction):
             if mask[x]:
                 continue
             self.probe_augmentations += 1
+            if not live[x]:
+                continue  # rejected: no alive neighbour
             trail.clear()
             free_right = kuhn_search(
-                view, match_r, x, visited, self._stamp, parent, dead, version, trail
+                view, match_r, x, visited, self._stamp, parent, alive, trail
             )
             if free_right >= 0:
                 apply_augmenting_path(match_l, match_r, free_right, parent)
@@ -329,9 +358,9 @@ class IncrementalMatchingOracle(SetFunction):
         its whole pool once with :meth:`window_gains` (every window of a
         processor's slots in one pass), then re-scores through this
         method every row with several live candidates in each lazy
-        (CELF) re-score after later commits, skipping whatever dead
-        regions earlier probes of the same version marked; a chain that
-        gains nothing marks the region it explored in turn.
+        (CELF) re-score after later commits; slots that are not live
+        (no alive neighbour under the committed matching) cost one
+        billed attempt and no search.
         """
         return self._sweep(steps)
 
@@ -371,36 +400,38 @@ class IncrementalMatchingOracle(SetFunction):
     def commit_indices(self, new_ids: List[int], *, already_masked: bool = False) -> int:
         """Index-level :meth:`commit`; *new_ids* must be fresh indices.
 
-        Uses the same shared-failure-stamp and free-job-exhaustion
-        shortcuts as the probes (see :meth:`_sweep`); the
-        committed matching stays maximum on the committed slot set.
+        Uses the same shared-failure-stamp, free-job-exhaustion and
+        live-slot shortcuts as the probes (see :meth:`_sweep`); the
+        committed matching stays maximum on the committed slot set, and
+        a commit that gains recomputes the reach sets.
         """
-        mask = self._committed_mask
+        mask, live, alive = self._committed_mask, self._live, self._alive
         if not already_masked:
             new_ids = [i for i in new_ids if not mask[i]]
             for i in new_ids:
                 mask[i] = 1
         view = self._view
         match_l, match_r = self._match_l, self._match_r
-        visited, parent, dead = self._visited, self._parent, self._dead
-        version = self.commit_version
+        visited, parent = self._visited, self._parent
         free_jobs = view.n_right - self._size
         gained = 0
         self._stamp += 1
         for i in new_ids:
             if gained >= free_jobs:
                 break
-            if match_l[i] >= 0:
+            if match_l[i] >= 0 or not live[i]:
                 continue
             free_right = kuhn_search(
-                view, match_r, i, visited, self._stamp, parent, dead, version
+                view, match_r, i, visited, self._stamp, parent, alive
             )
             if free_right < 0:
                 continue
             apply_augmenting_path(match_l, match_r, free_right, parent)
             gained += 1
             self._stamp += 1
-        self._size += gained
+        if gained:
+            self._size += gained
+            self._reach()
         self.commit_version += 1
         return gained
 
@@ -408,7 +439,7 @@ class IncrementalMatchingOracle(SetFunction):
         self._committed_mask = bytearray(self._view.n_left)
         self._match_l = [-1] * self._view.n_left
         self._match_r = [-1] * self._view.n_right
-        self._dead = [-1] * self._view.n_right
+        self._reach()
         self._size = 0
         self.probe_augmentations = 0
         self.commit_version = 0

@@ -288,20 +288,12 @@ def read_tenant_checkpoint(root: str, tenant_id: str) -> Optional[Dict[str, obje
     :class:`~repro.errors.InvalidInstanceError` naming the file, the
     same contract as the CLI's checkpoint loader.
     """
-    import json
+    from repro.io import read_json  # lazy: io imports scheduling
 
     path = tenant_checkpoint_path(root, tenant_id)
     if not os.path.exists(path):
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            what = "JSON" if isinstance(exc, json.JSONDecodeError) else "UTF-8"
-            raise InvalidInstanceError(
-                f"tenant checkpoint {path} is corrupt or truncated "
-                f"(not valid {what}: {exc})"
-            ) from exc
+    payload = read_json(path, "tenant checkpoint")
     if not isinstance(payload, dict):
         raise InvalidInstanceError(f"tenant checkpoint {path} is not a JSON object")
     return payload

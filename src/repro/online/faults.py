@@ -47,7 +47,7 @@ checkpoint writes are torn-write safe at every registered
 
 from __future__ import annotations
 
-import json
+import math
 import os
 import time
 
@@ -114,6 +114,16 @@ class PermanentFault(InjectedFault):
     """An injected failure that retries will not clear (a strike)."""
 
 
+def _check(value, kind, what: str, field: str):
+    """*value* if it is a JSON *kind* (not a bool), else an error naming
+    the plan's *field*."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise InvalidInstanceError(
+            f"fault plan field {field!r} must be {what}, got {value!r:.60}"
+        )
+    return value
+
+
 class FaultRule:
     """One pattern-matched injection rule inside a :class:`FaultPlan`.
 
@@ -175,9 +185,9 @@ class FaultRule:
                 f"fault rule for site {self.site!r} must set exactly one of "
                 "'at' (explicit hit indices) or 'rate' (seeded probability)"
             )
-        if self.delay < 0.0:
+        if not 0.0 <= self.delay < math.inf:  # an infinite sleep never ends
             raise InvalidInstanceError(
-                f"fault rule 'delay' must be >= 0, got {self.delay}"
+                f"fault rule 'delay' must be finite and >= 0, got {self.delay}"
             )
         if self.kind == "latency" and self.delay == 0.0:
             raise InvalidInstanceError(
@@ -214,13 +224,16 @@ class FaultRule:
             )
         if "site" not in payload or "kind" not in payload:
             raise InvalidInstanceError("fault rule needs 'site' and 'kind'")
+        at = _check(payload.get("at"), (list, type(None)), "a list of integers", "at")
+        for i in at or ():
+            _check(i, int, "a list of integers", "at")
         return cls(
             str(payload["site"]),
             str(payload["kind"]),
             scope=str(payload.get("scope", "*")),
-            at=payload.get("at"),  # type: ignore[arg-type]
-            rate=float(payload.get("rate", 0.0)),  # type: ignore[arg-type]
-            delay=float(payload.get("delay", 0.0)),  # type: ignore[arg-type]
+            at=at,
+            rate=_check(payload.get("rate", 0.0), (int, float), "a number", "rate"),
+            delay=_check(payload.get("delay", 0.0), (int, float), "a number", "delay"),
         )
 
 
@@ -259,9 +272,9 @@ class RetryPolicy:
             raise InvalidInstanceError(
                 f"max_attempts must be >= 1, got {max_attempts}"
             )
-        if self.base_delay < 0 or self.max_delay < 0 or self.jitter < 0:
+        if not all(0 <= v < math.inf for v in (self.base_delay, self.max_delay, self.jitter)):
             raise InvalidInstanceError(
-                "base_delay, max_delay, and jitter must be >= 0"
+                "base_delay, max_delay, and jitter must be finite and >= 0"
             )
         if self.max_strikes < 1:
             raise InvalidInstanceError(
@@ -301,6 +314,10 @@ class RetryPolicy:
             raise InvalidInstanceError(
                 f"retry policy has unknown fields {unknown}; known: {sorted(known)}"
             )
+        for k in sorted(known & set(payload)):
+            counted = k in ("max_attempts", "max_strikes")
+            _check(payload[k], int if counted else (int, float),
+                   "an integer" if counted else "a number", f"retry.{k}")
         return cls(**{k: payload[k] for k in known if k in payload})  # type: ignore[arg-type]
 
 
@@ -342,22 +359,25 @@ class FaultPlan:
             raise InvalidInstanceError("fault plan 'rules' must be a list")
         retry_raw = payload.get("retry")
         return cls(
-            seed=int(payload.get("seed", 0)),  # type: ignore[arg-type]
+            seed=_check(payload.get("seed", 0), int, "an integer", "seed"),
             rules=[FaultRule.from_payload(r) for r in rules_raw],
             retry=None if retry_raw is None else RetryPolicy.from_payload(retry_raw),  # type: ignore[arg-type]
         )
 
 
 def load_fault_plan(path: str) -> FaultPlan:
-    """Load and validate a :class:`FaultPlan` from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInstanceError(
-                f"fault plan {path} is not valid JSON: {exc}"
-            ) from exc
-    return FaultPlan.from_payload(payload)
+    """Load and validate a :class:`FaultPlan` from a JSON file.
+
+    A damaged file, or a field :meth:`FaultPlan.from_payload` refuses,
+    raises :class:`InvalidInstanceError` naming the file.
+    """
+    from repro.io import read_json  # lazy: io imports scheduling
+
+    payload = read_json(path, "fault plan")
+    try:
+        return FaultPlan.from_payload(payload)
+    except InvalidInstanceError as exc:
+        raise InvalidInstanceError(f"fault plan {path}: {exc}") from exc
 
 
 class FaultInjector:

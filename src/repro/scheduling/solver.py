@@ -336,9 +336,9 @@ def _incremental_greedy(instance, graph, pool: _CandidatePool) -> tuple[GreedyRe
     fresh slot of the row instead of one per slot per candidate.  A row
     with a single live candidate takes a plain
     :meth:`~repro.matching.incremental.IncrementalMatchingOracle.gain_indices`
-    probe instead.  Either way, a score that gains nothing marks the
-    region it explored dead until the next commit (the oracle's
-    dead-region memo).
+    probe instead.  Either way, slots that cannot augment the committed
+    matching (no alive neighbour in the oracle's reach sets, recomputed
+    per gaining commit) are billed and skipped without a search.
 
     Window, chain and per-candidate gains are all matroid ranks, equal
     whatever computes them, so a row that reaches the heap top freshly

@@ -4,8 +4,8 @@ The schedule-all greedy scores a row of nested candidate intervals with
 one ``extension_gains`` chain, both in its initial pass and in every lazy
 re-score after later commits.  Its ``j``-th gain must equal a
 ``gain_indices`` probe of the union of the first ``j + 1`` steps and the
-difference of fresh Hopcroft–Karp sizes — also when failed probes have
-already marked dead regions at the current commit version.
+difference of fresh Hopcroft–Karp sizes — also after failed probes at
+the current commit version, and for slots the oracle's reach sets skip.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -32,9 +32,8 @@ def chain_scenarios(draw):
 
     Each round commits a batch of fresh slots (possibly none, which still
     bumps the commit version), runs a few ``gain_indices`` probes over the
-    remaining fresh slots — the failing ones mark dead regions — and then
-    splits a random selection of fresh slots into consecutive, possibly
-    empty chain steps.
+    remaining fresh slots, and then splits a random selection of fresh
+    slots into consecutive, possibly empty chain steps.
     """
     graph = draw(graphs())
     order = draw(st.permutations(sorted(graph.left, key=repr)))
@@ -87,9 +86,10 @@ def test_extension_gains_match_probes_and_fresh_solves(scenario):
 
 
 def test_chain_skips_a_dead_region_exactly():
-    # x1 holds y1; a probe from x2 (only neighbour y1) fails and marks
-    # y1 dead for this commit version.  The chain must still find x3's
-    # free neighbour y2 behind the dead y1.
+    # x1 holds y1, the only neighbour of x2: after the commit y1 has no
+    # alternating path to a free job, so it is not alive, and x2 (no
+    # alive neighbour) is not live.  The chain must still find x3's free
+    # neighbour y2 behind the dead y1.
     g = BipartiteGraph(
         ["x1", "x2", "x3"], ["y1", "y2"],
         [("x1", "y1"), ("x2", "y1"), ("x3", "y1"), ("x3", "y2")],
@@ -97,8 +97,9 @@ def test_chain_skips_a_dead_region_exactly():
     oracle = IncrementalMatchingOracle(g, committed=["x1"])
     view = oracle.view
     x2, x3 = view.left_index["x2"], view.left_index["x3"]
+    assert not oracle._alive[view.right_index["y1"]]
+    assert not oracle._live[x2] and oracle._live[x3]
     assert oracle.gain_indices([x2]) == 0
-    assert oracle._dead[view.right_index["y1"]] == oracle.commit_version
     assert oracle.extension_gains([[x2], [x3]]) == [0, 1]
     assert oracle.gain_indices([x2, x3]) == 1
     assert max_matching_size(g, ["x1", "x2", "x3"]) - max_matching_size(g, ["x1"]) == 1

@@ -3,10 +3,10 @@
 The schedule-all greedy scores its whole event-point pool with one
 ``window_gains`` pass per processor.  Entry ``G[i][j]`` must equal the
 ``gain_indices`` probe of ``slots[i..j]`` and the difference of fresh
-Hopcroft–Karp sizes, at any commit version, after failed probes have
-marked dead regions, in any slot order, and with committed slots mixed
-into the list.  The pass must leave the oracle's matching, committed
-mask and version as it found them.
+Hopcroft–Karp sizes, at any commit version, after failed probes, in any
+slot order, and with committed slots mixed into the list.  The pass must
+leave the oracle's matching, committed mask and version as it found
+them.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -23,9 +23,8 @@ def window_scenarios(draw):
 
     Each round commits a batch of fresh slots (possibly none, which still
     bumps the commit version), runs a few ``gain_indices`` probes over the
-    remaining fresh slots — the failing ones mark dead regions — and then
-    draws a slot list from *all* slots, committed ones included, in a
-    random order.
+    remaining fresh slots, and then draws a slot list from *all* slots,
+    committed ones included, in a random order.
     """
     graph = draw(graphs(max_left=10))
     every = sorted(graph.left, key=repr)
