@@ -153,17 +153,26 @@ def _cost_model_to_dict(model: CostModel) -> Dict[str, Any]:
     )
 
 
+def _price(value, what: str, field: str):
+    """*value* if it is a number and not NaN, else an error naming *field*."""
+    _check(value, _NUMBER, what, field)
+    if value != value:  # NaN
+        raise InvalidInstanceError(f"instance field {field!r} must be {what}, got NaN")
+    return value
+
+
 def _cost_model_from_dict(data: Dict[str, Any], where: str = "cost_model.") -> CostModel:
     def num(name: str, default=_REQUIRED):
-        return _field(data, name, _NUMBER, "a number", default, where)
+        value = _field(data, name, _NUMBER, "a number", default, where)
+        return _price(value, "a number", where + name)
 
     def numbers(value, field: str) -> list:
         _check(value, list, "a list of numbers", field)
-        return [_check(v, _NUMBER, "a list of numbers", field) for v in value]
+        return [_price(v, "a list of numbers", field) for v in value]
 
     def number_map(name: str) -> dict:
         values = _field(data, name, dict, "an object", where=where)
-        return {p: _check(v, _NUMBER, "a number", f"{where}{name}.{p}")
+        return {p: _price(v, "a number", f"{where}{name}.{p}")
                 for p, v in values.items()}
 
     kind = data.get("kind")
@@ -185,8 +194,12 @@ def _cost_model_from_dict(data: Dict[str, Any], where: str = "cost_model.") -> C
     if kind == "table":
         default = _field(data, "default", (*_NUMBER, type(None)), "a number or null",
                          None, where)
+        if default is not None:
+            _price(default, "a number or null", where + "default")
         entries = _rows(data, "entries", (_ID, int, int, _NUMBER),
                         "a [processor, start, end, cost] row", where, [])
+        for i, (_, _, _, cost) in enumerate(entries):
+            _price(cost, "a [processor, start, end, cost] row", f"{where}entries[{i}]")
         return TableCost(
             {AwakeInterval(p, s, e): float(c) for p, s, e, c in entries},
             default=float("inf") if default is None else float(default),

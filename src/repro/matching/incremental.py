@@ -356,11 +356,11 @@ class IncrementalMatchingOracle(SetFunction):
 
         It serves at any commit version.  The schedule-all greedy scores
         its whole pool once with :meth:`window_gains` (every window of a
-        processor's slots in one pass), then re-scores through this
-        method every row with several live candidates in each lazy
-        (CELF) re-score after later commits; slots that are not live
-        (no alive neighbour under the committed matching) cost one
-        billed attempt and no search.
+        processor's slots in one pass), then, in each lazy (CELF)
+        re-score after later commits, sweeps a row's previous gain
+        steps through this method, one slot per step; slots that are
+        not live (no alive neighbour under the committed matching) cost
+        one billed attempt and no search.
         """
         return self._sweep(steps)
 

@@ -569,6 +569,8 @@ class ServingLoop:
         )
         self._tenants: List[_Tenant] = []
         self._draining = False
+        #: Set by :meth:`request_drain` during a serve; wakes fault sleeps.
+        self._drain_requested: Optional[asyncio.Event] = None
         self._wall_seconds = 0.0
         #: Tenants admitted and not yet stopped or parked: the loop
         #: condition of the idle monitor.
@@ -583,9 +585,12 @@ class ServingLoop:
         Safe to call from a signal handler registered on the running
         loop: lanes observe the flag before their next ``take`` and stop
         once their in-flight step is fed, and the finalize step
-        snapshots every tenant.
+        snapshots every tenant.  A lane asleep in an injected latency or
+        a retry backoff wakes at once and goes on as after the sleep.
         """
         self._draining = True
+        if self._drain_requested is not None:
+            self._drain_requested.set()
 
     def serve(self) -> Dict[str, object]:
         """Run the serve to completion (or drain) and return the report."""
@@ -637,6 +642,9 @@ class ServingLoop:
         """
         slots = self.memory_budget or len(self.specs)
         self._tenants = [_Tenant(spec) for spec in self.specs]
+        self._drain_requested = asyncio.Event()
+        if self._draining:
+            self._drain_requested.set()
         for tenant in self._tenants[:slots]:
             self._admit(tenant)
         self._admission = asyncio.Semaphore(slots - self._live)
@@ -851,7 +859,7 @@ class ServingLoop:
             try:
                 delay = injector.hit("serve.feed", scope)
                 if delay > 0.0:
-                    await asyncio.sleep(delay)
+                    await self._fault_sleep(delay)
                 run.feed(pos0, batch)
                 return True
             except InjectedFault as exc:
@@ -880,7 +888,15 @@ class ServingLoop:
                 backoff = retry.delay(injector.plan.seed, scope, attempt)
                 tenant.retries += 1
                 tenant.retry_delays.append(backoff)
-                await asyncio.sleep(backoff)
+                await self._fault_sleep(backoff)
+
+    async def _fault_sleep(self, seconds: float) -> None:
+        """Sleep *seconds* for the fault plan, or until a drain is requested."""
+        assert self._drain_requested is not None
+        try:
+            await asyncio.wait_for(self._drain_requested.wait(), seconds)
+        except asyncio.TimeoutError:
+            pass
 
     async def _monitor(self) -> None:
         """Checkpoint idle tenants while the serve is running.

@@ -47,8 +47,8 @@ class CostModel(ABC):
     """Oracle pricing awake intervals: ``cost(interval) -> float >= 0``.
 
     Infinity encodes "this processor cannot be awake during part of the
-    interval".  Implementations must be deterministic so the greedy's
-    choices are reproducible.
+    interval"; a negative or NaN price is refused.  Implementations must
+    be deterministic so the greedy's choices are reproducible.
     """
 
     @abstractmethod
@@ -57,9 +57,10 @@ class CostModel(ABC):
 
     def __call__(self, interval: "AwakeInterval") -> float:
         value = self.cost(interval)
-        if value < 0:
+        if not value >= 0:  # also true for NaN
             raise InvalidInstanceError(
-                f"cost model returned negative cost {value} for {interval}"
+                f"cost model returned cost {value} for {interval}; "
+                "a cost must be a non-negative number"
             )
         return value
 
@@ -85,8 +86,8 @@ class AffineCost(CostModel):
     """
 
     def __init__(self, restart_cost: float, rate: float = 1.0):
-        if restart_cost < 0 or rate < 0:
-            raise InvalidInstanceError("restart cost and rate must be non-negative")
+        if not (restart_cost >= 0 and rate >= 0):
+            raise InvalidInstanceError("restart cost and rate must be non-negative numbers")
         self.restart_cost = float(restart_cost)
         self.rate = float(rate)
 
@@ -112,11 +113,11 @@ class PerProcessorRateCost(CostModel):
     ):
         self.rates = {p: float(r) for p, r in rates.items()}
         self.restart_costs = {p: float(c) for p, c in restart_costs.items()}
-        bad = [p for p in self.rates if self.rates[p] < 0] + [
-            p for p in self.restart_costs if self.restart_costs[p] < 0
+        bad = [p for p in self.rates if not self.rates[p] >= 0] + [
+            p for p in self.restart_costs if not self.restart_costs[p] >= 0
         ]
         if bad:
-            raise InvalidInstanceError(f"negative rates/restart costs for {bad[:3]}")
+            raise InvalidInstanceError(f"negative or NaN rates/restart costs for {bad[:3]}")
 
     def cost(self, interval: "AwakeInterval") -> float:
         proc = interval.processor
@@ -138,7 +139,9 @@ class TimeOfUseCost(CostModel):
     varies substantially in energy markets over the course of a day".
     ``prices`` is a length-``horizon`` array of per-slot prices; the
     interval's cost is its restart cost plus the price mass it covers.
-    Prices may differ per processor via *per_processor_prices*.
+    An infinite price makes the slot unavailable: every interval that
+    covers it costs infinity.  Prices may differ per processor via
+    *per_processor_prices*.
     """
 
     def __init__(
@@ -148,29 +151,45 @@ class TimeOfUseCost(CostModel):
         per_processor_prices: Mapping[Processor, Sequence[float]] | None = None,
     ):
         self.prices = np.asarray(prices, dtype=float)
-        if (self.prices < 0).any():
-            raise InvalidInstanceError("TOU prices must be non-negative")
-        if restart_cost < 0:
-            raise InvalidInstanceError("restart cost must be non-negative")
+        if not (self.prices >= 0).all():
+            raise InvalidInstanceError("TOU prices must be non-negative numbers")
+        if not restart_cost >= 0:
+            raise InvalidInstanceError("restart cost must be a non-negative number")
         self.restart_cost = float(restart_cost)
-        self._cumulative = np.concatenate([[0.0], np.cumsum(self.prices)])
+        self._cumulative = self._prefix_sums(self.prices)
         self._per_proc: Dict[Processor, np.ndarray] = {}
-        self._per_proc_cum: Dict[Processor, np.ndarray] = {}
+        self._per_proc_cum: Dict[Processor, tuple] = {}
         if per_processor_prices:
             for p, arr in per_processor_prices.items():
                 a = np.asarray(arr, dtype=float)
-                if (a < 0).any():
-                    raise InvalidInstanceError(f"negative prices for processor {p!r}")
+                if not (a >= 0).all():
+                    raise InvalidInstanceError(f"negative or NaN prices for processor {p!r}")
                 self._per_proc[p] = a
-                self._per_proc_cum[p] = np.concatenate([[0.0], np.cumsum(a)])
+                self._per_proc_cum[p] = self._prefix_sums(a)
+
+    @staticmethod
+    def _prefix_sums(prices: np.ndarray) -> tuple:
+        """Prefix sums of the finite prices and counts of the infinite ones.
+
+        Summing an infinite price into one prefix would price every
+        later interval ``inf - inf = NaN``.
+        """
+        blocked = np.isinf(prices)
+        return (
+            np.concatenate([[0.0], np.cumsum(np.where(blocked, 0.0, prices))]),
+            np.concatenate([[0], np.cumsum(blocked)]),
+        )
 
     def cost(self, interval: "AwakeInterval") -> float:
-        cum = self._per_proc_cum.get(interval.processor, self._cumulative)
-        if interval.end + 1 >= len(cum):
+        cum, blocked = self._per_proc_cum.get(interval.processor, self._cumulative)
+        start, stop = interval.start, interval.end + 1
+        if stop >= len(cum):
             raise InvalidInstanceError(
                 f"interval {interval} extends past the {len(cum) - 1}-slot price horizon"
             )
-        return self.restart_cost + float(cum[interval.end + 1] - cum[interval.start])
+        if blocked[stop] > blocked[start]:
+            return math.inf
+        return self.restart_cost + float(cum[stop] - cum[start])
 
 
 class SuperlinearCost(CostModel):
@@ -184,8 +203,8 @@ class SuperlinearCost(CostModel):
     """
 
     def __init__(self, restart_cost: float, exponent: float, scale: float = 1.0):
-        if restart_cost < 0 or scale < 0 or exponent < 0:
-            raise InvalidInstanceError("cost parameters must be non-negative")
+        if not (restart_cost >= 0 and scale >= 0 and exponent >= 0):
+            raise InvalidInstanceError("cost parameters must be non-negative numbers")
         self.restart_cost = float(restart_cost)
         self.exponent = float(exponent)
         self.scale = float(scale)
@@ -232,9 +251,11 @@ class TableCost(CostModel):
         default: float = math.inf,
     ):
         self.table = dict(table)
-        bad = [iv for iv, c in self.table.items() if c < 0]
+        bad = [iv for iv, c in self.table.items() if not c >= 0]
         if bad:
-            raise InvalidInstanceError(f"negative costs in table for {bad[:3]}")
+            raise InvalidInstanceError(f"negative or NaN costs in table for {bad[:3]}")
+        if default != default:
+            raise InvalidInstanceError("the table's default cost is NaN")
         self.default = float(default)
 
     def cost(self, interval: "AwakeInterval") -> float:

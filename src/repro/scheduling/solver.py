@@ -24,12 +24,14 @@ pass* per processor: every candidate is a window of the processor's
 job-usable slots, and one matching sweep over those slots (Edmonds'
 greedy basis of the transversal matroid) gives the gain of every
 window at once.  After that it works on *rows*: the candidate intervals
-sharing a processor and a start time, nested by end time.  Its lazy
-heap holds one stale bound per row, and a stale row is re-scored whole
-— every live candidate in one augmentation sweep along the row
-(row-batched re-scoring) — so a slot is tried once per row re-score
-instead of once per candidate containing it.  Its picks are exactly
-those of a greedy that re-probes every candidate every round.
+sharing a processor and a start time, nested by end time.  A row is
+kept as its *gain steps*, the slots at which its cumulative gain rises,
+so a candidate's gain is the number of steps before its end.  Its lazy
+heap holds one stale bound per row, and a stale row is re-scored by one
+augmentation sweep over its previous steps only: by submodularity the
+steps only shrink, and the old ones span the rest of the row.  Its
+picks are exactly those of a greedy that re-probes every candidate
+every round.
 
 All three realise the same approximation guarantee; E12 measures their
 oracle-work difference.
@@ -41,7 +43,9 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from itertools import compress
+from operator import sub
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -128,17 +132,19 @@ class _CandidatePool:
     list: ``procs[p]`` is ``(processor, times, slot ids)``, time-sorted,
     and a candidate owns ``slots[lo:hi]`` of it.  Candidates sharing a
     processor and a start form a *row* — ``rows[r]`` is a ``range`` of
-    candidate indices, nested by end — so a row re-score is one chain
-    of slices of one list.  ``windows[p]`` repeats processor ``p``'s
-    candidates as arrays ``(candidate indices, lo, hi - 1)`` for the
-    initial window pass.  Everything else is parallel flat lists keyed
-    by a dense candidate index; no :class:`AwakeInterval` exists until
-    a candidate is picked (:meth:`interval`).
+    candidate indices, nested by end — so bisecting ``cand_hi`` over a
+    row finds the first candidate that ends past a slot position.
+    ``windows[p]`` repeats processor ``p``'s candidates as arrays
+    ``(candidate indices, lo, hi - 1)`` for the initial window pass, and
+    ``falling`` holds the rows whose price falls somewhere with their
+    end.  Everything else is parallel flat lists keyed by a dense
+    candidate index; no :class:`AwakeInterval` exists until a candidate
+    is picked (:meth:`interval`).
     """
 
     __slots__ = (
         "procs", "windows", "rows", "row_proc", "row_lo",
-        "costs", "cand_row", "cand_hi", "given",
+        "costs", "cost_array", "cand_row", "cand_hi", "falling", "given",
     )
 
     def __init__(self):
@@ -148,8 +154,10 @@ class _CandidatePool:
         self.row_proc: List[int] = []           # row -> p
         self.row_lo: List[int] = []             # row -> first slot position
         self.costs: List[float] = []            # candidate -> price
+        self.cost_array = np.zeros(0)           # the same prices as one float array
         self.cand_row: List[int] = []           # candidate -> row
         self.cand_hi: List[int] = []            # candidate -> slot position past its end
+        self.falling: Set[int] = set()          # rows whose price falls somewhere
         self.given: Optional[List[AwakeInterval]] = None  # explicit pools: row -> interval
 
     def interval(self, c: int) -> AwakeInterval:
@@ -184,11 +192,13 @@ def _build_pool_event_points(instance: ScheduleInstance, view) -> _CandidatePool
     one is priced through ``float(cost_of(...))`` on the upper
     triangle, as the interval enumeration would); the non-infinite upper
     triangle, in row-major order, is the processor's candidates, and each
-    start with any candidate is a row.
+    start with any candidate is a row.  A row is ``falling`` when one of
+    its candidates costs less than the one before it.
     """
     pool = _CandidatePool()
     per_proc = _proc_time_ids(view)
     horizon = instance.horizon
+    priced = [pool.cost_array]
     for proc in instance.processors:
         entry = per_proc.get(proc)
         if entry is None:
@@ -215,16 +225,21 @@ def _build_pool_event_points(instance: ScheduleInstance, view) -> _CandidatePool
         pool.procs.append(entry)
         first = len(pool.costs)
         pool.windows.append((slice(first, first + len(lo)), lo, end))
-        pool.costs.extend(prices[lo, end].tolist())
+        cost = prices[lo, end]
+        priced.append(cost)
+        pool.costs.extend(cost.tolist())
         pool.cand_hi.extend((end + 1).tolist())
         per_start = np.bincount(lo, minlength=k)
         starts = np.flatnonzero(per_start)
+        falls = lo[1:][(cost[1:] < cost[:-1]) & (lo[1:] == lo[:-1])]
+        pool.falling.update((len(pool.rows) + np.searchsorted(starts, falls)).tolist())
         bounds = (first + np.concatenate(([0], np.cumsum(per_start[starts])))).tolist()
         for a, b in zip(bounds, bounds[1:]):
             pool.cand_row.extend([len(pool.rows)] * (b - a))  # one shared int per row
             pool.rows.append(range(a, b))
         pool.row_proc.extend([p] * len(starts))
         pool.row_lo.extend(starts.tolist())
+    pool.cost_array = np.concatenate(priced)
     return pool
 
 
@@ -271,6 +286,7 @@ def _build_pool_explicit(
         pool.cand_row.append(c)
         pool.cand_hi.append(hi)
     pool.windows = [tuple(np.array(col) for col in zip(*found)) for found in picks]
+    pool.cost_array = np.array(pool.costs, dtype=float)
     return pool
 
 
@@ -318,27 +334,38 @@ def _prepare_indexed(
 def _incremental_greedy(instance, graph, pool: _CandidatePool) -> tuple[GreedyResult, int, "IncrementalMatchingOracle"]:
     """The specialised greedy: marginal gains via matching augmentation.
 
-    The initial pass is one *window pass* per processor: a single
+    Each row is held as its *gain steps*: the slot positions ``j`` at
+    which its cumulative gain ``F(C ∪ slots[lo..j]) − F(C)`` rises, so a
+    candidate's gain is the number of steps before its end.  The initial
+    pass is one *window pass* per processor: a single
     :meth:`~repro.matching.incremental.IncrementalMatchingOracle.window_gains`
     matching sweep over the processor's usable slots yields the gain of
     every window of them (Edmonds' greedy basis of the transversal
-    matroid), so every candidate is scored with one augmentation attempt
-    per slot per *processor* instead of per row.
+    matroid); the rises along each row of that table are the row's
+    steps, and every row's best candidate is found in one array pass.
 
-    After that, scoring is *lazy* (Minoux/CELF) and *row-batched*.
-    Because ``F`` is submodular, a gain scored at an earlier commit
-    version is an upper bound on the current gain.  The max-heap holds
-    one entry per row: the stale ``(ratio, gain)`` bound of its best live
-    candidate.  Only the top row is re-scored, all its live candidates at
-    once, with one
+    After that, scoring is *lazy* (Minoux/CELF).  Because ``F`` is
+    submodular, a gain scored at an earlier commit version is an upper
+    bound on the current gain.  The max-heap holds one entry per row:
+    the stale ``(ratio, gain)`` bound of its best candidate.  Only the
+    top row is re-scored, and only at its old steps: for ``C ⊆ C′`` a
+    slot spanned by ``C`` and the row's earlier slots stays spanned by
+    ``C′`` and them, so the steps only shrink, and the old ones span the
+    rest of the row.  One
     :meth:`~repro.matching.incremental.IncrementalMatchingOracle.extension_gains`
-    chain of slices of the row's slot list — one augmentation attempt per
-    fresh slot of the row instead of one per slot per candidate.  A row
-    with a single live candidate takes a plain
+    chain of single-slot steps therefore gives the exact gain at every
+    end (a one-step row takes a plain
     :meth:`~repro.matching.incremental.IncrementalMatchingOracle.gain_indices`
-    probe instead.  Either way, slots that cannot augment the committed
-    matching (no alive neighbour in the oracle's reach sets, recomputed
-    per gaining commit) are billed and skipped without a search.
+    probe), and its rises are the new steps.  A commit drops the row's
+    steps inside the committed window, which retires the committed
+    candidate and its shorter siblings; the rest bound the row's gains
+    until it is re-scored.
+
+    A row's candidates with ``g`` steps before their end form its gain
+    level ``g``.  Where a row's prices never fall with its end, a
+    level's first candidate is its first best, so a push visits one
+    candidate per level; a row whose prices fall somewhere scans its
+    levels whole.
 
     Window, chain and per-candidate gains are all matroid ranks, equal
     whatever computes them, so a row that reaches the heap top freshly
@@ -350,63 +377,99 @@ def _incremental_greedy(instance, graph, pool: _CandidatePool) -> tuple[GreedyRe
     """
     n = instance.n_jobs
     oracle = IncrementalMatchingOracle(graph)
-    mask = oracle.committed_mask
     chosen: List[AwakeInterval] = []
-    steps: List[GreedyStep] = []
+    greedy_steps: List[GreedyStep] = []
     total_cost = 0.0
-    costs, rows, cand_hi = pool.costs, pool.rows, pool.cand_hi
+    costs, rows, cand_hi, cand_row = pool.costs, pool.rows, pool.cand_hi, pool.cand_row
     proc_slots = [slots for _, _, slots in pool.procs]
-    row_proc, row_lo = pool.row_proc, pool.row_lo
+    proc_single = [[[x] for x in slots] for slots in proc_slots]  # one-slot chain steps
+    row_proc, row_lo, falling = pool.row_proc, pool.row_lo, pool.falling
 
-    # Candidate -> gain at its row's last scoring; 0 marks it dead (by
-    # submodularity a zero gain never turns positive again).
-    initial = np.zeros(len(costs), dtype=np.int64)
-    for slots, (cands, lo, end) in zip(proc_slots, pool.windows):
-        initial[cands] = oracle.window_gains(slots)[lo, end]
-    gains: List[int] = initial.tolist()
-    # Heap entries: (-ratio, -gain, candidate index, version), at most one
-    # per row: its best live candidate as scored at commit ``version``.
-    # The candidate index doubles as the insertion-order tie-breaker
-    # (pool order equals the legacy enumeration order).
-    heap: List[tuple] = []
+    # Row -> its gain steps (slot positions, ascending), as of its last
+    # scoring; after a commit in the row, a superset of the exact ones.
+    row_steps: List[List[int]] = [[] for _ in rows]
+    proc_rows: List[List[int]] = [[] for _ in proc_slots]
+    for r, p in enumerate(row_proc):
+        proc_rows[p].append(r)
+    gains = np.zeros(len(costs), dtype=np.int64)
+    for slots, (cands, lo, end), rs in zip(proc_slots, pool.windows, proc_rows):
+        table = oracle.window_gains(slots)
+        gains[cands] = table[lo, end]
+        # Table row i rises table[i, -1] times, in the positions that
+        # start at offset[i] of ``rises``; a row keeps those up to its
+        # last candidate's end.
+        rises = (np.flatnonzero(np.diff(table, axis=1, prepend=0)) % len(slots)).tolist()
+        offset = np.concatenate(([0], np.cumsum(table[:, -1])))
+        first = [row_lo[r] for r in rs]
+        last = [cand_hi[rows[r].stop - 1] - 1 for r in rs]
+        for r, a, count in zip(rs, offset[first].tolist(), table[first, last].tolist()):
+            row_steps[r] = rises[a : a + count]
+
+    # Every row's best candidate: the highest ratio, then the highest
+    # gain, then the lowest index.  Heap entries: (-ratio, -gain,
+    # candidate index, version), at most one per row, scored at commit
+    # ``version``; the candidate index doubles as the tie-breaker (pool
+    # order equals the legacy enumeration order).
+    price = pool.cost_array
+    ratio = np.full(len(costs), np.inf)
+    np.divide(gains, price, out=ratio, where=price != 0)
+    ratio[gains <= 0] = -1.0
+    firsts = np.array([row.start for row in rows])
+    row_of = np.repeat(np.arange(len(rows)), np.diff(firsts, append=len(costs)))
+    top = ratio == np.maximum.reduceat(ratio, firsts)[row_of]
+    top &= gains == np.maximum.reduceat(np.where(top, gains, 0), firsts)[row_of]
+    best = np.flatnonzero(top & (gains > 0))
+    best = best[np.diff(row_of[best], prepend=-1) != 0]
+    heap: List[tuple] = [
+        (-q, -float(g), c, oracle.commit_version)
+        for q, g, c in zip(ratio[best].tolist(), gains[best].tolist(), best.tolist())
+    ]
+    heapq.heapify(heap)
 
     def push_best(r: int, version: int) -> None:
-        best = None  # (ratio, gain, candidate); first strictly better wins
-        for c in rows[r]:
-            gain = gains[c]
-            if gain <= 0:
-                continue
-            cost = costs[c]
-            ratio = math.inf if cost == 0 else gain / cost
-            if ratio != ratio:  # NaN never beats a real ratio in the scan
-                gains[c] = 0
-            elif best is None or ratio > best[0] or (ratio == best[0] and gain > best[1]):
-                best = (ratio, gain, c)
-        if best is not None:
-            ratio, gain, c = best
-            heapq.heappush(heap, (-ratio, -float(gain), c, version))
-
-    def score_row(r: int, live: List[int]) -> None:
-        """Re-score row *r*'s nested *live* candidates now; push its best."""
-        slots = proc_slots[row_proc[r]]
-        lo = row_lo[r]
-        if len(live) == 1:
-            window = slots[lo : cand_hi[live[0]]]
-            # A window committed whole gains nothing; skip the probe.
-            committed = all(map(mask.__getitem__, window))
-            fresh = [0 if committed else oracle.gain_indices(window)]
+        """Push row *r*'s best candidate under its steps, as of *version*."""
+        at = row_steps[r]
+        row = rows[r]
+        start, stop = row.start, row.stop
+        best_ratio, best_gain, best_c = -1.0, 0, -1
+        if r in falling:
+            # Scan level g whole: candidates level[g - 1] up to level[g].
+            level = [bisect_right(cand_hi, s, start, stop) for s in at]
+            level.append(stop)
+            for gain in range(1, len(level)):
+                for c in range(level[gain - 1], level[gain]):
+                    cost = costs[c]
+                    ratio = math.inf if cost == 0 else gain / cost
+                    if ratio > best_ratio or (ratio == best_ratio and gain > best_gain):
+                        best_ratio, best_gain, best_c = ratio, gain, c
         else:
-            chain: List[List[int]] = []
-            for c in live:
-                hi = cand_hi[c]
-                chain.append(slots[lo:hi])
-                lo = hi
-            fresh = oracle.extension_gains(chain)
-        for c, gain in zip(live, fresh):
-            gains[c] = gain
-        push_best(r, oracle.commit_version)
+            # Level g's first candidate is the first to end past step g
+            # (every step lies inside the row's last candidate).  When
+            # level g is empty it is a later level's first, under-scored
+            # here, so its own level's entry beats this one.
+            for gain, s in enumerate(at, 1):
+                c = bisect_right(cand_hi, s, start, stop)
+                cost = costs[c]
+                ratio = math.inf if cost == 0 else gain / cost
+                if ratio >= best_ratio:  # a tie goes to the larger gain
+                    best_ratio, best_gain, best_c = ratio, gain, c
+        if best_c >= 0:
+            heapq.heappush(heap, (-best_ratio, -float(best_gain), best_c, version))
 
-    for r in range(len(rows)):
+    def rescore(r: int) -> None:
+        """Re-score row *r* at its steps now; push its best."""
+        at = row_steps[r]
+        single = proc_single[row_proc[r]]
+        if len(at) == 1:
+            if not oracle.gain_indices(single[at[0]]):
+                row_steps[r] = []
+                return
+        else:
+            now = oracle.extension_gains(list(map(single.__getitem__, at)))
+            if now[-1] < len(at):
+                at = row_steps[r] = list(compress(at, map(sub, now, [0, *now])))
+                if not at:
+                    return
         push_best(r, oracle.commit_version)
 
     while oracle.matching_size < n:
@@ -415,17 +478,22 @@ def _incremental_greedy(instance, graph, pool: _CandidatePool) -> tuple[GreedyRe
                 f"greedy stalled at {oracle.matching_size}/{n} jobs schedulable"
             )
         _, neg_gain, best_c, version = heapq.heappop(heap)
-        r = pool.cand_row[best_c]
+        r = cand_row[best_c]
         if version != oracle.commit_version:
-            score_row(r, [c for c in rows[r] if gains[c] > 0])
+            rescore(r)
             continue
-        oracle.commit_indices(proc_slots[row_proc[r]][row_lo[r] : cand_hi[best_c]])
-        gains[best_c] = 0
-        push_best(r, version)  # the row's runners-up, stale from now on
+        hi = cand_hi[best_c]
+        oracle.commit_indices(proc_slots[row_proc[r]][row_lo[r] : hi])
+        # The row's steps inside the window are committed now; the rest
+        # bound its runners-up, stale from now on.
+        at = row_steps[r]
+        at = row_steps[r] = at[bisect_left(at, hi) :]
+        if at:
+            push_best(r, version)
         utility = float(oracle.matching_size)
         total_cost += costs[best_c]
         chosen.append(pool.interval(best_c))
-        steps.append(
+        greedy_steps.append(
             GreedyStep(
                 index=chosen[-1],
                 cost=costs[best_c],
@@ -442,7 +510,7 @@ def _incremental_greedy(instance, graph, pool: _CandidatePool) -> tuple[GreedyRe
         cost=total_cost,
         target=float(n),
         epsilon=1.0 / (n + 1),
-        steps=steps,
+        steps=greedy_steps,
     )
     return result, oracle.probe_augmentations, oracle
 

@@ -90,11 +90,11 @@ class TestPoisonedCosts:
 
         jobs = [Job("a", {("p", 0)})]
         inst = ScheduleInstance(["p"], jobs, 2, NaN())
-        # NaN ratios never compare greater, so the greedy finds no
-        # usable interval and reports infeasibility rather than a bogus
-        # schedule.
-        with pytest.raises(InfeasibleError):
-            schedule_all_jobs(inst)
+        # A NaN price is refused where it is priced, as a negative one
+        # is, so no engine ranks it or returns a schedule costing NaN.
+        for method in ("incremental", "plain", "lazy"):
+            with pytest.raises(InvalidInstanceError, match="nan"):
+                schedule_all_jobs(inst, method=method)
 
     def test_all_infinite_costs_infeasible(self):
         jobs = [Job("a", {("p", 0)})]

@@ -1,11 +1,13 @@
 """``IncrementalMatchingOracle.extension_gains`` at any commit version.
 
-The schedule-all greedy scores a row of nested candidate intervals with
-one ``extension_gains`` chain, both in its initial pass and in every lazy
-re-score after later commits.  Its ``j``-th gain must equal a
+The schedule-all greedy re-scores a row of nested candidate intervals
+with one ``extension_gains`` chain over the row's gain steps in every
+lazy re-score after later commits.  A chain's ``j``-th gain must equal a
 ``gain_indices`` probe of the union of the first ``j + 1`` steps and the
 difference of fresh Hopcroft–Karp sizes — also after failed probes at
 the current commit version, and for slots the oracle's reach sets skip.
+Sweeping only a row's old gain steps must give its full-window gain at
+every position.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -103,3 +105,69 @@ def test_chain_skips_a_dead_region_exactly():
     assert oracle.extension_gains([[x2], [x3]]) == [0, 1]
     assert oracle.gain_indices([x2, x3]) == 1
     assert max_matching_size(g, ["x1", "x2", "x3"]) - max_matching_size(g, ["x1"]) == 1
+
+
+@st.composite
+def step_rounds(draw):
+    """A graph, a row of its slots, and rounds of commits.
+
+    A round may first commit a prefix of the row itself (the window of a
+    picked candidate), then commits a batch of any slots, and then may
+    or may not re-score the row, so the steps a re-score sweeps can be
+    several commits old.
+    """
+    graph = draw(graphs())
+    order = draw(st.permutations(sorted(graph.left, key=repr)))
+    row = order[: draw(st.integers(min_value=1, max_value=len(order)))]
+    rounds = [
+        (
+            draw(st.integers(min_value=0, max_value=len(row))),
+            draw(st.lists(st.sampled_from(order), unique=True, max_size=3)),
+            draw(st.booleans()),
+        )
+        for _ in range(draw(st.integers(min_value=1, max_value=4)))
+    ]
+    return graph, row, rounds
+
+
+@given(step_rounds())
+@settings(max_examples=300, deadline=None)
+def test_sweeping_only_the_old_gain_steps_is_exact(scenario):
+    # The schedule-all engine keeps a row as its gain steps, the
+    # positions where F(C ∪ row[..j]) − F(C) rises, and re-scores it by
+    # sweeping only those.  At every position, the steps swept so far
+    # must give the full-window probe's gain, and the steps only shrink.
+    graph, row, rounds = scenario
+    oracle = IncrementalMatchingOracle(graph)
+    ids = [oracle.view.left_index[v] for v in row]
+
+    def rises(cumulative):
+        return [j for j, (was, now) in enumerate(zip([0, *cumulative], cumulative))
+                if now > was]
+
+    def rescore(steps):
+        swept = oracle.extension_gains([[ids[j]] for j in steps])
+        full = [oracle.gain_indices(ids[: j + 1]) for j in range(len(ids))]
+        gains, k = [], 0
+        for j in range(len(ids)):
+            while k < len(steps) and steps[k] <= j:
+                k += 1
+            gains.append(swept[k - 1] if k else 0)
+        assert gains == full
+        fresh = [s for s, was, now in zip(steps, [0, *swept], swept) if now > was]
+        assert fresh == rises(full)
+        assert set(fresh) <= set(steps)
+        return fresh
+
+    steps = rises([oracle.gain_indices(ids[: j + 1]) for j in range(len(ids))])
+    for prefix, batch, again in rounds:
+        if prefix:
+            # As after a pick in the row: the steps inside the committed
+            # window are dropped, and the rest stay a valid bound.
+            steps = rescore(steps)
+            oracle.commit(row[:prefix])
+            steps = [s for s in steps if s >= prefix]
+        oracle.commit(batch)
+        if again:
+            steps = rescore(steps)
+    rescore(steps)

@@ -14,6 +14,7 @@ without moving any result.
 import asyncio
 import json
 import shutil
+import time
 
 import pytest
 
@@ -387,6 +388,31 @@ class TestBackoffDeterminism:
                 assert (phase_a["tenants"][tid]["retry_delays"]
                         == phase_b["tenants"][tid]["retry_delays"]), tid
         assert_results_match(baseline, a2)
+
+
+class TestDrainWakesFaultSleeps:
+    @pytest.mark.parametrize("plan", [
+        FaultPlan(rules=(FaultRule("serve.feed", "latency", at=[2], delay=1e6),)),
+        FaultPlan(retry=RetryPolicy(base_delay=1e6, max_delay=1e6),
+                  rules=(FaultRule("serve.feed", "transient", at=[2]),)),
+    ], ids=["latency", "backoff"])
+    def test_a_drain_cuts_an_injected_sleep_short(self, plan):
+        # The lane sleeps on its second feed for the plan's 10^6 s; a
+        # drain 0.2 s in must wake it, and the lane then feeds its step
+        # and stops as after the sleep.
+        loop = ServingLoop([TenantSpec("t", n=12)], fault_plan=plan)
+
+        async def serve():
+            asyncio.get_running_loop().call_later(0.2, loop.request_drain)
+            return await loop.serve_async()
+
+        started = time.perf_counter()
+        report = asyncio.run(asyncio.wait_for(serve(), 10.0))  # fail, not hang
+        assert time.perf_counter() - started < 2.0
+        tenant = report["tenants"]["t"]
+        assert tenant["state"] == "drained"
+        assert tenant["arrivals"] == 2
+        assert report["faults"]["fired"] == 1
 
 
 class TestMemoryBudget:

@@ -6,7 +6,8 @@ order; ``_build_pool_explicit`` turns each given interval into a window
 of usable slots by bisection.  The per-interval loops below are what
 they replaced.  Both builders must reproduce their candidates exactly:
 the same order, the same intervals, the same prices (value and type),
-the same rows and the same slot windows.
+the same rows, the same rows whose price falls, and the same slot
+windows.
 """
 
 import math
@@ -106,8 +107,13 @@ def assert_pool_equals(pool, reference):
     assert len(pool.costs) == n
     for got, want in zip(pool.costs, prices):
         assert type(got) is type(want)
-        assert got == want or (math.isnan(got) and math.isnan(want))
+        assert got == want
+    assert pool.cost_array.tolist() == [float(c) for c in prices]
     assert [list(r) for r in pool.rows] == rows
+    assert pool.falling == {
+        r for r, row in enumerate(rows)
+        if any(prices[b] < prices[a] for a, b in zip(row, row[1:]))
+    }
     got_windows = []
     for c in range(n):
         r = pool.cand_row[c]
@@ -148,7 +154,6 @@ def cost_models(base):
         for p in procs for s in range(0, base.horizon, 3)
         for e in range(s, min(base.horizon, s + 9))
     }
-    table[min(table)] = math.nan  # kept: only infinite prices are dropped
     return {
         "affine": AffineCost(2.0, rate=0.5),
         "per_processor": PerProcessorRateCost(
@@ -173,6 +178,8 @@ def test_event_point_pool_equals_the_loop(family, model):
     if model in ("unavailable", "table"):
         triangle = sum(len(k) * (len(k) + 1) // 2 for k in _per_proc(view).values())
         assert len(reference[0]) < triangle, "no price was infinite"
+    if model == "table":
+        assert pool.falling, "no row's price fell"
     assert_pool_equals(pool, reference)
 
 

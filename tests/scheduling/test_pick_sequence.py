@@ -1,8 +1,9 @@
 """The incremental engine's pick sequence equals an exhaustive-scan greedy.
 
 ``schedule_all_jobs(method="incremental")`` scores candidates lazily and
-re-scores whole rows of nested intervals at once.  None of that may
-change what it picks: the reference below probes every live candidate
+re-scores a row of nested intervals from its gain steps, visiting one
+candidate per gain level unless the row's price falls somewhere.  None
+of that may change what it picks: the reference below probes every live candidate
 afresh each round and takes the highest ``(gain / cost, gain)``, lowest
 pool index on ties, skipping NaN ratios.  The two must agree on the
 chosen intervals, the per-step gains, the cost and the job → slot
@@ -12,7 +13,7 @@ assignment.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from repro.engine.spec import RunSpec
 from repro.engine.tasks.schedule_all import build_schedule_instance
@@ -20,7 +21,7 @@ from repro.matching.hopcroft_karp import hopcroft_karp
 from repro.matching.incremental import IncrementalMatchingOracle
 from repro.scheduling.instance import Job, ScheduleInstance
 from repro.scheduling.intervals import AwakeInterval
-from repro.scheduling.power import AffineCost, TableCost
+from repro.scheduling.power import AffineCost, TableCost, UnavailabilityCost
 from repro.scheduling.solver import schedule_all_jobs
 from tests.scheduling.test_property_scheduling import table_instances
 
@@ -126,5 +127,50 @@ def test_zero_cost_candidates_have_infinite_ratio():
 @settings(max_examples=60, deadline=None)
 def test_table_instances(instance):
     if len(hopcroft_karp(instance.bipartite_graph())) < instance.n_jobs:
+        return  # infeasible: schedule_all presumes feasibility
+    assert_same_picks(instance)
+
+
+PRICES = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, math.inf])
+
+
+@st.composite
+def event_point_instances(draw, horizon=8):
+    """Small instances priced per interval, with no candidate list.
+
+    The engine enumerates every event-point interval itself.  Prices
+    come from a ``TableCost`` over a random set of those intervals (0
+    and infinity among them) with a finite default, optionally under an
+    ``UnavailabilityCost`` with blocked slots; so a row's price may
+    fall, tie or turn infinite as its end grows, which is what sends a
+    row through the engine's level scan.
+    """
+    procs = ["p0", "p1"][: draw(st.integers(min_value=1, max_value=2))]
+    cells = [(p, t) for p in procs for t in range(horizon)]
+    jobs = [
+        Job(f"j{j}", frozenset(draw(st.lists(
+            st.sampled_from(cells), min_size=1, max_size=3, unique=True
+        ))))
+        for j in range(draw(st.integers(min_value=1, max_value=5)))
+    ]
+    times = {p: sorted({t for job in jobs for q, t in job.slots if q == p}) for p in procs}
+    spans = [AwakeInterval(p, a, b) for p, ts in times.items()
+             for i, a in enumerate(ts) for b in ts[i:]]
+    priced = draw(st.lists(st.sampled_from(spans), unique=True))
+    model = TableCost({iv: draw(PRICES) for iv in priced},
+                      default=draw(PRICES.filter(math.isfinite)))
+    if draw(st.booleans()):
+        base = model if draw(st.booleans()) else AffineCost(2.0)
+        blocked = draw(st.lists(st.sampled_from(cells), max_size=4, unique=True))
+        model = UnavailabilityCost(base, blocked)
+    return ScheduleInstance(procs, jobs, horizon, model)
+
+
+@given(event_point_instances())
+@settings(max_examples=200, deadline=None)
+def test_event_point_instances_with_falling_zero_and_infinite_prices(instance):
+    finite = [iv for iv in instance.candidates() if not math.isinf(instance.cost_of(iv))]
+    usable = {slot for iv in finite for slot in iv.slots()}
+    if len(hopcroft_karp(instance.bipartite_graph(), usable)) < instance.n_jobs:
         return  # infeasible: schedule_all presumes feasibility
     assert_same_picks(instance)

@@ -81,6 +81,17 @@ class TestTimeOfUse:
         for s, e in [(0, 0), (3, 9), (0, 19), (18, 19)]:
             assert model(AwakeInterval("p", s, e)) == pytest.approx(prices[s : e + 1].sum())
 
+    def test_an_infinite_price_blocks_only_the_intervals_covering_it(self):
+        # A running sum through the infinite slot would price every
+        # later interval inf - inf = NaN.
+        model = TimeOfUseCost(prices=[1, math.inf, 2, 3], restart_cost=0.5,
+                              per_processor_prices={"q": [math.inf, 4]})
+        assert model(AwakeInterval("p", 0, 0)) == 1.5
+        assert model(AwakeInterval("p", 0, 2)) == math.inf
+        assert model(AwakeInterval("p", 1, 1)) == math.inf
+        assert model(AwakeInterval("p", 2, 3)) == 5.5
+        assert model(AwakeInterval("q", 1, 1)) == 4.5
+
 
 class TestSuperlinear:
     def test_formula(self):
@@ -142,3 +153,33 @@ class TestCostModelContract:
 
         with pytest.raises(InvalidInstanceError):
             Bad(0.0)(IV)
+
+    def test_nan_cost_model_caught_at_call(self):
+        class Bad(AffineCost):
+            def cost(self, interval):
+                return math.nan
+
+        with pytest.raises(InvalidInstanceError, match="nan"):
+            Bad(0.0)(IV)
+
+    @pytest.mark.parametrize("build", [
+        lambda: AffineCost(math.nan),
+        lambda: AffineCost(1.0, rate=math.nan),
+        lambda: PerProcessorRateCost({"p": math.nan}, {"p": 1.0}),
+        lambda: PerProcessorRateCost({"p": 1.0}, {"p": math.nan}),
+        lambda: TimeOfUseCost([1.0, math.nan]),
+        lambda: TimeOfUseCost([1.0], restart_cost=math.nan),
+        lambda: TimeOfUseCost([1.0], per_processor_prices={"p": [math.nan]}),
+        lambda: SuperlinearCost(math.nan, 2.0),
+        lambda: SuperlinearCost(1.0, math.nan),
+        lambda: SuperlinearCost(1.0, 2.0, scale=math.nan),
+        lambda: TableCost({IV: math.nan}),
+        lambda: TableCost({}, default=math.nan),
+    ], ids=[
+        "affine-restart", "affine-rate", "per-proc-rate", "per-proc-restart",
+        "tou-price", "tou-restart", "tou-per-proc", "superlinear-restart",
+        "superlinear-exponent", "superlinear-scale", "table-price", "table-default",
+    ])
+    def test_nan_parameters_and_prices_rejected(self, build):
+        with pytest.raises(InvalidInstanceError):
+            build()

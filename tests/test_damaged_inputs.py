@@ -77,6 +77,18 @@ class TestInstanceFiles:
         file.write_text(json.dumps(_damage(_instance_payload(), path, value)))
         _exits_2_naming(["solve", str(file)], capsys, str(file), f"'{field}'")
 
+    @pytest.mark.parametrize("method", ["incremental", "plain", "lazy"])
+    def test_a_nan_price_exits_2_naming_its_field_for_every_method(
+        self, tmp_path, capsys, method
+    ):
+        # The three engines used to give three answers: two stalls with
+        # different messages, and a schedule costing NaN with exit 0.
+        payload = _damage(_instance_payload(), ("cost_model", "restart_cost"), float("nan"))
+        file = tmp_path / "inst.json"
+        file.write_text(json.dumps(payload))
+        _exits_2_naming(["solve", str(file), "--method", method], capsys,
+                        str(file), "'cost_model.restart_cost'", "NaN")
+
     def test_a_nested_cost_model_field_is_named_by_its_path(self, tmp_path, capsys):
         payload = _instance_payload()
         payload["cost_model"] = {"kind": "unavailable", "blocked": [["P0", 1]],
