@@ -299,6 +299,20 @@ class CoverageFunction(SetFunction):
     def value(self, subset: FrozenSet[Element]) -> float:
         return float(len(self.covered(subset)))
 
+    def singleton_values(self) -> Dict[Element, float]:
+        """``{e: value({e})}`` in ``repr`` order, read off the kernel's rows.
+
+        A singleton's value is its row's item count, exactly: canonical
+        rows are deduplicated.  No row is built as a frozenset.
+        """
+        kernel = self._coverage_kernel()
+        sizes = np.diff(kernel.indptr).tolist()
+        index = kernel.index
+        order = sorted(self.ground_set, key=repr)
+        if index is None:  # positional: element i is row i
+            return {e: float(sizes[e]) for e in order}
+        return {e: float(sizes[index[e]]) for e in order}
+
 
 class WeightedCoverageFunction(CoverageFunction):
     """Coverage where each universe item carries a non-negative weight.
@@ -340,6 +354,10 @@ class WeightedCoverageFunction(CoverageFunction):
         self._universe = None
         self._positional = True
         return self
+
+    # A weighted singleton value is an fsum of item weights, not a row
+    # length.
+    singleton_values = SetFunction.singleton_values
 
     def value(self, subset: FrozenSet[Element]) -> float:
         # fsum: exactly-rounded, so the value cannot depend on the set's

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from itertools import chain, combinations
-from typing import Callable, FrozenSet, Hashable, Iterable, Optional
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Optional
 
 import numpy as np
 
@@ -126,6 +126,15 @@ class SetFunction(ABC):
         ev = self.incremental_evaluator(backend=backend)
         ev.reset(subset)
         return ev.gains(list(candidates))
+
+    def singleton_values(self) -> Dict[Element, float]:
+        """``{e: value({e})}`` for every element, keyed in ``repr`` order.
+
+        The raw-value rules (robust, bottleneck) and the sorted arrival
+        orders read this map.  A family whose arrays already hold its
+        singleton values overrides this with an exact read of them.
+        """
+        return {e: self.value(frozenset({e})) for e in sorted(self.ground_set, key=repr)}
 
     def is_normalized(self, tol: float = 1e-12) -> bool:
         """True when ``F(empty) == 0`` (all paper utilities are)."""

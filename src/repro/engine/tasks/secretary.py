@@ -295,11 +295,7 @@ class SecretaryAdapter(OnlineTaskAdapter):
         # reads: the benchmark for its hire budget, and singleton values
         # only for the raw-value rules.
         budget = self._budget(spec, k)
-        singles = (
-            {e: fn.value(frozenset({e})) for e in sorted(fn.ground_set, key=repr)}
-            if spec.method == "robust"
-            else {}
-        )
+        singles = fn.singleton_values() if spec.method == "robust" else {}
         return SecretaryInstance(
             fn=fn,
             singleton_values=singles,

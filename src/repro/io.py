@@ -33,6 +33,7 @@ instances, checkpoints, tenant specs, fault plans and bench reports.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from typing import Any, Dict
@@ -190,7 +191,12 @@ def _cost_model_from_dict(data: Dict[str, Any], where: str = "cost_model.") -> C
              for p, a in (per_proc or {}).items()} or None,
         )
     if kind == "superlinear":
-        return SuperlinearCost(num("restart_cost"), num("exponent"), num("scale", 1.0))
+        restart_cost, exponent = num("restart_cost"), num("exponent")
+        if math.isinf(exponent):
+            raise InvalidInstanceError(
+                f"instance field '{where}exponent' must be a finite number, got {exponent}"
+            )
+        return SuperlinearCost(restart_cost, exponent, num("scale", 1.0))
     if kind == "table":
         default = _field(data, "default", (*_NUMBER, type(None)), "a number or null",
                          None, where)
@@ -329,13 +335,20 @@ def load_instance(path: str) -> ScheduleInstance:
 def read_json(path: str, what: str) -> Any:
     """Parse the JSON file at *path*, which the caller calls *what*.
 
-    A truncated, hand-damaged or non-UTF-8 file raises
-    :class:`InvalidInstanceError` naming it, so the CLI exits 2 with one
-    line instead of a decoder traceback.  One ``open`` and one
-    ``json.load``: tenant checkpoints are read through here per
-    admission.
+    A truncated, hand-damaged or non-UTF-8 file, a directory, or a file
+    this process may not read raises :class:`InvalidInstanceError`
+    naming it, so the CLI exits 2 with one line instead of a traceback.
+    A missing file raises :class:`FileNotFoundError`, which callers
+    handle themselves.  One ``open`` and one ``json.load``: tenant
+    checkpoints are read through here per admission.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        raise InvalidInstanceError(
+            f"{what} {path} cannot be read ({exc.strerror})"
+        ) from exc
+    with fh:
         try:
             return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -348,18 +361,22 @@ def read_json(path: str, what: str) -> Any:
 def dump_json_atomic(payload: Any, path: str, *, mid_write_hook=None) -> None:
     """Write *payload* as JSON to *path* crash-safely.
 
-    The payload is serialised to a temp file in the target directory
-    (same filesystem, so the final ``os.replace`` is atomic), then
-    renamed into place — a process killed mid-write can only ever leave
-    a stray temp file behind, never a truncated *path*.  Checkpoints
-    ride on this: the file a resume reads is always either the previous
-    complete payload or the new complete payload.
+    The payload is encoded first, as compact canonical JSON on one line
+    (sorted keys, no whitespace, a trailing newline), so a payload that
+    cannot be encoded raises before any file exists.  The text is then
+    written to a temp file in the target directory (same filesystem, so
+    the final ``os.replace`` is atomic) and renamed into place — a
+    process killed mid-write can only ever leave a stray temp file
+    behind, never a truncated *path*.  Checkpoints ride on this: the
+    file a resume reads is always either the previous complete payload
+    or the new complete payload.
 
     *mid_write_hook* (when given) runs after the temp file is fully
     written but before the atomic rename — the torn-write window.  The
     fault-injection layer uses it to hard-kill a process exactly there
     and prove the guarantee above empirically.
     """
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(
         dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
@@ -372,8 +389,7 @@ def dump_json_atomic(payload: Any, path: str, *, mid_write_hook=None) -> None:
         os.umask(umask)
         os.chmod(tmp_path, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
         if mid_write_hook is not None:
             mid_write_hook()
         os.replace(tmp_path, path)

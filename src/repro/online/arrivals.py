@@ -401,8 +401,7 @@ def _uniform_order(utility: SetFunction, seed) -> List[Hashable]:
 def _by_singleton_value(
     utility: SetFunction, descending: bool
 ) -> List[Hashable]:
-    ground = _sorted_ground(utility)
-    scored = [(utility.value(frozenset({e})), e) for e in ground]
+    scored = [(v, e) for e, v in utility.singleton_values().items()]
     scored.sort(key=lambda t: ((-t[0] if descending else t[0]), repr(t[1])))
     return [e for _, e in scored]
 

@@ -270,7 +270,9 @@ def write_tenant_checkpoint(
     from repro.online.faults import fault_hit  # lazy: faults imports numpy
 
     path = tenant_checkpoint_path(root, tenant_id)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+    directory = os.path.dirname(path)
+    if not os.path.isdir(directory):
+        os.makedirs(directory, exist_ok=True)
     fault_hit("checkpoint.before_write", tenant_id)
     dump_json_atomic(
         dict(payload),
@@ -284,16 +286,18 @@ def write_tenant_checkpoint(
 def read_tenant_checkpoint(root: str, tenant_id: str) -> Optional[Dict[str, object]]:
     """The tenant's current checkpoint payload, or ``None`` if absent.
 
-    Corrupt (non-UTF-8 / non-JSON / non-object) files raise
+    Corrupt (non-UTF-8 / non-JSON / non-object) or unreadable files (a
+    directory, no read permission) raise
     :class:`~repro.errors.InvalidInstanceError` naming the file, the
     same contract as the CLI's checkpoint loader.
     """
     from repro.io import read_json  # lazy: io imports scheduling
 
     path = tenant_checkpoint_path(root, tenant_id)
-    if not os.path.exists(path):
+    try:
+        payload = read_json(path, "tenant checkpoint")
+    except FileNotFoundError:
         return None
-    payload = read_json(path, "tenant checkpoint")
     if not isinstance(payload, dict):
         raise InvalidInstanceError(f"tenant checkpoint {path} is not a JSON object")
     return payload

@@ -251,7 +251,10 @@ class TenantSpec:
             return []  # the resume itself rejects a recipe-less checkpoint
         drift = []
         for field in _SPEC_FIELDS:
-            want = json.loads(json.dumps(getattr(self, field)))
+            want = getattr(self, field)
+            if field == "process_params":
+                # The recipe holds them as JSON: tuples read back as lists.
+                want = json.loads(json.dumps(want))
             if field != "shards" and recipe.get(field) != want:
                 drift.append(
                     f"{field}: checkpoint {recipe.get(field)!r}, spec {want!r}"

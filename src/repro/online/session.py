@@ -185,14 +185,18 @@ class WorkloadCache:
         The robust and bottleneck rules read these at every start and
         resume (checkpoints never carry them), and a memory-budgeted
         serve rehydrates such a tenant once per slice; one O(n) pass per
-        workload serves them all.  Reading a memoised map is not counted
-        as a :meth:`lookup`.
+        workload serves them all.  The pass is the utility's
+        :meth:`~repro.core.submodular.SetFunction.singleton_values`: a
+        coverage utility reads each row's item count off its kernel,
+        other families query every singleton.  Neither bills an oracle
+        call, and reading a memoised map is not counted as a
+        :meth:`lookup`.
         """
         key = workload_key(recipe)
         values = self._singletons.get(key)
         if values is None:
             fn = (self._entries.get(key) or self.lookup(recipe))[0]
-            values = self._singletons[key] = _singleton_values(fn)
+            values = self._singletons[key] = fn.singleton_values()
         return values
 
     def stats(self) -> Dict[str, object]:
@@ -205,10 +209,6 @@ class WorkloadCache:
             "value_hits": sum(o.hits for o in shared),
             "value_misses": sum(o.misses for o in shared),
         }
-
-
-def _singleton_values(fn: SetFunction) -> Dict:
-    return {e: fn.value(frozenset({e})) for e in sorted(fn.ground_set, key=repr)}
 
 
 def _workload(
@@ -242,7 +242,7 @@ def _policy_deps(
         return {"weights": weights}
     if name in ("robust", "bottleneck"):
         if workload_cache is None:
-            return {"values": _singleton_values(fn)}
+            return {"values": fn.singleton_values()}
         return {"values": workload_cache.singleton_values(recipe)}
     return {}
 

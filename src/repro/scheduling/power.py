@@ -199,18 +199,25 @@ class SuperlinearCost(CostModel):
     faster the fan may need to run and the more energy consumed".
     ``exponent > 1`` makes long awake stretches disproportionately
     expensive, so the optimiser prefers splitting into several restarts;
-    ``exponent < 1`` models economies of staying on.
+    ``exponent < 1`` models economies of staying on.  The exponent must
+    be finite; a length whose power exceeds a float prices at infinity
+    (or at ``restart_cost`` when ``scale`` is 0).
     """
 
     def __init__(self, restart_cost: float, exponent: float, scale: float = 1.0):
         if not (restart_cost >= 0 and scale >= 0 and exponent >= 0):
             raise InvalidInstanceError("cost parameters must be non-negative numbers")
+        if math.isinf(exponent):
+            raise InvalidInstanceError(f"the exponent must be finite, got {exponent}")
         self.restart_cost = float(restart_cost)
         self.exponent = float(exponent)
         self.scale = float(scale)
 
     def cost(self, interval: "AwakeInterval") -> float:
-        return self.restart_cost + self.scale * interval.length**self.exponent
+        try:
+            return self.restart_cost + self.scale * interval.length**self.exponent
+        except OverflowError:  # the power is finite but exceeds a float
+            return math.inf if self.scale > 0 else self.restart_cost
 
 
 class UnavailabilityCost(CostModel):

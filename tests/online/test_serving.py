@@ -14,6 +14,7 @@ import os
 
 import pytest
 
+import repro.io
 from repro.cli import main
 from repro.errors import InvalidInstanceError
 from repro.online.checkpoint import (
@@ -347,6 +348,32 @@ class TestTenantCheckpointLayout:
     def test_missing_reads_as_none(self, tmp_path):
         assert read_tenant_checkpoint(str(tmp_path), "ghost") is None
         assert list_tenant_checkpoints(str(tmp_path / "absent")) == {}
+
+    def test_a_parked_checkpoint_is_one_line_of_canonical_json(
+        self, tmp_path, monkeypatch
+    ):
+        written = {}
+        dump = repro.io.dump_json_atomic
+
+        def recording(payload, path, **kwargs):
+            written[path] = json.loads(json.dumps(payload))  # a snapshot
+            dump(payload, path, **kwargs)
+
+        monkeypatch.setattr(repro.io, "dump_json_atomic", recording)
+        root = str(tmp_path / "ck")
+        report = ServingLoop(
+            load_tenant_specs(MIXED_FLEET), checkpoint_root=root,
+            memory_budget=2, park_arrivals=12,
+        ).serve()
+        parked = [t for t, r in report["tenants"].items() if r["parks"] > 0]
+        assert parked
+        for tid in parked:
+            path = tenant_checkpoint_path(root, tid)
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+            canonical = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+            assert text == canonical + "\n", tid
+            assert json.loads(text) == written[path], tid
 
     @pytest.mark.parametrize("bad", ["", ".", ".."])
     def test_pathological_ids_rejected(self, tmp_path, bad):

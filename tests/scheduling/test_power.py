@@ -112,6 +112,23 @@ class TestSuperlinear:
         two = model(AwakeInterval("p", 0, 1)) + model(AwakeInterval("p", 2, 3))
         assert one < two
 
+    @pytest.mark.parametrize("scale", [0.0, 1.0])
+    def test_an_infinite_exponent_is_refused(self, scale):
+        # With scale 0 it used to price one slot at 1.0 and any longer
+        # interval at 0 * inf = NaN.
+        with pytest.raises(InvalidInstanceError, match="finite"):
+            SuperlinearCost(1.0, math.inf, scale=scale)
+
+    def test_a_power_beyond_a_float_prices_at_infinity(self):
+        # 3 ** 800 raised OverflowError out of every solver.
+        model = SuperlinearCost(restart_cost=1.0, exponent=800.0)
+        assert model(AwakeInterval("p", 0, 0)) == 2.0
+        assert model(AwakeInterval("p", 0, 2)) == math.inf
+
+    def test_a_zero_scale_keeps_an_overflowing_power_out_of_the_price(self):
+        model = SuperlinearCost(restart_cost=1.0, exponent=800.0, scale=0.0)
+        assert model(AwakeInterval("p", 0, 2)) == 1.0
+
 
 class TestUnavailability:
     def test_blocked_interval_is_infinite(self):

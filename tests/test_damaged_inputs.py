@@ -2,18 +2,23 @@
 
 Covers every file the CLI reads through :func:`repro.io.read_json`:
 instance files (``solve``, ``prize``, ``check``), tenant spec files and
-fault plans (``online serve``), and bench baselines (``bench
---baseline``).  A truncated or non-UTF-8 file, or a field of the wrong
-type, must never surface as a decoder or ``ValueError`` traceback.
+fault plans (``online serve``), checkpoints (``online inspect``, a
+serve's ``--resume``), and bench baselines (``bench --baseline``).  A
+truncated or non-UTF-8 file, a directory or unreadable file at the
+path, or a field of the wrong type, must never surface as a decoder,
+``OSError`` or ``ValueError`` traceback.
 """
 
 import json
+import os
 
 import pytest
 
+import repro.io
 from repro.cli import main
 from repro.errors import InvalidInstanceError
 from repro.io import instance_to_dict
+from repro.online.checkpoint import tenant_checkpoint_path
 from repro.online.faults import FAULT_PLAN_FORMAT, load_fault_plan
 from repro.workloads.jobs import random_multi_interval_instance
 
@@ -89,6 +94,35 @@ class TestInstanceFiles:
         _exits_2_naming(["solve", str(file), "--method", method], capsys,
                         str(file), "'cost_model.restart_cost'", "NaN")
 
+    @pytest.mark.parametrize("method", ["incremental", "plain", "lazy"])
+    def test_an_infinite_superlinear_exponent_exits_2_naming_it(
+        self, tmp_path, capsys, method
+    ):
+        # It used to price every interval longer than one slot NaN
+        # (0 * inf), and the error named an interval, not the field.
+        payload = _instance_payload()
+        payload["cost_model"] = {"kind": "superlinear", "restart_cost": 1.0,
+                                 "exponent": float("inf"), "scale": 0.0}
+        file = tmp_path / "inst.json"
+        file.write_text(json.dumps(payload))
+        _exits_2_naming(["solve", str(file), "--method", method], capsys,
+                        str(file), "'cost_model.exponent'")
+
+    @pytest.mark.parametrize("method", ["incremental", "plain", "lazy"])
+    def test_a_superlinear_power_beyond_a_float_still_solves(
+        self, tmp_path, capsys, method
+    ):
+        # length ** 800 overflows a float on any interval of 3+ slots,
+        # which raised OverflowError out of every method.
+        payload = _instance_payload()
+        payload["cost_model"] = {"kind": "superlinear", "restart_cost": 1.0,
+                                 "exponent": 800.0}
+        file = tmp_path / "inst.json"
+        file.write_text(json.dumps(payload))
+        assert main(["solve", str(file), "--method", method]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["cost"] < float("inf")
+
     def test_a_nested_cost_model_field_is_named_by_its_path(self, tmp_path, capsys):
         payload = _instance_payload()
         payload["cost_model"] = {"kind": "unavailable", "blocked": [["P0", 1]],
@@ -112,6 +146,28 @@ class TestInstanceFiles:
         file = tmp_path / "inst.json"
         file.write_bytes(damage(json.dumps(_instance_payload())))
         _exits_2_naming([argv[0], str(file), *argv[1:]], capsys, str(file), what)
+
+    @pytest.mark.parametrize("argv", [["solve"], ["online", "inspect"]],
+                             ids=["solve", "inspect"])
+    def test_a_directory_exits_2(self, tmp_path, capsys, argv):
+        _exits_2_naming([*argv, str(tmp_path)], capsys, str(tmp_path),
+                        "Is a directory")
+
+    def test_a_path_through_a_file_exits_2(self, tmp_path, capsys):
+        file = tmp_path / "inst.json"
+        file.write_text(json.dumps(_instance_payload()))
+        _exits_2_naming(["solve", str(file / "x")], capsys, str(file / "x"),
+                        "Not a directory")
+
+    def test_an_unreadable_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        # Denied by a stand-in ``open``: a chmod does not stop root.
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        file = tmp_path / "inst.json"
+        file.write_text(json.dumps(_instance_payload()))
+        monkeypatch.setattr(repro.io, "open", denied, raising=False)
+        _exits_2_naming(["solve", str(file)], capsys, str(file), "Permission denied")
 
     def test_the_undamaged_file_loads(self, tmp_path):
         file = tmp_path / "inst.json"
@@ -142,6 +198,26 @@ class TestServeInputs:
         plan.write_bytes(b'{"format": "\xff"}')
         _exits_2_naming(["online", "serve", _spec(tmp_path), "--fault-plan", str(plan)],
                         capsys, str(plan), "not valid UTF-8")
+
+    def test_a_directory_at_a_checkpoint_quarantines_only_its_tenant(
+        self, tmp_path, capsys
+    ):
+        spec = tmp_path / "fleet.json"
+        spec.write_text(json.dumps([{"id": "a", "n": 12, "k": 2, "seed": 1},
+                                    {"id": "b", "n": 12, "k": 2, "seed": 2}]))
+        root = str(tmp_path / "ck")
+        argv = ["online", "serve", str(spec), "--checkpoint-dir", root]
+        assert main(argv) == 0
+        before = json.loads(capsys.readouterr().out)["tenants"]
+        path = tenant_checkpoint_path(root, "b")
+        os.remove(path)
+        os.mkdir(path)
+        assert main([*argv, "--resume"]) == 3
+        after = json.loads(capsys.readouterr().out)["tenants"]
+        assert after["b"]["state"] == "quarantined"
+        assert path in after["b"]["error"] and "Is a directory" in after["b"]["error"]
+        assert after["a"]["state"] == "finished"
+        assert after["a"]["selected"] == before["a"]["selected"]
 
     @pytest.mark.parametrize("top, rule, field", [
         ({"seed": "abc"}, {"at": [1]}, "'seed'"),

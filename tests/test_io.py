@@ -2,6 +2,7 @@
 
 import json
 import math
+import tempfile
 
 import pytest
 
@@ -127,23 +128,43 @@ class TestFileHelpers:
 class TestAtomicJsonDump:
     def test_writes_and_replaces(self, tmp_path):
         path = tmp_path / "ck.json"
-        dump_json_atomic({"v": 1}, str(path))
-        assert json.loads(path.read_text()) == {"v": 1}
+        dump_json_atomic({"v": 1, "a": [1, 2]}, str(path))
+        assert path.read_text() == '{"a":[1,2],"v":1}\n'  # one compact, sorted line
         dump_json_atomic({"v": 2}, str(path))
         assert json.loads(path.read_text()) == {"v": 2}
         assert list(tmp_path.iterdir()) == [path]  # no stray temp files
 
-    def test_failed_write_leaves_previous_file_intact(self, tmp_path):
-        """Kill-mid-write recovery: the old checkpoint survives.
+    def test_failed_write_leaves_previous_file_intact(self, tmp_path, monkeypatch):
+        """An unencodable payload fails before any temp file exists.
 
-        A serialisation failure part-way through (stand-in for a crash
-        mid-write: the temp file holds a JSON prefix) must neither
-        truncate nor replace the existing payload, and must clean up
-        its temp file.
+        The payload is encoded before the temp file is made, so the
+        existing payload is neither truncated nor replaced, and no temp
+        file is made or left behind.
         """
         path = tmp_path / "ck.json"
         dump_json_atomic({"cursor": 7}, str(path))
+        made = []
+        mkstemp = tempfile.mkstemp
+        monkeypatch.setattr(
+            tempfile, "mkstemp", lambda *a, **kw: made.append(a) or mkstemp(*a, **kw)
+        )
         with pytest.raises(TypeError):
             dump_json_atomic({"cursor": 8, "bad": object()}, str(path))
+        assert made == []
+        assert json.loads(path.read_text()) == {"cursor": 7}
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_a_failure_in_the_torn_write_window_removes_the_temp_file(self, tmp_path):
+        path = tmp_path / "ck.json"
+        dump_json_atomic({"cursor": 7}, str(path))
+        seen = []
+
+        def fail():
+            seen.extend(sorted(p.name for p in tmp_path.iterdir()))
+            raise RuntimeError("stand-in for a crash before the rename")
+
+        with pytest.raises(RuntimeError):
+            dump_json_atomic({"cursor": 8}, str(path), mid_write_hook=fail)
+        assert seen[0] == "ck.json" and seen[1].endswith(".tmp") and len(seen) == 2
         assert json.loads(path.read_text()) == {"cursor": 7}
         assert list(tmp_path.iterdir()) == [path]
